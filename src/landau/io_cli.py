@@ -17,15 +17,19 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
 from . import analysis
+from .fields import boltzmann_entropy
 from .grid import Field, make_grid
 from .solver import (
+    SCALAR_COLUMNS,
     AnisotropicGaussian,
     InitialDatum,
     Maxwellian,
@@ -43,24 +47,10 @@ __all__ = [
     "write_trajectory",
     "read_trajectory",
     "write_manifest",
+    "execute_run",
     "cli",
     "main",
 ]
-
-SCALAR_COLUMNS = (
-    "time",
-    "dt",
-    "mass",
-    "momentum_x",
-    "momentum_y",
-    "momentum_z",
-    "energy",
-    "entropy",
-    "lp_p",
-    "linf_h",
-    "grad_energy",
-    "c0",
-)
 
 _FAMILIES = ("maxwellian", "perturbed_maxwellian", "anisotropic_gaussian", "two_bump")
 
@@ -200,15 +190,22 @@ def config_to_text(config: SimConfig) -> str:
 # trajectory persistence
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Comma-separated table: floats (NumPy's too) as repr(float(x)), ints and bools via str."""
+
+    def cell(x) -> str:
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    lines = [",".join(header)] + [",".join(cell(x) for x in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_trajectory(traj: Trajectory, directory: str | Path) -> None:
     """Persist scalars (CSV), snapshots (raw f64 + sidecars), and the index."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    rows = [",".join(SCALAR_COLUMNS)]
-    for row in traj.scalar_table():
-        rows.append(",".join(repr(float(x)) for x in row))
-    (directory / "scalars.csv").write_text("\n".join(rows) + "\n")
+    _write_csv(directory / "scalars.csv", SCALAR_COLUMNS, traj.scalar_table())
 
     for i, (t, snap) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
         stem = f"snapshot_{i:06d}"
@@ -247,10 +244,10 @@ def read_trajectory(directory: str | Path) -> Trajectory:
     index = json.loads((directory / "traj.json").read_text())
     grid = make_grid(index["n"], index["L"])
 
-    lines = (directory / "scalars.csv").read_text().splitlines()
-    if lines[0] != ",".join(SCALAR_COLUMNS):
-        raise ValueError(f"unexpected scalar header in {directory}/scalars.csv")
-    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    scalars = directory / "scalars.csv"
+    lines = scalars.read_text().splitlines()
+    if not lines or lines[0] != ",".join(SCALAR_COLUMNS):
+        raise ValueError(f"unexpected scalar header in {scalars}")
 
     snapshot_times: list[float] = []
     snapshots: list[Field] = []
@@ -265,23 +262,14 @@ def read_trajectory(directory: str | Path) -> Trajectory:
         snapshot_times.append(float(meta["time"]))
         snapshots.append(Field(grid, raw.reshape(grid.shape).astype(np.float64)))
 
-    return Trajectory(
+    return Trajectory.from_rows(
+        [line.split(",") for line in lines[1:]],
+        str(scalars),
         grid=grid,
         p=index["p"],
         m=index["m"],
-        times=table[:, 0],
-        dt=table[:, 1],
-        mass=table[:, 2],
-        momentum=table[:, 3:6],
-        energy=table[:, 6],
-        entropy=table[:, 7],
-        lp_p=table[:, 8],
-        linf_h=table[:, 9],
-        grad_energy=table[:, 10],
-        c0=table[:, 11],
         snapshot_times=snapshot_times,
         snapshots=snapshots,
-        config=None,
         clipped_mass=index.get("clipped_mass", 0.0),
         aborted=index.get("aborted", False),
         abort_time=index.get("abort_time"),
@@ -308,19 +296,10 @@ def write_manifest(manifest: RunManifest, directory: str | Path) -> None:
     os.replace(tmp, target)
 
 
-# --------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = parse_config(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def execute_run(config: SimConfig, out: Path) -> Trajectory:
+    """Integrate `config`, persist the trajectory in `out`, then write its manifest."""
     started = time.time()
     traj = run(config)
-    out = Path(args.out)
     write_trajectory(traj, out)
     write_manifest(
         RunManifest(
@@ -333,6 +312,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ),
         out,
     )
+    return traj
+
+
+# --------------------------------------------------------------------------
+# subcommands
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    try:
+        config = parse_config(args.config)
+    except (ConfigError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = Path(args.out)
+    traj = execute_run(config, out)
     status = f"aborted at t={traj.abort_time:.4f}: {traj.abort_reason}" if traj.aborted else "completed"
     print(f"run {status}; {len(traj.times) - 1} steps, {len(traj.snapshots)} snapshots -> {out}")
     return 0 if not traj.aborted else 1
@@ -376,11 +370,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     sup_h = float(np.max(traj.linf_h))
     if sup_h > 0.0:
         ladder = [frac * sup_h for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 0.9)]
-        with (out / "levels.csv").open("w") as fh:
-            fh.write("level,sup_term,dissipation_term,total\n")
-            for lev in ladder:
-                ls = analysis.level_set_energy(traj, lev, (0.0, t_end), p, c0)
-                fh.write(f"{lev!r},{ls.sup_term!r},{ls.dissipation_term!r},{ls.total!r}\n")
+        energies = [analysis.level_set_energy(traj, lev, (0.0, t_end), p, c0) for lev in ladder]
+        _write_csv(
+            out / "levels.csv",
+            ("level", "sup_term", "dissipation_term", "total"),
+            [(lev, ls.sup_term, ls.dissipation_term, ls.total) for lev, ls in zip(ladder, energies)],
+        )
 
     if not exps.degenerate and 0.0 < t_mid < t_end:
         e0 = analysis.level_set_energy(traj, 0.0, (0.0, t_end), p, c0).total
@@ -388,12 +383,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         if K > 0:
             dg = analysis.degiorgi_iterate(traj, K, t_mid, t_end, p, m, c0, calibration_c=args.calibration_c)
             report["degiorgi"] = dataclasses.asdict(dg)
-            with (out / "degiorgi.csv").open("w") as fh:
-                fh.write("n,level,t_n,energy,comparison\n")
-                for i, (lev, tn, e, cmp_) in enumerate(
-                    zip(dg.levels, dg.level_times, dg.energies, dg.comparison)
-                ):
-                    fh.write(f"{i},{lev!r},{tn!r},{e!r},{cmp_!r}\n")
+            _write_csv(
+                out / "degiorgi.csv",
+                ("n", "level", "t_n", "energy", "comparison"),
+                [(i, *row) for i, row in enumerate(zip(dg.levels, dg.level_times, dg.energies, dg.comparison))],
+            )
 
     if m > 9.5:
         bounds = []
@@ -401,10 +395,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             if theta <= m:
                 bounds.append(dataclasses.asdict(analysis.moment_bound_check(traj, m, theta)))
         report["moment_bounds"] = bounds
-        with (out / "moments.csv").open("w") as fh:
-            fh.write("theta,exponent,c3,holds\n")
-            for b in bounds:
-                fh.write(f"{b['theta']},{b['exponent']!r},{b['c3']!r},{b['holds']}\n")
+        columns = ("theta", "exponent", "c3", "holds")
+        _write_csv(out / "moments.csv", columns, [[b[c] for c in columns] for b in bounds])
 
     try:
         fit = analysis.smoothing_fit(traj, p, m)
@@ -417,8 +409,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
     # both entropy conventions for the final state: signed f log f and
     # f |log f| (positive part, matching the run recorder's convention)
-    from .fields import boltzmann_entropy
-
     final = traj.snapshots[-1]
     positive = Field(final.grid, np.maximum(final.values, 0.0))
     report["entropy_final"] = {
@@ -427,10 +417,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         "absolute": boltzmann_entropy(positive, absolute=True),
     }
 
-    with (out / "envelope.csv").open("w") as fh:
-        fh.write("time,linf_h,lp_p,grad_energy\n")
-        for t, s, yp, g in zip(traj.times, traj.linf_h, traj.lp_p, traj.grad_energy):
-            fh.write(f"{t!r},{s!r},{yp!r},{g!r}\n")
+    _write_csv(
+        out / "envelope.csv",
+        ("time", "linf_h", "lp_p", "grad_energy"),
+        zip(traj.times, traj.linf_h, traj.lp_p, traj.grad_energy),
+    )
 
     (out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
     print(f"diagnostics written to {out}")
@@ -449,28 +440,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _sweep_worker(payload: tuple[str, str]) -> tuple[str, bool]:
-    config_text, out_dir = payload
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg_path = out / "config.cfg"
-    cfg_path.write_text(config_text)
-    config = parse_config(cfg_path)
-    started = time.time()
-    traj = run(config)
-    write_trajectory(traj, out)
-    write_manifest(
-        RunManifest(
-            config_text=config_text,
-            version=__version__,
-            started=started,
-            finished=time.time(),
-            outputs=sorted(str(p.name) for p in out.iterdir()),
-            abort_reason=traj.abort_reason,
-        ),
-        out,
-    )
-    return out_dir, not traj.aborted
+def _sweep_worker(job: tuple[SimConfig, str]) -> tuple[str, bool]:
+    """Run one sweep member and return its report line and success; never raises."""
+    config, out_dir = job
+    try:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.cfg").write_text(config_to_text(config))  # lets the member be re-run
+        traj = execute_run(config, out)
+    except Exception as exc:  # one bad member must not sink the sweep
+        traceback.print_exc()
+        return f"[FAILED] {out_dir}: {exc}", False
+    return f"[{'ABORTED' if traj.aborted else 'ok'}] {out_dir}", not traj.aborted
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -493,12 +474,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 initial = base.initial if amp is None else PerturbedMaxwellian(amp, base.initial.mode)
                 cfg = dataclasses.replace(base, initial=initial, n=n, p=p)
                 tag = f"amp{amp if amp is not None else 'base'}_n{n}_p{p}"
-                jobs.append((config_to_text(cfg), str(Path(args.out) / tag)))
+                jobs.append((cfg, str(Path(args.out) / tag)))
 
     failures = 0
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-        for out_dir, ok in pool.map(_sweep_worker, jobs):
-            print(f"[{'ok' if ok else 'ABORTED'}] {out_dir}")
+        for line, ok in pool.map(_sweep_worker, jobs):
+            print(line, flush=True)
             failures += 0 if ok else 1
     return 0 if failures == 0 else 1
 

@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .coefficients import CoefficientSet, compute_coefficients
-from .fields import NormRequest, lp_m_norm, maxwellian, moments, weighted_gradient_energy
+from .fields import NormRequest, boltzmann_entropy, lp_m_norm, maxwellian, moments, weighted_gradient_energy
 from .grid import Field, Grid, make_grid
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "InitialDatum",
     "SimConfig",
     "Trajectory",
+    "SCALAR_COLUMNS",
     "BlowUpError",
     "initial_datum",
     "rhs",
@@ -323,6 +324,22 @@ def step(f: Field, dt: float, coeffs: CoefficientSet | None = None, clip_negativ
     return new_f
 
 
+# Trajectory series in scalar-table order, each with the table columns it fills.
+SCALAR_SCHEMA = (
+    ("times", ("time",)),
+    ("dt", ("dt",)),
+    ("mass", ("mass",)),
+    ("momentum", ("momentum_x", "momentum_y", "momentum_z")),
+    ("energy", ("energy",)),
+    ("entropy", ("entropy",)),
+    ("lp_p", ("lp_p",)),
+    ("linf_h", ("linf_h",)),
+    ("grad_energy", ("grad_energy",)),
+    ("c0", ("c0",)),
+)
+SCALAR_COLUMNS = tuple(column for _, columns in SCALAR_SCHEMA for column in columns)
+
+
 @dataclass
 class Trajectory:
     """Time series of scalar diagnostics plus snapshots at cadence."""
@@ -355,21 +372,28 @@ class Trajectory:
         return self.snapshots[index] - self.equilibrium()
 
     def scalar_table(self) -> np.ndarray:
-        """Columns: time, dt, mass, momentum xyz, energy, entropy, lp_p, linf_h, grad_energy, c0."""
-        return np.column_stack(
-            [
-                self.times,
-                self.dt,
-                self.mass,
-                self.momentum,
-                self.energy,
-                self.entropy,
-                self.lp_p,
-                self.linf_h,
-                self.grad_energy,
-                self.c0,
-            ]
-        )
+        """One row per recorded step, columns in SCALAR_COLUMNS order."""
+        return np.column_stack([getattr(self, name) for name, _ in SCALAR_SCHEMA])
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence], source: str, **rest) -> Trajectory:
+        """Split scalar-table rows (values in SCALAR_COLUMNS order) into the series.
+
+        `source` names the table in errors; `rest` supplies the other fields.
+        """
+        width = len(SCALAR_COLUMNS)
+        if not rows or any(len(row) != width for row in rows):
+            raise ValueError(f"{source}: expected at least one row of {width} values")
+        try:
+            table = np.array([[float(x) for x in row] for row in rows])
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+        series, start = {}, 0
+        for name, columns in SCALAR_SCHEMA:
+            block = table[:, start : start + len(columns)]
+            series[name] = block if len(columns) > 1 else block[:, 0]
+            start += len(columns)
+        return cls(**series, **rest)
 
 
 class _Recorder:
@@ -377,7 +401,7 @@ class _Recorder:
         self.grid = grid
         self.config = config
         self.mu = maxwellian(grid)
-        self.rows: list[tuple] = []
+        self.rows: list[np.ndarray] = []
         self.snapshot_times: list[float] = []
         self.snapshots: list[Field] = []
         self._p_req = NormRequest(config.p)
@@ -385,49 +409,36 @@ class _Recorder:
     def record(self, t: float, dt_used: float, f: Field, coeffs: CoefficientSet, snapshot: bool) -> None:
         h = f - self.mu
         mom = moments(f)
-        # entropy of the nonnegative part: transient roundoff-scale
-        # undershoots are treated as zero density
-        vals = np.maximum(f.values, 0.0)
-        pos = vals[vals > 0.0]
-        entropy = self.grid.cell_volume * float(np.sum(pos * np.log(pos)))
-        self.rows.append(
-            (
-                t,
-                dt_used,
-                mom.mass,
-                *mom.momentum,
-                mom.energy,
-                entropy,
-                lp_m_norm(h, self._p_req) ** self.config.p,
-                h.max_abs(),
-                weighted_gradient_energy(h, self.config.p),
-                coeffs.c0_empirical,
-            )
-        )
+        series = {
+            "times": t,
+            "dt": dt_used,
+            "mass": mom.mass,
+            "momentum": mom.momentum,
+            "energy": mom.energy,
+            # entropy of the nonnegative part: transient roundoff-scale
+            # undershoots are treated as zero density
+            "entropy": boltzmann_entropy(Field(self.grid, np.maximum(f.values, 0.0))),
+            "lp_p": lp_m_norm(h, self._p_req) ** self.config.p,
+            "linf_h": h.max_abs(),
+            "grad_energy": weighted_gradient_energy(h, self.config.p),
+            "c0": coeffs.c0_empirical,
+        }
+        self.rows.append(np.hstack([series[name] for name, _ in SCALAR_SCHEMA]))
         if snapshot:
             self.snapshot_times.append(t)
             self.snapshots.append(f)
 
-    def build(self, config: SimConfig, **abort) -> Trajectory:
-        table = np.array(self.rows)
-        return Trajectory(
+    def build(self, **rest) -> Trajectory:
+        return Trajectory.from_rows(
+            self.rows,
+            "recorded scalars",
             grid=self.grid,
-            p=config.p,
-            m=config.m,
-            times=table[:, 0],
-            dt=table[:, 1],
-            mass=table[:, 2],
-            momentum=table[:, 3:6],
-            energy=table[:, 6],
-            entropy=table[:, 7],
-            lp_p=table[:, 8],
-            linf_h=table[:, 9],
-            grad_energy=table[:, 10],
-            c0=table[:, 11],
+            p=self.config.p,
+            m=self.config.m,
             snapshot_times=self.snapshot_times,
             snapshots=self.snapshots,
-            config=config,
-            **abort,
+            config=self.config,
+            **rest,
         )
 
 
@@ -463,6 +474,4 @@ def run(config: SimConfig) -> Trajectory:
         at_end = t >= config.t_end * (1.0 - 1e-12)
         recorder.record(t, dt, f, coeffs, snapshot=(steps % config.snapshot_every == 0) or at_end)
 
-    traj = recorder.build(config, **abort)
-    traj.clipped_mass = clipped_total
-    return traj
+    return recorder.build(clipped_mass=clipped_total, **abort)

@@ -117,6 +117,20 @@ class TestTrajectoryPersistence:
         with pytest.raises(ValueError, match="does not match"):
             read_trajectory(out)
 
+    @pytest.mark.parametrize("tear", ["header_only", "row_cut"])
+    def test_torn_scalars_rejected(self, small_traj, tmp_path, tear):
+        out = tmp_path / "out"
+        write_trajectory(small_traj, out)
+        scalars = out / "scalars.csv"
+        lines = scalars.read_text().splitlines()
+        if tear == "header_only":
+            scalars.write_text(lines[0] + "\n")
+        else:
+            scalars.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]))
+        with pytest.raises(ValueError, match="scalars.csv"):
+            read_trajectory(out)
+        assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
+
     def test_abort_state_round_trips(self, tmp_path, monkeypatch):
         import landau.solver as solver_mod
 
@@ -161,6 +175,16 @@ class TestCli:
         totals = [float(line.split(",")[3]) for line in levels[1:]]
         assert all(b <= a for a, b in zip(totals, totals[1:]))  # monotone in the level
 
+        traj = read_trajectory(out)
+        envelope = (rep / "envelope.csv").read_text().splitlines()
+        assert envelope[0] == "time,linf_h,lp_p,grad_energy"
+        cells = np.array([[float(x) for x in line.split(",")] for line in envelope[1:]])
+        expected = np.column_stack([traj.times, traj.linf_h, traj.lp_p, traj.grad_energy])
+        assert cells.tobytes() == expected.tobytes()
+        # the recorder and diagnose use the same entropy convention
+        last_entropy = float((out / "scalars.csv").read_text().splitlines()[-1].split(",")[SCALAR_COLUMNS.index("entropy")])
+        assert report["entropy_final"]["signed"] == last_entropy
+
     def test_determinism_bitwise(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("n = 32", "n = 16"))
         a, b = tmp_path / "a", tmp_path / "b"
@@ -196,6 +220,25 @@ class TestCli:
         for d in dirs:
             assert (out / d / "scalars.csv").is_file()
             assert (out / d / "run_manifest.json").is_file()
+
+    def test_sweep_reports_failed_job_and_keeps_the_rest(self, tmp_path, capsys):
+        text = (
+            MINIMAL.replace("t_end = 0.5", "t_end = 0.2")
+            .replace("initial = maxwellian", "initial = perturbed_maxwellian")
+            + "amplitude = 0.1\nmode = 4\n"
+        )
+        base = write_cfg(tmp_path, text, name="base.cfg")
+        out = tmp_path / "sweep"
+        rc = cli(["sweep", "--config", str(base), "--out", str(out), "--ns", "8,16", "--workers", "2"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"[FAILED] {out / 'ampbase_n8_p2.0'}: mode 4 is not resolvable on an n=8 grid",
+            f"[ok] {out / 'ampbase_n16_p2.0'}",
+        ]
+        assert (out / "ampbase_n8_p2.0" / "config.cfg").is_file()
+        assert parse_config(out / "ampbase_n16_p2.0" / "config.cfg").n == 16
+        assert (out / "ampbase_n16_p2.0" / "run_manifest.json").is_file()
 
     def test_sweep_amplitudes_require_perturbed_base(self, tmp_path):
         base = write_cfg(tmp_path, MINIMAL, name="base.cfg")
