@@ -9,8 +9,11 @@ are all derived from one convolution:
 The convolution is free-space (zero-padded to the doubled box with the
 radially truncated kernel sampled pointwise), so periodic images never
 pollute the long-range potential.  All derivatives are taken in the
-doubled transform space, which makes the trace and divergence
-identities hold by construction down to roundoff.
+doubled transform space (one forward, nine inverse transforms); a is
+taken as tr A, which linearity makes equal to the Laplacian transform.
+One eigen pass per set serves `lambda_max`, `c0_empirical` and
+`coefficient_upper_bounds`.  `structural_residuals` checks the set
+against independent symbol routes (Laplacian, divergence of A).
 
 A direct O(n^3)-per-point quadrature of the same integrals serves as
 the independent oracle, and the bound checks of the coefficient theory
@@ -66,12 +69,13 @@ def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _doubled_wavenumbers(n: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
+def _doubled_wavenumbers(n: int, extent: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis wavenumbers of the doubled rfftn layout, broadcast as (k1, k2, k3)."""
     m = 2 * n
     dv = 2.0 * extent / n
     full = 2.0 * np.pi * np.fft.fftfreq(m, d=dv)
     half = 2.0 * np.pi * np.fft.rfftfreq(m, d=dv)
-    return full, half
+    return full[:, None, None], full[None, :, None], half[None, None, :]
 
 
 def _check_boundary_decay(f: Field) -> None:
@@ -97,8 +101,10 @@ def _potential_spectrum(f: Field) -> np.ndarray:
     return np.fft.rfftn(padded) * _kernel_spectrum(grid.n, grid.extent) * grid.cell_volume
 
 
-def _extract(doubled: np.ndarray, n: int) -> np.ndarray:
-    return np.ascontiguousarray(doubled[:n, :n, :n])
+def _inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Inverse transform on the doubled grid, cropped to the original n^3 box."""
+    m = 2 * n
+    return np.ascontiguousarray(np.fft.irfftn(spectrum, s=(m, m, m), axes=(0, 1, 2))[:n, :n, :n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +133,8 @@ class CoefficientSet:
         """
         grid = self.A.grid
         mask = (grid.radius2 <= (0.5 * grid.extent) ** 2).reshape(-1)
-        lam_min = self.A.eigenvalues(mask)[:, 0]
         weight = (1.0 + grid.radius2.reshape(-1)[mask]) ** 1.5
-        return float(np.min(weight * lam_min))
+        return float(np.min(weight * self._eigenvalues[mask, 0]))
 
     @cached_property
     def grad_a_max(self) -> float:
@@ -139,9 +144,7 @@ class CoefficientSet:
 def biharmonic_potential(f: Field) -> Field:
     """Free-space convolution of f with |z|/(8 pi) on the original box."""
     _check_boundary_decay(f)
-    grid = f.grid
-    phi = np.fft.irfftn(_potential_spectrum(f), s=(2 * grid.n,) * 3, axes=(0, 1, 2))
-    return Field(grid, _extract(phi, grid.n))
+    return Field(f.grid, _inverse(_potential_spectrum(f), f.grid.n))
 
 
 def compute_coefficients(f: Field) -> CoefficientSet:
@@ -149,54 +152,47 @@ def compute_coefficients(f: Field) -> CoefficientSet:
     _check_boundary_decay(f)
     grid = f.grid
     n = grid.n
-    m = 2 * n
     phat = _potential_spectrum(f)
-    kfull, khalf = _doubled_wavenumbers(n, grid.extent)
-    k = (kfull[:, None, None], kfull[None, :, None], khalf[None, None, :])
+    k = _doubled_wavenumbers(n, grid.extent)
 
     tensor = np.empty((6, n, n, n))
     for idx, (i, j) in enumerate(SYM_COMPONENTS):
-        tensor[idx] = _extract(np.fft.irfftn(-(k[i] * k[j]) * phat, s=(m, m, m), axes=(0, 1, 2)), n)
+        tensor[idx] = _inverse(-(k[i] * k[j]) * phat, n)
+    A = SymTensorField(grid, tensor)
 
-    lap_symbol = -(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
-    ahat = lap_symbol * phat
-    a_vals = _extract(np.fft.irfftn(ahat, s=(m, m, m), axes=(0, 1, 2)), n)
-
+    ahat = -(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat
     grad = np.empty((3, n, n, n))
     for i in range(3):
-        grad[i] = _extract(np.fft.irfftn(1j * k[i] * ahat, s=(m, m, m), axes=(0, 1, 2)), n)
+        grad[i] = _inverse(1j * k[i] * ahat, n)
 
-    return CoefficientSet(
-        A=SymTensorField(grid, tensor),
-        a=Field(grid, a_vals),
-        grad_a=VecField(grid, grad),
-    )
+    return CoefficientSet(A=A, a=Field(grid, A.trace_values()), grad_a=VecField(grid, grad))
 
 
 def structural_residuals(f: Field) -> tuple[float, float]:
     """Relative sup residuals of the kernel identities tr A = a and div A = grad a.
 
-    The divergence is evaluated in the doubled transform space where the
-    construction defines it; differentiating the extracted (non-periodic)
-    box values would only measure windowing artifacts.
+    A, a = tr A and grad a come from `compute_coefficients`, the set the
+    solver uses.  They are compared with two routes built from one
+    potential spectrum: a as the Laplacian-symbol transform, and
+    grad a as the divergence-symbol transform of A.  The divergence is
+    taken in the doubled transform space where the construction defines
+    it; differentiating the extracted (non-periodic) box values would
+    only measure windowing artifacts.
     """
     grid = f.grid
-    n, m = grid.n, 2 * grid.n
+    n = grid.n
     coeffs = compute_coefficients(f)
-
-    a_scale = coeffs.a.max_abs()
-    trace_res = float(np.max(np.abs(coeffs.A.trace_values() - coeffs.a.values))) / a_scale
-
     phat = _potential_spectrum(f)
-    kfull, khalf = _doubled_wavenumbers(n, grid.extent)
-    k = (kfull[:, None, None], kfull[None, :, None], khalf[None, None, :])
+    k = _doubled_wavenumbers(n, grid.extent)
+
+    lap = _inverse(-(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat, n)
+    trace_res = float(np.max(np.abs(coeffs.a.values - lap))) / coeffs.a.max_abs()
+
     div_res = 0.0
-    grad_scale = float(np.max(coeffs.grad_a.magnitude()))
     for i in range(3):
-        div_hat = sum(1j * k[j] * (-(k[i] * k[j]) * phat) for j in range(3))
-        div_i = _extract(np.fft.irfftn(div_hat, s=(m, m, m), axes=(0, 1, 2)), n)
+        div_i = _inverse(sum(1j * k[j] * (-(k[i] * k[j]) * phat) for j in range(3)), n)
         div_res = max(div_res, float(np.max(np.abs(div_i - coeffs.grad_a.values[i]))))
-    return trace_res, div_res / grad_scale
+    return trace_res, div_res / coeffs.grad_a_max
 
 
 @dataclass(frozen=True)

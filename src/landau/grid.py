@@ -172,11 +172,9 @@ class SymTensorField:
     def trace_values(self) -> np.ndarray:
         return self.values[0] + self.values[1] + self.values[2]
 
-    def matrices(self, flat_mask: np.ndarray | None = None) -> np.ndarray:
+    def matrices(self) -> np.ndarray:
         """Stack the per-node matrices as (N, 3, 3) for batched linear algebra."""
         comps = self.values.reshape(6, -1)
-        if flat_mask is not None:
-            comps = comps[:, flat_mask]
         out = np.empty((comps.shape[1], 3, 3))
         for idx, (i, j) in enumerate(SYM_COMPONENTS):
             out[:, i, j] = comps[idx]
@@ -184,9 +182,9 @@ class SymTensorField:
                 out[:, j, i] = comps[idx]
         return out
 
-    def eigenvalues(self, flat_mask: np.ndarray | None = None) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
         """Per-node eigenvalues, ascending, shape (N, 3)."""
-        return np.linalg.eigvalsh(self.matrices(flat_mask))
+        return np.linalg.eigvalsh(self.matrices())
 
 
 def make_grid(n: int, extent: float) -> Grid:

@@ -242,6 +242,8 @@ def _read_sidecar(path: Path) -> dict[str, str]:
 def read_trajectory(directory: str | Path) -> Trajectory:
     directory = Path(directory)
     index = json.loads((directory / "traj.json").read_text())
+    if index["snapshots"] < 1:
+        raise ValueError(f"{directory / 'traj.json'}: {index['snapshots']} snapshots; a run stores at least t = 0")
     grid = make_grid(index["n"], index["L"])
 
     scalars = directory / "scalars.csv"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from landau import coefficients
 from landau.coefficients import (
+    CoefficientSet,
     biharmonic_potential,
     coefficient_upper_bounds,
     compute_coefficients,
@@ -110,8 +112,28 @@ class TestComputeCoefficients:
         floor = -1e-12 * coeffs48.lambda_max
         assert float(np.min(eigs[:, 0])) >= floor
 
-    def test_coercivity_positive(self, coeffs48):
+    def test_coercivity_positive(self, coeffs48, grid48):
         assert coeffs48.c0_empirical > 0.0
+        # c0 is min over |v| <= L/2 of <v>^3 lambda_min(A), read off the one eigen pass
+        ball = (grid48.radius2 <= (0.5 * grid48.extent) ** 2).reshape(-1)
+        lam_min = np.linalg.eigvalsh(coeffs48.A.matrices()[ball])[:, 0]
+        weight = (1.0 + grid48.radius2.reshape(-1)[ball]) ** 1.5
+        assert coeffs48.c0_empirical == float(np.min(weight * lam_min))
+
+    def test_potential_is_trace_of_diffusion(self):
+        grid = make_grid(32, 8.0)
+        coeffs = compute_coefficients(corpus_fields(grid)[2])
+        assert np.array_equal(coeffs.a.values, coeffs.A.trace_values())
+
+    def test_structural_residuals_catch_broken_trace(self, monkeypatch):
+        grid = make_grid(32, 8.0)
+        f = corpus_fields(grid)[2]
+        good = compute_coefficients(f)
+        broken = CoefficientSet(A=good.A, a=Field(grid, good.a.values * (1.0 + 1e-6)), grad_a=good.grad_a)
+        monkeypatch.setattr(coefficients, "compute_coefficients", lambda _: broken)
+        trace_res, div_res = structural_residuals(f)
+        assert trace_res > 1e-10
+        assert div_res <= 1e-8
 
     def test_coercivity_uniform_over_corpus(self):
         # the weighted smallest eigenvalue stays above one positive

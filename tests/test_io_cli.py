@@ -131,6 +131,18 @@ class TestTrajectoryPersistence:
             read_trajectory(out)
         assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
 
+    def test_zero_snapshots_rejected(self, small_traj, tmp_path, capsys):
+        out = tmp_path / "out"
+        write_trajectory(small_traj, out)
+        index = json.loads((out / "traj.json").read_text())
+        (out / "traj.json").write_text(json.dumps({**index, "snapshots": 0}))
+        with pytest.raises(ValueError, match="traj.json"):
+            read_trajectory(out)
+        capsys.readouterr()
+        assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "traj.json" in err and "0 snapshots" in err
+
     def test_abort_state_round_trips(self, tmp_path, monkeypatch):
         import landau.solver as solver_mod
 

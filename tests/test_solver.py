@@ -208,6 +208,28 @@ class TestRun:
         assert traj.clipped_mass >= 0.0
         assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
 
+    def test_one_eigen_pass_per_coefficient_set(self, monkeypatch):
+        cfg = SimConfig(n=16, t_end=0.3, cfl=0.25, initial=TwoBump(2.0))
+        solver_mod._equilibrium_residual(cfg.n, cfg.extent)  # its set never needs eigenvalues
+        sets, passes = [], []
+        build, eigenvalues = solver_mod.compute_coefficients, SymTensorField.eigenvalues
+
+        def counting_build(f):
+            sets.append(build(f))
+            return sets[-1]
+
+        def counting_eigenvalues(tensor):
+            passes.append(tensor)
+            return eigenvalues(tensor)
+
+        monkeypatch.setattr(solver_mod, "compute_coefficients", counting_build)
+        monkeypatch.setattr(SymTensorField, "eigenvalues", counting_eigenvalues)
+        traj = run(cfg)
+        # every set feeds lambda_max (dt) or c0 (the recorder), each from one pass
+        assert len(sets) == len(traj.times) > 1
+        assert len(passes) == len(sets)
+        assert [id(t) for t in passes] == [id(s.A) for s in sets]
+
     def test_blowup_is_surfaced(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "BLOWUP_SUP", 1e-3)
         traj = run(SimConfig(n=16, t_end=0.5, cfl=0.25, initial=TwoBump(2.0)))
