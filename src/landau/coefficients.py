@@ -11,6 +11,10 @@ radially truncated kernel sampled pointwise), so periodic images never
 pollute the long-range potential.  All derivatives are taken in the
 doubled transform space (one forward, nine inverse transforms); a is
 taken as tr A, which linearity makes equal to the Laplacian transform.
+Each transform is done as pruned 1-D passes, axis by axis
+(Hockney-Eastwood; `grid.rfft3`/`grid.irfft3`): the forward passes never
+transform the known-zero blocks of the padding, and each inverse pass
+is cropped to the original box before the next axis.
 One eigen pass per set serves `lambda_max`, `c0_empirical` and
 `coefficient_upper_bounds`.  `structural_residuals` checks the set
 against independent symbol routes (Laplacian, divergence of A).
@@ -31,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fields import NormRequest, lp_m_norm
-from .grid import Field, SymTensorField, VecField, SYM_COMPONENTS
+from .grid import Field, SymTensorField, VecField, SYM_COMPONENTS, irfft3, rfft3
 
 __all__ = [
     "CoefficientSet",
@@ -65,7 +69,7 @@ def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
     )
     kernel = r / (8.0 * np.pi)
     kernel[r > 2.0 * np.sqrt(3.0) * extent + 1e-12] = 0.0
-    return np.fft.rfftn(kernel)
+    return rfft3(kernel, m)
 
 
 @lru_cache(maxsize=8)
@@ -95,16 +99,7 @@ def _check_boundary_decay(f: Field) -> None:
 
 def _potential_spectrum(f: Field) -> np.ndarray:
     grid = f.grid
-    m = 2 * grid.n
-    padded = np.zeros((m, m, m))
-    padded[: grid.n, : grid.n, : grid.n] = f.values
-    return np.fft.rfftn(padded) * _kernel_spectrum(grid.n, grid.extent) * grid.cell_volume
-
-
-def _inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Inverse transform on the doubled grid, cropped to the original n^3 box."""
-    m = 2 * n
-    return np.ascontiguousarray(np.fft.irfftn(spectrum, s=(m, m, m), axes=(0, 1, 2))[:n, :n, :n])
+    return rfft3(f.values, 2 * grid.n) * _kernel_spectrum(grid.n, grid.extent) * grid.cell_volume
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,26 +139,27 @@ class CoefficientSet:
 def biharmonic_potential(f: Field) -> Field:
     """Free-space convolution of f with |z|/(8 pi) on the original box."""
     _check_boundary_decay(f)
-    return Field(f.grid, _inverse(_potential_spectrum(f), f.grid.n))
+    n = f.grid.n
+    return Field(f.grid, irfft3(_potential_spectrum(f), 2 * n, n))
 
 
 def compute_coefficients(f: Field) -> CoefficientSet:
     """Diffusion matrix, potential, and drift from one padded transform."""
     _check_boundary_decay(f)
     grid = f.grid
-    n = grid.n
+    n, m = grid.n, 2 * grid.n
     phat = _potential_spectrum(f)
     k = _doubled_wavenumbers(n, grid.extent)
 
     tensor = np.empty((6, n, n, n))
     for idx, (i, j) in enumerate(SYM_COMPONENTS):
-        tensor[idx] = _inverse(-(k[i] * k[j]) * phat, n)
+        tensor[idx] = irfft3(-(k[i] * k[j]) * phat, m, n)
     A = SymTensorField(grid, tensor)
 
     ahat = -(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat
     grad = np.empty((3, n, n, n))
     for i in range(3):
-        grad[i] = _inverse(1j * k[i] * ahat, n)
+        grad[i] = irfft3(1j * k[i] * ahat, m, n)
 
     return CoefficientSet(A=A, a=Field(grid, A.trace_values()), grad_a=VecField(grid, grad))
 
@@ -180,17 +176,17 @@ def structural_residuals(f: Field) -> tuple[float, float]:
     only measure windowing artifacts.
     """
     grid = f.grid
-    n = grid.n
+    n, m = grid.n, 2 * grid.n
     coeffs = compute_coefficients(f)
     phat = _potential_spectrum(f)
     k = _doubled_wavenumbers(n, grid.extent)
 
-    lap = _inverse(-(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat, n)
+    lap = irfft3(-(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat, m, n)
     trace_res = float(np.max(np.abs(coeffs.a.values - lap))) / coeffs.a.max_abs()
 
     div_res = 0.0
     for i in range(3):
-        div_i = _inverse(sum(1j * k[j] * (-(k[i] * k[j]) * phat) for j in range(3)), n)
+        div_i = irfft3(sum(1j * k[j] * (-(k[i] * k[j]) * phat) for j in range(3)), m, n)
         div_res = max(div_res, float(np.max(np.abs(div_i - coeffs.grad_a.values[i]))))
     return trace_res, div_res / coeffs.grad_a_max
 

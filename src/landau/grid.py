@@ -151,6 +151,8 @@ class VecField:
 # storage order of the six independent components of a symmetric matrix
 SYM_COMPONENTS: tuple[tuple[int, int], ...] = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SYM_INDEX = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (0, 1): 3, (1, 0): 3, (0, 2): 4, (2, 0): 4, (1, 2): 5, (2, 1): 5}
+# nodes per closed-form eigen block: its ~50 temporaries stay in cache
+_EIGEN_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +185,65 @@ class SymTensorField:
         return out
 
     def eigenvalues(self) -> np.ndarray:
-        """Per-node eigenvalues, ascending, shape (N, 3)."""
-        return np.linalg.eigvalsh(self.matrices())
+        """Per-node eigenvalues, ascending, shape (N, 3).
+
+        Trigonometric closed form (O. K. Smith, CACM 4(4), 1961): with
+        q = tr A / 3 and the invariants J2, J3 = det B of the deviator
+        B = A - q I, the eigenvalues are q + 2 sqrt(J2/3) cos(theta + 2 pi k/3),
+        theta = atan2(sqrt(D), 3 sqrt(3) J3) / 3 in [0, pi/3].  The
+        discriminant D = 4 J2^3 - 27 J3^2 = prod (l_i - l_j)^2 is taken as
+        the Gram determinant of (I, B, B^2) in the six symmetric
+        coordinates (off-diagonal weight sqrt 2), expanded by Cauchy-Binet
+        into a sum of squared 3x3 minors.  A sum of squares keeps its
+        relative accuracy when two eigenvalues nearly coincide, where the
+        usual acos form of theta loses half the digits.  The middle eigenvalue
+        is the trace minus the other two.  Each node is first scaled by a
+        power of two (exact) so that the cubes and sixth powers neither
+        overflow nor underflow.  Nodes go through in blocks that keep the
+        temporaries in cache.
+        """
+        comps = self.values.reshape(6, -1)
+        out = np.empty((comps.shape[1], 3))
+        for start in range(0, comps.shape[1], _EIGEN_BLOCK):
+            out[start : start + _EIGEN_BLOCK] = _symmetric_eigenvalues(comps[:, start : start + _EIGEN_BLOCK])
+        return out
+
+
+def _symmetric_eigenvalues(comps: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (N, 3) of the symmetric matrices in comps (6, N)."""
+    _, exponent = np.frexp(np.max(np.abs(comps), axis=0))
+    a11, a22, a33, a12, a13, a23 = np.ldexp(comps, -exponent)
+    trace = a11 + a22 + a33
+    q = trace / 3.0
+    b11, b22, b33 = a11 - q, a22 - q, a33 - q
+    s12, s13, s23 = a12 * a12, a13 * a13, a23 * a23
+    b = (b11, b22, b33, a12, a13, a23)
+    b2 = (
+        b11 * b11 + s12 + s13,
+        b22 * b22 + s12 + s23,
+        b33 * b33 + s13 + s23,
+        (b11 + b22) * a12 + a13 * a23,
+        (b11 + b33) * a13 + a12 * a23,
+        (b22 + b33) * a23 + a12 * a13,
+    )
+    # 2x2 cross terms of the B and B^2 rows; the I row is 1 on the diagonal
+    # columns and 0 off it, so each minor is one cross term or a signed sum,
+    # and its square carries weight 2 per off-diagonal column.
+    x = {(i, j): b[i] * b2[j] - b[j] * b2[i] for i in range(6) for j in range(i + 1, 6)}
+    disc = (x[0, 1] - x[0, 2] + x[1, 2]) ** 2
+    for k in (3, 4, 5):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            disc += 2.0 * (x[j, k] - x[i, k]) ** 2
+    disc += 12.0 * (x[3, 4] ** 2 + x[3, 5] ** 2 + x[4, 5] ** 2)
+    j2 = 0.5 * (b2[0] + b2[1] + b2[2])
+    j3 = b11 * (b22 * b33 - s23) - a12 * (a12 * b33 - a13 * a23) + a13 * (a12 * a23 - b22 * a13)
+    theta = np.arctan2(np.sqrt(disc), 3.0 * np.sqrt(3.0) * j3) / 3.0
+    radius = 2.0 * np.sqrt(j2 / 3.0)
+    hi = q + radius * np.cos(theta)
+    lo = q + radius * np.cos(theta + 2.0 * np.pi / 3.0)
+    # rounding can put the trace remainder an ulp outside [lo, hi]
+    mid = np.clip(trace - hi - lo, lo, hi)
+    return np.ldexp(np.stack((lo, mid, hi), axis=1), exponent[:, None])
 
 
 def make_grid(n: int, extent: float) -> Grid:
@@ -194,6 +253,30 @@ def make_grid(n: int, extent: float) -> Grid:
 def integrate(field: Field) -> float:
     """Midpoint-rule integral over the box: spacing^3 times the sample sum."""
     return field.grid.cell_volume * float(np.sum(field.values))
+
+
+def rfft3(values: np.ndarray, m: int) -> np.ndarray:
+    """rfftn of `values` zero-padded to m^3, one axis at a time.
+
+    Each 1-D pass pads only the lines it transforms, so the known-zero
+    blocks of a padded array are never transformed.  pocketfft runs the
+    same 1-D passes inside rfftn, so the values are bit-identical.
+    """
+    out = np.fft.rfft(values, n=m, axis=2)
+    out = np.fft.fft(out, n=m, axis=1)
+    return np.fft.fft(out, n=m, axis=0)
+
+
+def irfft3(spectrum: np.ndarray, m: int, n: int) -> np.ndarray:
+    """irfftn on the m^3 grid cropped to its first n^3 corner, one axis at a time.
+
+    Each axis is cropped right after its 1-D pass, so later passes
+    transform only the lines that reach the corner; the values are
+    bit-identical to irfftn's.
+    """
+    out = np.fft.ifft(spectrum, axis=0)[:n]
+    out = np.fft.ifft(out, axis=1)[:, :n]
+    return np.ascontiguousarray(np.fft.irfft(out, n=m, axis=2)[:, :, :n])
 
 
 def _derivative_wavenumbers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -208,12 +291,13 @@ def _derivative_wavenumbers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 def spectral_gradient(field: Field) -> VecField:
     """Gradient via the periodic Fourier interpolant; exact on grid modes."""
     grid = field.grid
-    spec = np.fft.rfftn(field.values)
+    n = grid.n
+    spec = rfft3(field.values, n)
     kfull, khalf = _derivative_wavenumbers(grid)
     out = np.empty((3, *grid.shape))
-    out[0] = np.fft.irfftn(1j * kfull[:, None, None] * spec, s=grid.shape, axes=(0, 1, 2))
-    out[1] = np.fft.irfftn(1j * kfull[None, :, None] * spec, s=grid.shape, axes=(0, 1, 2))
-    out[2] = np.fft.irfftn(1j * khalf[None, None, :] * spec, s=grid.shape, axes=(0, 1, 2))
+    out[0] = irfft3(1j * kfull[:, None, None] * spec, n, n)
+    out[1] = irfft3(1j * kfull[None, :, None] * spec, n, n)
+    out[2] = irfft3(1j * khalf[None, None, :] * spec, n, n)
     return VecField(grid, out)
 
 

@@ -13,7 +13,7 @@ from landau.coefficients import (
     structural_residuals,
 )
 from landau.fields import maxwellian
-from landau.grid import Field, make_grid
+from landau.grid import Field, irfft3, make_grid, rfft3
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,36 @@ def corpus_fields(grid):
         (2.0 * np.pi * 0.5) ** -1.5 * np.exp(-grid.radius2),
     ]
     return [Field(grid, s + np.zeros(grid.shape)) for s in shapes]
+
+
+class TestPrunedTransforms:
+    """The axis-by-axis doubled-grid transforms against the full zero-padded ones."""
+
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    def test_potential_spectrum_matches_padded_rfftn(self, n):
+        grid = make_grid(n, 8.0)
+        f = Field(grid, np.random.default_rng(n).standard_normal(grid.shape))
+        padded = np.zeros((2 * n,) * 3)
+        padded[:n, :n, :n] = f.values
+        expected = np.fft.rfftn(padded) * coefficients._kernel_spectrum(n, grid.extent) * grid.cell_volume
+        got = coefficients._potential_spectrum(f)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    def test_forward_of_full_array_matches_rfftn(self, n):
+        # the kernel spectrum and spectral_gradient take this path: no padding
+        full = np.random.default_rng(n).standard_normal((2 * n,) * 3)
+        expected = np.fft.rfftn(full)
+        assert np.max(np.abs(rfft3(full, 2 * n) - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n, m", [(8, 16), (24, 48), (48, 96), (24, 24)])
+    def test_inverse_matches_cropped_irfftn(self, n, m):
+        rng = np.random.default_rng(n)
+        spectrum = rng.standard_normal((m, m, m // 2 + 1)) + 1j * rng.standard_normal((m, m, m // 2 + 1))
+        expected = np.fft.irfftn(spectrum, s=(m, m, m), axes=(0, 1, 2))[:n, :n, :n]
+        got = irfft3(spectrum, m, n)
+        assert got.shape == (n, n, n) and got.flags.c_contiguous
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 class TestBiharmonicPotential:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from landau.fields import maxwellian
 from landau.grid import (
+    SYM_COMPONENTS,
     Field,
     SymTensorField,
     VecField,
@@ -76,6 +79,69 @@ class TestFieldContainers:
         assert np.all(tensor.trace_values() == vals[0] + vals[1] + vals[2])
         mats = tensor.matrices()
         np.testing.assert_array_equal(mats[:, 0, 2], mats[:, 2, 0])
+
+
+def tensor_with_eigenvalues(eigenvalues, rotations) -> SymTensorField:
+    """Node matrices Q diag(eigenvalues) Q^T on an 8^3 grid, one rotation Q per node."""
+    grid = make_grid(8, 4.0)
+    count = grid.n**3
+    q, _ = np.linalg.qr(np.broadcast_to(rotations, (count, 3, 3)))
+    lam = np.broadcast_to(eigenvalues, (count, 3))
+    mats = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+    return SymTensorField(grid, np.stack([mats[:, i, j] for i, j in SYM_COMPONENTS]).reshape(6, *grid.shape))
+
+
+def assert_matches_eigvalsh(tensor: SymTensorField, reference=None) -> None:
+    got = tensor.eigenvalues()
+    ref = np.linalg.eigvalsh(tensor.matrices()) if reference is None else reference
+    assert got.shape == ref.shape
+    assert np.all(np.diff(got, axis=1) >= 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref), axis=1, keepdims=True))
+
+
+class TestSymTensorEigenvalues:
+    """The closed form against LAPACK on the cases that break acos(det B / 2)."""
+
+    def rotations(self, seed):
+        return np.random.default_rng(seed).standard_normal((512, 3, 3))
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(0)
+        assert_matches_eigvalsh(SymTensorField(make_grid(8, 4.0), rng.standard_normal((6, 8, 8, 8))))
+
+    @pytest.mark.parametrize("eigenvalues", [(1.0, 1.0, 3.0), (-2.0, 5.0, 5.0), (1.5, 1.5, 1.5), (-1.0, -1.0, -1.0)])
+    def test_repeated_eigenvalues_under_rotation(self, eigenvalues):
+        assert_matches_eigvalsh(tensor_with_eigenvalues(eigenvalues, self.rotations(1)))
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-12])
+    def test_nearly_equal_eigenvalues(self, gap):
+        assert_matches_eigvalsh(tensor_with_eigenvalues((1.0, 1.0 + gap, 2.0), self.rotations(2)))
+        assert_matches_eigvalsh(tensor_with_eigenvalues((-3.0, 0.5, 0.5 + gap), self.rotations(3)))
+
+    def test_zero_and_diagonal_matrices(self):
+        grid = make_grid(8, 4.0)
+        assert np.array_equal(SymTensorField(grid, np.zeros((6, *grid.shape))).eigenvalues(), np.zeros((512, 3)))
+        values = np.zeros((6, *grid.shape))
+        values[:3] = np.random.default_rng(4).standard_normal((3, *grid.shape))
+        assert_matches_eigvalsh(SymTensorField(grid, values), np.sort(values[:3].reshape(3, -1).T, axis=1))
+
+    @pytest.mark.parametrize("exponent", [700, -700])
+    def test_extreme_scales(self, exponent):
+        # scaling by a power of two is exact, so the eigenvalues scale exactly
+        base = tensor_with_eigenvalues(np.random.default_rng(5).standard_normal((512, 3)), self.rotations(6))
+        scaled = SymTensorField(base.grid, np.ldexp(base.values, exponent))
+        assert_matches_eigvalsh(scaled, np.ldexp(np.linalg.eigvalsh(base.matrices()), exponent))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        eigenvalues=arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+        rotation=arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)),
+        exponent=st.integers(-700, 700),
+    )
+    def test_property_matches_eigvalsh(self, eigenvalues, rotation, exponent):
+        base = tensor_with_eigenvalues(eigenvalues, rotation)
+        scaled = SymTensorField(base.grid, np.ldexp(base.values, exponent))
+        assert_matches_eigvalsh(scaled, np.ldexp(np.linalg.eigvalsh(base.matrices()), exponent))
 
 
 class TestIntegrate:

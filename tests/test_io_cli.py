@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +144,33 @@ class TestTrajectoryPersistence:
         err = capsys.readouterr().err
         assert "traj.json" in err and "0 snapshots" in err
 
+    def test_interrupted_overwrite_leaves_no_index(self, small_traj, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        write_trajectory(small_traj, out)
+        other = run(SimConfig(n=16, t_end=0.2, cfl=0.25, snapshot_every=1, initial=TwoBump(2.0), m=12.0))
+        assert len(other.times) != len(small_traj.times)
+
+        write_bytes = Path.write_bytes
+        calls = []
+
+        def fail_second_snapshot(path, data):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fail_second_snapshot)
+        with pytest.raises(OSError, match="disk full"):
+            write_trajectory(other, out)
+        monkeypatch.undo()
+
+        assert not (out / "traj.json").exists()
+        with pytest.raises(FileNotFoundError):
+            read_trajectory(out)
+        capsys.readouterr()
+        assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
+        assert "no trajectory at" in capsys.readouterr().err
+
     def test_abort_state_round_trips(self, tmp_path, monkeypatch):
         import landau.solver as solver_mod
 
@@ -196,6 +224,26 @@ class TestCli:
         # the recorder and diagnose use the same entropy convention
         last_entropy = float((out / "scalars.csv").read_text().splitlines()[-1].split(",")[SCALAR_COLUMNS.index("entropy")])
         assert report["entropy_final"]["signed"] == last_entropy
+
+    @pytest.mark.parametrize(
+        "n, datum, at_roundoff",
+        [
+            # n = 24: at n = 16 (spacing 1) the moment-normalized datum differs
+            # from the sampled Maxwellian by 3e-7 of its peak, a real h
+            (24, "initial = maxwellian\n", True),
+            (16, "initial = anisotropic_gaussian\ntheta = 0.8, 1.0, 1.2\n", False),
+        ],
+    )
+    def test_report_marks_roundoff_perturbation(self, tmp_path, n, datum, at_roundoff):
+        cfg = write_cfg(tmp_path, f"n = {n}\nL = 8.0\nt_end = 0.2\np = 2.0\nm = 12.0\n{datum}")
+        out, rep = tmp_path / "out", tmp_path / "rep"
+        assert cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli(["diagnose", "--traj", str(out), "--out", str(rep)]) == 0
+        section = json.loads((rep / "report.json").read_text())["perturbation"]
+        traj = read_trajectory(out)
+        assert section["linf_h_max"] == float(np.max(traj.linf_h))
+        assert section["relative_to_equilibrium"] == section["linf_h_max"] / traj.equilibrium().max_abs()
+        assert section["at_roundoff"] is at_roundoff
 
     def test_determinism_bitwise(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("n = 32", "n = 16"))
