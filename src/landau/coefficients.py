@@ -9,15 +9,24 @@ are all derived from one convolution:
 The convolution is free-space (zero-padded to the doubled box with the
 radially truncated kernel sampled pointwise), so periodic images never
 pollute the long-range potential.  All derivatives are taken in the
-doubled transform space (one forward, nine inverse transforms); a is
-taken as tr A, which linearity makes equal to the Laplacian transform.
-Each transform is done as pruned 1-D passes, axis by axis
-(Hockney-Eastwood; `grid.rfft3`/`grid.irfft3`): the forward passes never
-transform the known-zero blocks of the padding, and each inverse pass
-is cropped to the original box before the next axis.
-One eigen pass per set serves `lambda_max`, `c0_empirical` and
-`coefficient_upper_bounds`.  `structural_residuals` checks the set
-against independent symbol routes (Laplacian, divergence of A).
+doubled transform space; a is taken as tr A, which linearity makes
+equal to the Laplacian transform.  Transforms run as pruned 1-D passes,
+axis by axis (Hockney-Eastwood; `grid.rfft3`/`grid.irfft3`): the forward
+passes never transform the known-zero blocks of the padding, and each
+inverse pass is cropped to the original box before the next axis.  The
+nine output symbols are polynomials of degree <= 3 in k1, and a factor
+of k2 and k3 alone commutes with the axis-0 pass, so that pass (the
+largest) runs four times, on k1^p phat, instead of nine; each output
+then combines the four cropped slabs before its own axis-1 and axis-2
+passes.  The result agrees with nine full inverse transforms to
+roundoff, not bit for bit.
+
+The eigenvalues run only where they can matter: `lambda_max` on the
+nodes whose Gershgorin row bound reaches the largest diagonal entry,
+`c0_empirical` on the half-extent ball.  Both equal a full closed-form
+pass bit for bit; the full pass serves `coefficient_upper_bounds`.
+`structural_residuals` checks the set against independent,
+unfactored symbol routes (Laplacian, divergence of A).
 
 A direct O(n^3)-per-point quadrature of the same integrals serves as
 the independent oracle, and the bound checks of the coefficient theory
@@ -35,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fields import NormRequest, lp_m_norm
-from .grid import Field, SymTensorField, VecField, SYM_COMPONENTS, irfft3, rfft3
+from .grid import Field, SymTensorField, VecField, irfft3, rfft3
 
 __all__ = [
     "CoefficientSet",
@@ -51,6 +60,8 @@ __all__ = [
 # Sources should be this small near the boundary for the truncated
 # free-space convolution to be trustworthy.
 BOUNDARY_DENSITY_WARN = 1e-10
+# Slack of the Gershgorin screen in `lambda_max`, relative to the largest entry.
+_SCREEN_SLACK = 2.0**-40
 
 
 @lru_cache(maxsize=8)
@@ -99,7 +110,40 @@ def _check_boundary_decay(f: Field) -> None:
 
 def _potential_spectrum(f: Field) -> np.ndarray:
     grid = f.grid
-    return rfft3(f.values, 2 * grid.n) * _kernel_spectrum(grid.n, grid.extent) * grid.cell_volume
+    spectrum = rfft3(f.values, 2 * grid.n)
+    spectrum *= _kernel_spectrum(grid.n, grid.extent)
+    spectrum *= grid.cell_volume
+    return spectrum
+
+
+@lru_cache(maxsize=8)
+def _factored_symbols(n: int, extent: float) -> tuple[tuple, tuple]:
+    """Powers k1^p (p = 1..3), and each output symbol split as sum_p k1^p Q_p(k2, k3).
+
+    The outputs are the six components of A (symbols -k_i k_j, in
+    SYM_COMPONENTS order), then the three of grad a (symbols
+    -1j k_i |k|^2); each is a tuple of pairs (p, Q_p).  Every factor is
+    complex and Q_p spans all of (k2, k3): NumPy multiplies complex by
+    complex fastest.
+    """
+    k1, k2, k3 = _doubled_wavenumbers(n, extent)
+    transverse = k2 * k2 + k3 * k3
+    symbols = (
+        ((2, -1.0),),
+        ((0, -(k2 * k2)),),
+        ((0, -(k3 * k3)),),
+        ((1, -k2),),
+        ((1, -k3),),
+        ((0, -(k2 * k3)),),
+        ((3, -1j), (1, -1j * transverse)),
+        ((2, -1j * k2), (0, -1j * k2 * transverse)),
+        ((2, -1j * k3), (0, -1j * k3 * transverse)),
+    )
+    plane = (1, 2 * n, n + 1)
+    return (
+        tuple(k.astype(complex) for k in (k1, k1 * k1, k1 * k1 * k1)),
+        tuple(tuple((p, np.broadcast_to(q, plane).astype(complex)) for p, q in terms) for terms in symbols),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +155,25 @@ class CoefficientSet:
     grad_a: VecField
 
     @cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        return self.A.eigenvalues()
-
-    @cached_property
     def lambda_max(self) -> float:
-        """Largest diffusion eigenvalue over the grid (time-step control)."""
-        return float(np.max(self._eigenvalues[:, 2]))
+        """Largest diffusion eigenvalue over the grid (time-step control).
+
+        A node's largest eigenvalue lies between its largest diagonal
+        entry and its largest Gershgorin row sum A_ii + sum_j |A_ij|, so
+        only nodes whose row bound reaches the grid's largest diagonal
+        entry can hold the maximum; the closed form runs on those alone.
+        The screen keeps a slack of 2^-40 times the largest entry, far
+        above the rounding of the closed form and of the row sums, so
+        the result equals the maximum of a full pass bit for bit.  A
+        non-finite entry puts every node through the full pass.
+        """
+        a11, a22, a33, a12, a13, a23 = self.A.values.reshape(6, -1)
+        d12, d13, d23 = np.abs(a12), np.abs(a13), np.abs(a23)
+        bound = np.maximum(np.maximum(a11 + d12 + d13, a22 + d12 + d23), a33 + d13 + d23)
+        top = float(np.max(self.A.values[:3]))
+        scale = float(np.max(np.abs(self.A.values)))
+        nodes = ~(bound < top - _SCREEN_SLACK * scale)
+        return float(np.max(self.A.eigenvalues_at(nodes)[:, 2]))
 
     @cached_property
     def c0_empirical(self) -> float:
@@ -125,11 +181,12 @@ class CoefficientSet:
 
         Restricted to the half-extent ball: near the boundary the
         truncated tail of the source biases the smallest eigenvalue.
+        The closed form runs on the ball's nodes alone.
         """
         grid = self.A.grid
-        mask = (grid.radius2 <= (0.5 * grid.extent) ** 2).reshape(-1)
-        weight = (1.0 + grid.radius2.reshape(-1)[mask]) ** 1.5
-        return float(np.min(weight * self._eigenvalues[mask, 0]))
+        ball = (grid.radius2 <= (0.5 * grid.extent) ** 2).reshape(-1)
+        weight = (1.0 + grid.radius2.reshape(-1)[ball]) ** 1.5
+        return float(np.min(weight * self.A.eigenvalues_at(ball)[:, 0]))
 
     @cached_property
     def grad_a_max(self) -> float:
@@ -144,23 +201,42 @@ def biharmonic_potential(f: Field) -> Field:
 
 
 def compute_coefficients(f: Field) -> CoefficientSet:
-    """Diffusion matrix, potential, and drift from one padded transform."""
+    """Diffusion matrix, potential, and drift from one padded transform.
+
+    The axis-0 inverse pass, the largest, runs on k1^p phat for
+    p = 0..3 only; a factor Q(k2, k3) commutes with it, so each of the
+    nine outputs combines the four cropped slabs with its own Q_p
+    before its axis-1 and axis-2 passes.
+    """
     _check_boundary_decay(f)
     grid = f.grid
     n, m = grid.n, 2 * grid.n
+    powers, symbols = _factored_symbols(n, grid.extent)
+
+    # p = 0 goes last, in place on phat, so at most one spare full-size
+    # buffer is live.  Separate slabs rather than one (4, n, 2n, n+1) stack:
+    # glibc's heap grows with the largest block freed (at n = 48 one stack
+    # raised the peak RSS of a run by 6 MiB).
     phat = _potential_spectrum(f)
-    k = _doubled_wavenumbers(n, grid.extent)
+    work = np.empty_like(phat)
+    slabs = [None] * 4
+    for p in (3, 2, 1):
+        np.fft.ifft(np.multiply(phat, powers[p - 1], out=work), axis=0, out=work)
+        slabs[p] = work[:n].copy()
+    del work
+    slabs[0] = np.fft.ifft(phat, axis=0, out=phat)[:n].copy()
+    del phat
 
-    tensor = np.empty((6, n, n, n))
-    for idx, (i, j) in enumerate(SYM_COMPONENTS):
-        tensor[idx] = irfft3(-(k[i] * k[j]) * phat, m, n)
+    tensor, grad = np.empty((6, n, n, n)), np.empty((3, n, n, n))
+    line = np.empty((n, m, n + 1), dtype=complex)
+    for target, ((p, q), *rest) in zip((*tensor, *grad), symbols):
+        np.multiply(slabs[p], q, out=line)
+        for p, q in rest:
+            line += q * slabs[p]
+        np.fft.ifft(line, axis=1, out=line)
+        target[...] = np.fft.irfft(line[:, :n], n=m, axis=2)[:, :, :n]
+
     A = SymTensorField(grid, tensor)
-
-    ahat = -(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat
-    grad = np.empty((3, n, n, n))
-    for i in range(3):
-        grad[i] = irfft3(1j * k[i] * ahat, m, n)
-
     return CoefficientSet(A=A, a=Field(grid, A.trace_values()), grad_a=VecField(grid, grad))
 
 
@@ -271,7 +347,7 @@ def coefficient_upper_bounds(f: Field, p: float) -> CoefficientBoundReport:
     if float(np.min(f.values)) < 0.0 or f.max_abs() == 0.0:
         raise ValueError("upper bounds are stated for nonnegative, nonzero densities")
     coeffs = compute_coefficients(f)
-    a_inf = float(np.max(np.abs(coeffs._eigenvalues)))
+    a_inf = float(np.max(np.abs(coeffs.A.eigenvalues())))
     grid = f.grid
     grad_a_l3 = (grid.cell_volume * float(np.sum(coeffs.grad_a.magnitude() ** 3))) ** (1.0 / 3.0)
     e1 = (2.0 / 3.0) * (p - 1.5) / (p - 1.0)

@@ -202,7 +202,15 @@ class SymTensorField:
         overflow nor underflow.  Nodes go through in blocks that keep the
         temporaries in cache.
         """
-        comps = self.values.reshape(6, -1)
+        return self.eigenvalues_at(slice(None))
+
+    def eigenvalues_at(self, nodes: np.ndarray | slice) -> np.ndarray:
+        """Eigenvalues at the flat node selection `nodes` (mask, indices or slice), shape (K, 3).
+
+        The closed form works node by node, so these are exactly the
+        selected rows of `eigenvalues()`.
+        """
+        comps = self.values.reshape(6, -1)[:, nodes]
         out = np.empty((comps.shape[1], 3))
         for start in range(0, comps.shape[1], _EIGEN_BLOCK):
             out[start : start + _EIGEN_BLOCK] = _symmetric_eigenvalues(comps[:, start : start + _EIGEN_BLOCK])

@@ -218,11 +218,16 @@ def write_trajectory(traj: Trajectory, directory: str | Path) -> None:
 
     The index `traj.json` is removed first and replaced atomically last,
     so a write cut short leaves no index, and readers reject the
-    directory instead of mixing the files of two runs.
+    directory instead of mixing the files of two runs.  Snapshot files
+    past this trajectory's count, left by an older run, are removed.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "traj.json").unlink(missing_ok=True)
+    own = {f"snapshot_{i:06d}" for i in range(len(traj.snapshots))}
+    for path in directory.glob("snapshot_*"):
+        if path.suffix in (".f64", ".meta") and path.stem not in own:
+            path.unlink()
 
     _write_csv(directory / "scalars.csv", SCALAR_COLUMNS, traj.scalar_table())
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from landau import coefficients
 from landau.coefficients import (
@@ -13,7 +15,8 @@ from landau.coefficients import (
     structural_residuals,
 )
 from landau.fields import maxwellian
-from landau.grid import Field, irfft3, make_grid, rfft3
+from landau.grid import SYM_COMPONENTS, Field, SymTensorField, VecField, irfft3, make_grid, rfft3
+from landau.solver import AnisotropicGaussian, Maxwellian, SimConfig, TwoBump, initial_datum
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,112 @@ class TestPrunedTransforms:
         got = irfft3(spectrum, m, n)
         assert got.shape == (n, n, n) and got.flags.c_contiguous
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def oracle_coefficients(f):
+    """A, a and grad a from nine full doubled-grid irfftn of the symbol products, cropped."""
+    grid = f.grid
+    n, m = grid.n, 2 * grid.n
+    padded = np.zeros((m, m, m))
+    padded[:n, :n, :n] = f.values
+    phat = np.fft.rfftn(padded) * coefficients._kernel_spectrum(n, grid.extent) * grid.cell_volume
+    full = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
+    k = (full[:, None, None], full[None, :, None], 2.0 * np.pi * np.fft.rfftfreq(m, d=grid.spacing)[None, None, :])
+
+    def inverse(spectrum):
+        return np.fft.irfftn(spectrum, s=(m, m, m), axes=(0, 1, 2))[:n, :n, :n]
+
+    A = np.stack([inverse(-(k[i] * k[j]) * phat) for i, j in SYM_COMPONENTS])
+    lap = -(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat
+    grad = np.stack([inverse(1j * k[i] * lap) for i in range(3)])
+    return A, A[0] + A[1] + A[2], grad
+
+
+class TestFactoredTransforms:
+    """The axis-0-factored inverse transforms against nine full irfftn."""
+
+    # at n = 8 the data reach the faces; the warning does not bear on the transforms
+    @pytest.mark.filterwarnings("ignore:source density")
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    @pytest.mark.parametrize("datum", [AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0), Maxwellian()])
+    def test_matches_full_inverse_transforms(self, n, datum):
+        f = initial_datum(SimConfig(n=n, initial=datum))
+        got = compute_coefficients(f)
+        for value, expected in zip((got.A.values, got.a.values, got.grad_a.values), oracle_coefficients(f)):
+            assert np.max(np.abs(value - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def full_pass(tensor: SymTensorField) -> tuple[float, float]:
+    """lambda_max and c0_empirical read off the closed form at every node."""
+    eig = tensor.eigenvalues()
+    grid = tensor.grid
+    ball = (grid.radius2 <= (0.5 * grid.extent) ** 2).reshape(-1)
+    weight = (1.0 + grid.radius2.reshape(-1)[ball]) ** 1.5
+    return float(np.max(eig[:, 2])), float(np.min(weight * eig[ball, 0]))
+
+
+def screened(values: np.ndarray) -> CoefficientSet:
+    grid = make_grid(values.shape[1], 4.0)
+    return CoefficientSet(
+        A=SymTensorField(grid, values), a=Field(grid, grid.zeros()), grad_a=VecField(grid, np.zeros((3, *grid.shape)))
+    )
+
+
+def assert_screen_exact(values: np.ndarray) -> CoefficientSet:
+    coeffs = screened(values)
+    lam, c0 = full_pass(coeffs.A)
+    assert (coeffs.lambda_max, coeffs.c0_empirical) == (lam, c0)
+    return coeffs
+
+
+class TestScreenedEigenvalues:
+    """lambda_max on the Gershgorin-screened nodes and c0 on the ball equal a full pass bit for bit."""
+
+    def test_coefficient_data(self):
+        for datum in (AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0), Maxwellian()):
+            assert_screen_exact(compute_coefficients(initial_datum(SimConfig(n=24, initial=datum))).A.values)
+
+    def test_many_nodes_tied_at_the_largest_diagonal(self):
+        rng = np.random.default_rng(0)
+        values = 1e-3 * rng.standard_normal((6, 8, 8, 8))
+        values[0, ::2] = 1.0
+        values[1, 1::2] = 1.0
+        assert_screen_exact(values)
+
+    def test_maximum_away_from_the_largest_diagonal(self):
+        values = np.zeros((6, 8, 8, 8))
+        values[:3] = 1.0
+        values[:3, 5, 2, 6] = (0.9, 0.9, 0.0)
+        values[3, 5, 2, 6] = 0.5
+        coeffs = assert_screen_exact(values)
+        assert coeffs.lambda_max == pytest.approx(1.4, rel=1e-15)
+
+    def test_zero_field(self):
+        assert assert_screen_exact(np.zeros((6, 8, 8, 8))).lambda_max == 0.0
+
+    def test_non_finite_entry_reaches_lambda_max(self):
+        values = np.random.default_rng(1).standard_normal((6, 8, 8, 8))
+        values[4, 1, 2, 3] = np.nan
+        assert np.isnan(full_pass(SymTensorField(make_grid(8, 4.0), values))[0])
+        assert np.isnan(screened(values).lambda_max)
+
+    @pytest.mark.parametrize("exponent", [700, -700])
+    def test_extreme_scales(self, exponent):
+        base = compute_coefficients(initial_datum(SimConfig(n=24, initial=TwoBump(2.0)))).A.values
+        assert_screen_exact(np.ldexp(base, exponent))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        pool=arrays(np.float64, (4, 6), elements=st.floats(-1.0, 1.0)),
+        seed=st.integers(0, 2**16),
+        jitter=st.sampled_from([0.0, 1e-16, 1e-13, 1e-8]),
+        exponent=st.integers(-700, 700),
+    )
+    def test_property_matches_full_pass(self, pool, seed, jitter, exponent):
+        # a few matrices shared by many nodes, so exact and near ties abound
+        rng = np.random.default_rng(seed)
+        values = pool[rng.integers(0, len(pool), size=512)].T * (1.0 + jitter * rng.standard_normal((6, 512)))
+        assert_screen_exact(np.ldexp(values, exponent).reshape(6, 8, 8, 8))
 
 
 class TestBiharmonicPotential:

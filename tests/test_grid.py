@@ -125,6 +125,16 @@ class TestSymTensorEigenvalues:
         values[:3] = np.random.default_rng(4).standard_normal((3, *grid.shape))
         assert_matches_eigvalsh(SymTensorField(grid, values), np.sort(values[:3].reshape(3, -1).T, axis=1))
 
+    def test_selected_nodes_match_full_pass(self):
+        # 24^3 nodes fill two blocks; the selections straddle the block boundary
+        grid = make_grid(24, 4.0)
+        tensor = SymTensorField(grid, np.random.default_rng(7).standard_normal((6, *grid.shape)))
+        full = tensor.eigenvalues()
+        mask = np.random.default_rng(8).random(grid.n**3) < 0.3
+        assert np.array_equal(tensor.eigenvalues_at(mask), full[mask])
+        indices = np.arange(8000, 8400)
+        assert np.array_equal(tensor.eigenvalues_at(indices), full[indices])
+
     @pytest.mark.parametrize("exponent", [700, -700])
     def test_extreme_scales(self, exponent):
         # scaling by a power of two is exact, so the eigenvalues scale exactly

@@ -225,6 +225,20 @@ class TestCli:
         last_entropy = float((out / "scalars.csv").read_text().splitlines()[-1].split(",")[SCALAR_COLUMNS.index("entropy")])
         assert report["entropy_final"]["signed"] == last_entropy
 
+    def test_rerun_with_fewer_snapshots_lists_only_its_own(self, tmp_path):
+        base = MINIMAL.replace("n = 32", "n = 16") + "snapshot_every = 1\n"
+        out = tmp_path / "out"
+        assert cli(["run", "--config", str(write_cfg(tmp_path, base, "long.cfg")), "--out", str(out)]) == 0
+        longer = json.loads((out / "traj.json").read_text())["snapshots"]
+        short = write_cfg(tmp_path, base.replace("t_end = 0.5", "t_end = 0.1"), "short.cfg")
+        assert cli(["run", "--config", str(short), "--out", str(out)]) == 0
+        count = json.loads((out / "traj.json").read_text())["snapshots"]
+        assert 1 < count < longer
+        own = sorted(f"snapshot_{i:06d}{ext}" for i in range(count) for ext in (".f64", ".meta"))
+        outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+        assert sorted(name for name in outputs if name.startswith("snapshot_")) == own
+        assert sorted(p.name for p in out.glob("snapshot_*")) == own
+
     @pytest.mark.parametrize(
         "n, datum, at_roundoff",
         [

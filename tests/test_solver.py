@@ -208,27 +208,46 @@ class TestRun:
         assert traj.clipped_mass >= 0.0
         assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
 
-    def test_one_eigen_pass_per_coefficient_set(self, monkeypatch):
+    def test_eigenvalues_only_at_ball_and_screened_nodes(self, monkeypatch):
         cfg = SimConfig(n=16, t_end=0.3, cfl=0.25, initial=TwoBump(2.0))
         solver_mod._equilibrium_residual(cfg.n, cfg.extent)  # its set never needs eigenvalues
-        sets, passes = [], []
-        build, eigenvalues = solver_mod.compute_coefficients, SymTensorField.eigenvalues
+        sets, full_passes, nodes = [], [], {}
+        build, eigenvalues, eigenvalues_at = (
+            solver_mod.compute_coefficients, SymTensorField.eigenvalues, SymTensorField.eigenvalues_at
+        )
 
         def counting_build(f):
             sets.append(build(f))
             return sets[-1]
 
         def counting_eigenvalues(tensor):
-            passes.append(tensor)
+            full_passes.append(tensor)
             return eigenvalues(tensor)
+
+        def counting_eigenvalues_at(tensor, selection):
+            out = eigenvalues_at(tensor, selection)
+            nodes[id(tensor)] = nodes.get(id(tensor), 0) + len(out)
+            return out
 
         monkeypatch.setattr(solver_mod, "compute_coefficients", counting_build)
         monkeypatch.setattr(SymTensorField, "eigenvalues", counting_eigenvalues)
+        monkeypatch.setattr(SymTensorField, "eigenvalues_at", counting_eigenvalues_at)
         traj = run(cfg)
-        # every set feeds lambda_max (dt) or c0 (the recorder), each from one pass
+        # every set feeds lambda_max (dt) or c0 (the recorder), and neither takes a full pass
         assert len(sets) == len(traj.times) > 1
-        assert len(passes) == len(sets)
-        assert [id(t) for t in passes] == [id(s.A) for s in sets]
+        assert full_passes == []
+        grid = sets[0].A.grid
+        ball = int(np.count_nonzero(grid.radius2 <= (0.5 * grid.extent) ** 2))
+        for coeffs in sets:
+            a11, a22, a33, a12, a13, a23 = coeffs.A.values.reshape(6, -1)
+            d12, d13, d23 = np.abs(a12), np.abs(a13), np.abs(a23)
+            # nodes whose Gershgorin row bound reaches the largest diagonal entry, less a slack
+            # of 1e-12 of the largest entry: wider than the program's, so a superset of its screen
+            row_bound = np.max([a11 + d12 + d13, a22 + d12 + d23, a33 + d13 + d23], axis=0)
+            top, scale = np.max(coeffs.A.values[:3]), np.max(np.abs(coeffs.A.values))
+            screen = int(np.count_nonzero(row_bound >= top - 1e-12 * scale))
+            assert screen <= grid.n**3 // 100
+            assert 0 < nodes[id(coeffs.A)] <= ball + screen
 
     def test_blowup_is_surfaced(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "BLOWUP_SUP", 1e-3)
