@@ -529,7 +529,7 @@ def smoothing_fit(
     if exps.degenerate:
         raise ValueError(f"smoothing exponent is not positive for (p={p}, m={m})")
     if t_min is None:
-        t_min = 5.0 * float(traj.dt[1]) if len(traj.dt) > 1 else 0.0
+        t_min = float(traj.times[5]) if len(traj.times) > 5 else 0.0
     idx = _window_indices(traj.times, t_min, t_max)
     idx = idx[traj.times[idx] > 0]
     if idx.size < 6:

@@ -70,7 +70,8 @@ def perturbed_corpus():
 
 @pytest.fixture(scope="session")
 def maxwellian32():
-    traj, _ = timed_run(SimConfig(n=32, t_end=1.0, cfl=0.25, p=2.0, m=12.0, initial=Maxwellian(), snapshot_every=2))
+    """Equilibrium run that lands a step on every 0.1 (the smoothing fit needs the rows)."""
+    traj, _ = timed_run(SimConfig(n=32, t_end=1.0, cfl=0.25, p=2.0, m=12.0, initial=Maxwellian(), snapshot_every=1))
     return traj
 
 

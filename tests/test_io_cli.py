@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from landau.io_cli import (
     ConfigError,
@@ -13,7 +14,7 @@ from landau.io_cli import (
     read_trajectory,
     write_trajectory,
 )
-from landau.solver import PerturbedMaxwellian, SimConfig, TwoBump, run
+from landau.solver import AnisotropicGaussian, Maxwellian, PerturbedMaxwellian, SimConfig, TwoBump, run
 
 MINIMAL = """
 n = 32
@@ -87,6 +88,48 @@ class TestParseConfig:
             assert parsed == cfg
 
 
+def _positive(upper: float):
+    return st.floats(0.0, upper, exclude_min=True)
+
+
+@st.composite
+def _two_bumps(draw) -> TwoBump:
+    weights = draw(st.tuples(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0)))
+    w1, w2 = (w / sum(weights) for w in weights)
+    # the separation bound w1 w2 d^2 < 3, with a margin for its rounding
+    return TwoBump(draw(st.floats(-1.0, 1.0)) * 0.999 * (3.0 / (w1 * w2)) ** 0.5, weights)
+
+
+_DATA = st.one_of(
+    st.just(Maxwellian()),
+    st.builds(PerturbedMaxwellian, st.floats(-1.0, 1.0), st.integers(1, 64)),
+    st.builds(AnisotropicGaussian, st.tuples(_positive(1e3), _positive(1e3), _positive(1e3))),
+    _two_bumps(),
+)
+_CONFIGS = st.builds(
+    SimConfig,
+    n=st.integers(4, 128).map(lambda k: 2 * k),
+    extent=_positive(1e3),
+    t_end=_positive(1e6),
+    cfl=st.floats(0.0, 1.0, exclude_min=True),
+    initial=_DATA,
+    p=st.floats(1.5, 1e3, exclude_min=True),
+    m=_positive(1e3),
+    snapshot_every=st.integers(1, 10**6),
+    clip_negatives=st.booleans(),
+    coefficient_refresh=st.integers(1, 10**6),
+    seed=st.integers(0, 2**63),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cfg=_CONFIGS)
+def test_property_config_text_round_trip(cfg, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text(config_to_text(cfg))
+    assert parse_config(path) == cfg
+
+
 @pytest.fixture(scope="module")
 def small_traj():
     return run(SimConfig(n=16, t_end=0.3, cfl=0.25, snapshot_every=2, initial=PerturbedMaxwellian(0.1, 3), m=12.0))
@@ -147,7 +190,7 @@ class TestTrajectoryPersistence:
     def test_interrupted_overwrite_leaves_no_index(self, small_traj, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
         write_trajectory(small_traj, out)
-        other = run(SimConfig(n=16, t_end=0.2, cfl=0.25, snapshot_every=1, initial=TwoBump(2.0), m=12.0))
+        other = run(SimConfig(n=16, t_end=0.4, cfl=0.25, snapshot_every=1, initial=TwoBump(2.0), m=12.0))
         assert len(other.times) != len(small_traj.times)
 
         write_bytes = Path.write_bytes

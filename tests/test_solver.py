@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,10 @@ class TestSimConfig:
             AnisotropicGaussian((1.0, -0.5, 1.0))
         with pytest.raises(ValueError):
             TwoBump(separation=4.0)  # w1 w2 d^2 = 4 > 3 leaves no thermal spread
+        for bad in (lambda: PerturbedMaxwellian(math.nan), lambda: AnisotropicGaussian((1.0, math.nan, 1.0)),
+                    lambda: TwoBump(math.nan), lambda: TwoBump(1.0, weights=(1.0, math.nan))):
+            with pytest.raises(ValueError):
+                bad()
 
 
 class TestInitialDatum:
@@ -132,17 +138,21 @@ class TestStableDt:
         dt_f = stable_dt(Field(fine, np.zeros(fine.shape)), _synthetic_coeffs(fine, 10.0), 0.5)
         assert dt_c == pytest.approx(4.0 * dt_f, rel=1e-12)
 
-    def test_vanishing_coefficients_hit_the_cap(self):
+    def test_vanishing_coefficients_leave_only_snapshots_and_horizon(self, monkeypatch):
         grid = make_grid(16, 8.0)
-        dt = stable_dt(Field(grid, np.zeros(grid.shape)), _synthetic_coeffs(grid, 0.0), 0.5)
-        assert dt == 0.1
+        assert stable_dt(Field(grid, np.zeros(grid.shape)), _synthetic_coeffs(grid, 0.0), 0.5) > 1e20
+        # a run on vanishing coefficients steps from snapshot time to snapshot time, then to t_end
+        monkeypatch.setattr(solver_mod, "compute_coefficients", lambda f: _synthetic_coeffs(f.grid, 0.0))
+        traj = run(SimConfig(n=16, t_end=0.5, snapshot_every=2, initial=TwoBump(2.0)))
+        np.testing.assert_allclose(traj.times, [0.0, 0.2, 0.4, 0.5], rtol=0.0, atol=1e-15)
+        assert traj.snapshot_times == list(traj.times)
 
     def test_equilibrium_baseline(self):
-        # pinned: the diffusion scale is weak enough that the cap binds
+        # pinned: uncapped, the equilibrium's diffusion scale allows dt = 0.92 at n = 32
         grid = make_grid(32, 8.0)
         mu = maxwellian(grid)
         dt = stable_dt(mu, compute_coefficients(mu), 0.5)
-        assert dt == 0.1
+        assert dt == pytest.approx(0.9205, rel=1e-3)
 
 
 class TestStep:
@@ -203,6 +213,26 @@ class TestRun:
         assert not traj.aborted
         assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
 
+    def test_frozen_coefficients_step_at_the_cfl_bound(self, monkeypatch):
+        # the lag of 25 frozen steps, divided by 25, does not limit the steps: each is
+        # the CFL bound of its (frozen) set, or a landing on the next snapshot time
+        cfg = SimConfig(n=32, t_end=1.0, cfl=0.011, coefficient_refresh=25, snapshot_every=1,
+                        initial=PerturbedMaxwellian(0.05, 8))
+        bounds = []
+        cfl_bound = solver_mod.stable_dt
+
+        def recording_bound(f, coeffs, cfl):
+            bounds.append(cfl_bound(f, coeffs, cfl))
+            return bounds[-1]
+
+        monkeypatch.setattr(solver_mod, "stable_dt", recording_bound)
+        traj = run(cfg)
+        steps = len(traj.times) - 1
+        assert len(bounds) == steps and steps <= 55
+        for k in range(steps):
+            gap = 0.1 * (math.floor(traj.times[k] / 0.1 + 1e-9) + 1) - traj.times[k]
+            assert traj.dt[k + 1] in (bounds[k], pytest.approx(gap), pytest.approx(gap / 2))
+
     def test_clipping_preserves_mass(self):
         traj = run(SimConfig(n=16, t_end=0.3, cfl=0.25, clip_negatives=True, initial=TwoBump(2.0)))
         assert traj.clipped_mass >= 0.0
@@ -255,3 +285,26 @@ class TestRun:
         assert traj.aborted
         assert traj.abort_time is not None
         assert "sup norm" in traj.abort_reason
+
+
+class TestStepControl:
+    def test_error_falls_with_the_tolerance(self, monkeypatch):
+        # cfl = 1 and one snapshot interval longer than the run: only the controller limits
+        # the steps, the first one included.  Reference: 100 fixed steps of 0.01, whose own
+        # error (~1e-7 of the peak) is 5% of the smallest error measured here.
+        cfg = SimConfig(n=24, t_end=1.0, cfl=1.0, snapshot_every=20, initial=AnisotropicGaussian((0.8, 1.0, 1.2)))
+        ref = initial_datum(cfg)
+        for _ in range(100):
+            ref = step(ref, 0.01)
+        peak = float(np.max(ref.values))
+        tolerances = (3e-5, 1e-5, 3e-6)
+        errors = []
+        for tol in tolerances:
+            monkeypatch.setattr(solver_mod, "LAG_TOLERANCE", tol)
+            traj = run(cfg)
+            assert traj.times[-1] == 1.0 and not traj.aborted
+            errors.append((traj.snapshots[-1] - ref).max_abs() / peak)
+        # measured 2.4e-5 / 7.7e-6 / 2.3e-6; an uncontrolled first step (dt = 1) stalls near 2.4e-5
+        order = math.log(errors[0] / errors[-1]) / math.log(tolerances[0] / tolerances[-1])
+        assert order >= 0.8
+        assert traj.dt[1] < 0.2  # the first trial, the whole run, was rejected and retried
