@@ -9,7 +9,10 @@ measures, it does not prove.
 
 Time integrals over trajectories use the trapezoid rule on the recorded
 cadence; suprema over time are maxima over samples.  Everything here is
-a pure function of immutable trajectories.
+a pure function of immutable trajectories.  The level-set terms are
+computed at most once per (level, p) on a trajectory and memoized on it,
+and an empty cut costs no transform, so a trajectory must not be mutated
+after construction.
 """
 
 from __future__ import annotations
@@ -163,21 +166,36 @@ class LevelSetEnergyReport:
 def level_set_energy(
     traj: Trajectory, level: float, window: tuple[float, float], p: float, c0: float
 ) -> LevelSetEnergyReport:
-    """sup_t ||h_l^+||_p^p + c0 int ||<v>^{-3/2} grad (h_l^+)^{p/2}||_2^2 dt."""
+    """sup_t ||h_l^+||_p^p + c0 int ||<v>^{-3/2} grad (h_l^+)^{p/2}||_2^2 dt.
+
+    Both per-snapshot terms are memoized on `traj` by (level, p, snapshot);
+    an empty cut (max h <= level) gives exactly 0.0 for both, untransformed.
+    """
     t_a, t_b = window
     if t_a > t_b:
         raise ValueError(f"bad window {window}")
-    times, hs = _snapshot_h(traj)
+    if not level >= 0.0:
+        raise ValueError(f"level must be nonnegative, got {level}")
+    times = np.asarray(traj.snapshot_times)
     if times.size == 0 or t_a < times[0] - 1e-12 or t_b > times[-1] + 1e-12:
         raise ValueError(f"window {window} outside the recorded range")
     idx = _window_indices(times, t_a, t_b)
     req = NormRequest(p)
+    memo, mu = traj.level_terms, None
     sup_term = 0.0
     diss = np.empty(idx.size)
     for out_i, i in enumerate(idx):
-        cut = level_set_plus(hs[i], level)
-        sup_term = max(sup_term, lp_m_norm(cut, req) ** p)
-        diss[out_i] = weighted_gradient_energy(cut, p)
+        key = (level, p, int(i))
+        if key not in memo:
+            mu = maxwellian(traj.grid) if mu is None else mu
+            h = traj.snapshots[i] - mu
+            if np.max(h.values) <= level:
+                memo[key] = (0.0, 0.0)
+            else:
+                cut = level_set_plus(h, level)
+                memo[key] = (lp_m_norm(cut, req) ** p, weighted_gradient_energy(cut, p))
+        lp_term, diss[out_i] = memo[key]
+        sup_term = max(sup_term, lp_term)
     dissipation = c0 * _trapezoid(diss, times[idx])
     return LevelSetEnergyReport(
         level=level,

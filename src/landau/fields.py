@@ -109,7 +109,7 @@ def boltzmann_entropy(field: Field, *, absolute: bool = False) -> float:
 
 def level_set_plus(h: Field, level: float) -> Field:
     """Positive part above the level: max(h - level, 0)."""
-    if level < 0.0:
+    if not level >= 0.0:
         raise ValueError(f"level must be nonnegative, got {level}")
     return Field(h.grid, np.maximum(h.values - level, 0.0))
 

@@ -370,6 +370,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     traj = read_trajectory(directory)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # an older diagnose's files must not sit beside this one's report
+    for name in ("report.json", "levels.csv", "degiorgi.csv", "moments.csv"):
+        (out / name).unlink(missing_ok=True)
     p, m = traj.p, traj.m
     t_end = float(traj.times[-1])
     t_mid = args.t if args.t is not None else 0.25 * t_end
@@ -452,7 +455,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         zip(traj.times, traj.linf_h, traj.lp_p, traj.grad_energy),
     )
 
-    (out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
+    _replace_text(out / "report.json", json.dumps(report, indent=2, default=float) + "\n")
     print(f"diagnostics written to {out}")
     return 0
 
@@ -513,6 +516,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got '{raw}'")
+    return value
+
+
 def cli(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="landau",
@@ -528,11 +541,11 @@ def cli(argv: list[str] | None = None) -> int:
     p_diag = sub.add_parser("diagnose", help="emit analysis reports for a stored trajectory")
     p_diag.add_argument("--traj", required=True)
     p_diag.add_argument("--out", required=True)
-    p_diag.add_argument("--t", type=float, default=None, help="iteration window start (default t_end/4)")
-    p_diag.add_argument("--K", type=float, default=None, help="override the level ceiling")
-    p_diag.add_argument("--c0", type=float, default=None, help="override the coercivity constant")
-    p_diag.add_argument("--eps", type=float, default=None, help="barrier level for the ODE check")
-    p_diag.add_argument("--calibration-c", type=float, default=1.0)
+    p_diag.add_argument("--t", type=_finite_float, default=None, help="iteration window start (default t_end/4)")
+    p_diag.add_argument("--K", type=_finite_float, default=None, help="override the level ceiling")
+    p_diag.add_argument("--c0", type=_finite_float, default=None, help="override the coercivity constant")
+    p_diag.add_argument("--eps", type=_finite_float, default=None, help="barrier level for the ODE check")
+    p_diag.add_argument("--calibration-c", type=_finite_float, default=1.0)
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")

@@ -41,7 +41,7 @@ can execute concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
@@ -368,7 +368,11 @@ SCALAR_COLUMNS = tuple(column for _, columns in SCALAR_SCHEMA for column in colu
 
 @dataclass
 class Trajectory:
-    """Time series of scalar diagnostics plus snapshots at cadence."""
+    """Time series of scalar diagnostics plus snapshots at cadence.
+
+    Not to be mutated after construction: `level_terms` memoizes the
+    per-snapshot level-set terms that `analysis.level_set_energy` computes.
+    """
 
     grid: Grid
     p: float
@@ -390,6 +394,7 @@ class Trajectory:
     aborted: bool = False
     abort_time: float | None = None
     abort_reason: str | None = None
+    level_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def equilibrium(self) -> Field:
         return maxwellian(self.grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -142,20 +143,54 @@ class TestEnergyE0:
             energy_E0(twobump32, 2.0, (5.0, 6.0))
 
 
+def direct_level_energy(traj, level, c0):
+    """(sup term, dissipation term) at p = 2 over every snapshot, each cut differentiated afresh."""
+    times = np.asarray(traj.snapshot_times)
+    mu = traj.equilibrium()
+    req = NormRequest(2.0)
+    sup = 0.0
+    diss = []
+    for snap in traj.snapshots:
+        plus = level_set_plus(snap - mu, level)
+        sup = max(sup, lp_m_norm(plus, req) ** 2)
+        diss.append(weighted_gradient_energy(plus, 2.0))
+    return sup, c0 * float(np.trapezoid(diss, times))
+
+
 class TestLevelSetEnergy:
     def test_zero_level_matches_direct_computation(self, twobump32):
         report = level_set_energy(twobump32, 0.0, (0.0, 1.0), 2.0, c0=0.0168)
-        times = np.asarray(twobump32.snapshot_times)
-        mu = twobump32.equilibrium()
-        req = NormRequest(2.0)
-        sup = 0.0
-        diss = []
-        for snap in twobump32.snapshots:
-            plus = level_set_plus(snap - mu, 0.0)
-            sup = max(sup, lp_m_norm(plus, req) ** 2)
-            diss.append(weighted_gradient_energy(plus, 2.0))
-        expected = sup + 0.0168 * float(np.trapezoid(diss, times))
-        assert report.total == pytest.approx(expected, rel=1e-12)
+        assert report.total == pytest.approx(sum(direct_level_energy(twobump32, 0.0, 0.0168)), rel=1e-12)
+
+    def test_empty_cut_boundary_matches_direct_computation(self, twobump32):
+        # at a snapshot's max h its cut is empty and skipped; one ulp below, its top node is in the cut
+        tops = sorted(float(np.max(twobump32.h_snapshot(i).values)) for i in range(len(twobump32.snapshots)))
+        at = tops[len(tops) // 2]
+        assert tops[0] < at < tops[-1]  # both the skipped and the computed path run
+        for level in (at, float(np.nextafter(at, 0.0))):
+            report = level_set_energy(dataclasses.replace(twobump32), level, (0.0, 1.0), 2.0, c0=0.0168)
+            sup, dissipation = direct_level_energy(twobump32, level, 0.0168)
+            assert (report.sup_term, report.dissipation_term, report.total) == (sup, dissipation, sup + dissipation)
+
+    def test_call_order_does_not_change_totals(self, twobump32):
+        top = float(np.max(twobump32.linf_h))
+        probes = [(frac * top, window) for frac in (0.0, 0.25, 0.5, 0.9, 2.0) for window in ((0.0, 1.0), (0.3, 1.0))]
+
+        def totals(traj, order):
+            return {probe: level_set_energy(traj, probe[0], probe[1], 2.0, c0=0.02).total for probe in order}
+
+        forward = totals(dataclasses.replace(twobump32), probes)
+        assert totals(dataclasses.replace(twobump32), probes[::-1]) == forward
+
+    @pytest.mark.parametrize("level", [math.nan, -1.0, -math.inf])
+    def test_rejects_bad_level(self, twobump32, level):
+        top = float(np.max(twobump32.linf_h))
+        level_set_energy(twobump32, 2.0 * top, (0.0, 1.0), 2.0, c0=0.02)  # every cut is empty and memoized
+        for window in ((0.0, 1.0), (0.31, 0.32)):  # the second holds no snapshot
+            with pytest.raises(ValueError, match="level must be nonnegative"):
+                level_set_energy(twobump32, level, window, 2.0, c0=0.02)
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            level_set_plus(twobump32.h_snapshot(0), level)
 
     def test_level_above_sup_vanishes(self, twobump32):
         top = float(np.max(twobump32.linf_h))

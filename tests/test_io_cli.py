@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from landau import analysis
+from landau.grid import Field, make_grid
 from landau.io_cli import (
     ConfigError,
     SCALAR_COLUMNS,
@@ -14,7 +17,7 @@ from landau.io_cli import (
     read_trajectory,
     write_trajectory,
 )
-from landau.solver import AnisotropicGaussian, Maxwellian, PerturbedMaxwellian, SimConfig, TwoBump, run
+from landau.solver import AnisotropicGaussian, Maxwellian, PerturbedMaxwellian, SimConfig, Trajectory, TwoBump, run
 
 MINIMAL = """
 n = 32
@@ -128,6 +131,51 @@ def test_property_config_text_round_trip(cfg, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
     path.write_text(config_to_text(cfg))
     assert parse_config(path) == cfg
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trajectories(draw):
+    grid = make_grid(8, draw(st.floats(0.5, 100.0)))
+    table = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), len(SCALAR_COLUMNS)), elements=_FINITE))
+    count = draw(st.integers(1, 3))
+    return Trajectory.from_rows(
+        table.tolist(),
+        "drawn table",
+        grid=grid,
+        p=draw(_FINITE),
+        m=draw(_FINITE),
+        snapshot_times=draw(st.lists(_FINITE, min_size=count, max_size=count)),
+        snapshots=[Field(grid, draw(hnp.arrays(np.float64, grid.shape, elements=_FINITE))) for _ in range(count)],
+        clipped_mass=draw(_FINITE),
+        aborted=draw(st.booleans()),
+        abort_time=draw(st.none() | _FINITE),
+        abort_reason=draw(st.none() | st.text()),
+    )
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(traj=_trajectories())
+def test_property_trajectory_round_trip_bitwise(traj, tmp_path_factory):
+    out = tmp_path_factory.getbasetemp() / "round_trip_traj"
+    write_trajectory(traj, out)
+    loaded = read_trajectory(out)
+    assert loaded.scalar_table().shape == traj.scalar_table().shape
+    assert _bits(loaded.scalar_table()) == _bits(traj.scalar_table())
+    assert _bits(loaded.snapshot_times) == _bits(traj.snapshot_times)
+    assert [_bits(s.values) for s in loaded.snapshots] == [_bits(s.values) for s in traj.snapshots]
+    assert _bits(loaded.clipped_mass) == _bits(traj.clipped_mass)
+    assert loaded.aborted is traj.aborted
+    assert (loaded.abort_time is None) == (traj.abort_time is None)
+    if traj.abort_time is not None:
+        assert _bits(loaded.abort_time) == _bits(traj.abort_time)
+    assert loaded.abort_reason == traj.abort_reason
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +315,57 @@ class TestCli:
         # the recorder and diagnose use the same entropy convention
         last_entropy = float((out / "scalars.csv").read_text().splitlines()[-1].split(",")[SCALAR_COLUMNS.index("entropy")])
         assert report["entropy_final"]["signed"] == last_entropy
+
+    def test_diagnose_differentiates_each_nonempty_cut_once(self, small_traj, tmp_path, monkeypatch):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        cuts = []
+        energy = analysis.weighted_gradient_energy
+
+        def counting(cut, p):
+            cuts.append(hash(cut.values.tobytes()))
+            return energy(cut, p)
+
+        monkeypatch.setattr(analysis, "weighted_gradient_energy", counting)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+
+        def rows(name):
+            return [line.split(",") for line in (rep / name).read_text().splitlines()[1:]]
+
+        # the (level, window start) pairs this diagnose evaluated: the ladder and the iteration
+        probes = [(float(row[0]), 0.0) for row in rows("levels.csv")]
+        probes += [(float(row[1]), float(row[2])) for row in rows("degiorgi.csv")]
+        traj = read_trajectory(traj_dir)
+        needed = set()
+        for level, t_start in probes:
+            for t, snap in zip(traj.snapshot_times, traj.snapshots):
+                cut = np.maximum((snap - traj.equilibrium()).values - level, 0.0)
+                if t >= t_start - 1e-12 and np.any(cut > 0.0):
+                    needed.add(hash(cut.tobytes()))
+        assert len(probes) > 7 and len(needed) > 1
+        assert len(cuts) == len(set(cuts)), "a cut was differentiated twice"
+        assert set(cuts) == needed, "an empty cut was differentiated, or a needed one was not"
+
+    def test_rerun_with_t0_leaves_no_stale_outputs(self, small_traj, tmp_path):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        assert "degiorgi" in json.loads((rep / "report.json").read_text())
+        assert (rep / "degiorgi.csv").is_file()
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--t", "0"]) == 0
+        assert "degiorgi" not in json.loads((rep / "report.json").read_text())
+        assert sorted(p.name for p in rep.iterdir()) == ["envelope.csv", "levels.csv", "moments.csv", "report.json"]
+
+    @pytest.mark.parametrize("flag", ["--t", "--K", "--c0", "--eps", "--calibration-c"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_diagnose_rejects_non_finite_overrides(self, small_traj, tmp_path, capsys, flag, value):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        with pytest.raises(SystemExit) as exc:
+            cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not rep.exists()
 
     def test_rerun_with_fewer_snapshots_lists_only_its_own(self, tmp_path):
         base = MINIMAL.replace("n = 32", "n = 16") + "snapshot_every = 1\n"
