@@ -578,11 +578,10 @@ def smoothing_fit(
 
 def h1_smallness(traj: Trajectory, t_query: float) -> tuple[float, float]:
     """(||h||_{L^2_1}, ||grad h||_{L^2_2}) at the snapshot nearest t_query."""
-    times, hs = _snapshot_h(traj)
+    times = np.asarray(traj.snapshot_times)
     if times.size == 0:
         raise ValueError("trajectory has no snapshots")
-    i = int(np.argmin(np.abs(times - t_query)))
-    h = hs[i]
+    h = traj.snapshots[int(np.argmin(np.abs(times - t_query)))] - maxwellian(traj.grid)
     grid = h.grid
     w = grid.cell_volume
     norm_l2_1 = math.sqrt(w * float(np.sum(h.values**2 * grid.bracket_power(1.0))))

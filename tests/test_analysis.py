@@ -54,14 +54,6 @@ class TestExponents:
         with pytest.raises(ValueError):
             exponents(2.0, 0.0)
 
-    def test_gamma_routes_agree_on_grid(self):
-        for p in (1.6, 1.75, 2.0, 2.5, 3.0):
-            for m in (10.0, 12.0, 20.0, 55.0):
-                e = exponents(p, m)
-                closed_form = (2.0 * (p - 1.5) / (3.0 * m)) * (m - 4.5 * (p - 1.0) / (p - 1.5))
-                assert abs(e.gamma - closed_form) <= 1e-12
-                assert abs((e.q - (p + 1.0)) - e.gamma) <= 1e-12
-
     def test_structural_identities(self):
         for p in (1.7, 2.0, 2.8):
             for m in (11.0, 30.0):

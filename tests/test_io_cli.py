@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from landau import analysis
+from landau import analysis, coefficients, verify
+from landau.coefficients import CoefficientSet
 from landau.grid import Field, make_grid
 from landau.io_cli import (
     ConfigError,
@@ -466,7 +467,29 @@ class TestCli:
             cli(["bogus"])
         assert exc.value.code == 2
 
-    def test_verify_subcommand(self, capsys):
+    def test_verify_subcommand(self, capsys, monkeypatch):
+        results = []
+        real = verify.run_verification
+
+        def recording(**kwargs):
+            results.extend(real(**kwargs))
+            return results
+
+        monkeypatch.setattr(verify, "run_verification", recording)
         assert cli(["verify", "--n", "24"]) == 0
         out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+        assert "[FAIL]" not in out and out.splitlines()[-1] == "6/6 checks passed"
+        assert all(type(r.passed) is bool for r in results)
+
+    def test_verify_fails_on_broken_trace(self, capsys, monkeypatch):
+        real = coefficients.compute_coefficients
+
+        def broken(f):
+            good = real(f)
+            return CoefficientSet(A=good.A, a=Field(f.grid, good.a.values * (1.0 + 1e-6)), grad_a=good.grad_a)
+
+        monkeypatch.setattr(coefficients, "compute_coefficients", broken)
+        assert cli(["verify", "--n", "24"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] trace and divergence identities" in out
+        assert out.splitlines()[-1] == "5/6 checks passed"
