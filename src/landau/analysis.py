@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fields import NormRequest, level_set_plus, lp_m_norm, maxwellian, weighted_gradient_energy
-from .grid import Field, spectral_gradient
+from .fields import NormRequest, level_set_plus, lp_m_norm, maxwellian, squared_gradient, weighted_gradient_energy
+from .grid import Field
 from .solver import Trajectory
 
 __all__ = [
@@ -117,9 +118,10 @@ def _window_indices(times: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
     return idx
 
 
-def _snapshot_h(traj: Trajectory) -> tuple[np.ndarray, list[Field]]:
+def _snapshot_h(traj: Trajectory, indices: Iterable[int]) -> Iterator[Field]:
+    """h = f - mu for the snapshots at `indices`, built one at a time from one mu."""
     mu = maxwellian(traj.grid)
-    return np.asarray(traj.snapshot_times), [s - mu for s in traj.snapshots]
+    return (traj.snapshots[i] - mu for i in indices)
 
 
 def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
@@ -144,14 +146,13 @@ def energy_E0(traj: Trajectory, p: float, window: tuple[float, float]) -> float:
         if idx.size == 0:
             raise ValueError(f"window {window} contains no samples")
         return float(np.max(traj.lp_p[idx])) + _trapezoid(traj.grad_energy[idx], traj.times[idx])
-    times, hs = _snapshot_h(traj)
+    times = np.asarray(traj.snapshot_times)
     idx = _window_indices(times, t_a, t_b)
     if idx.size == 0:
         raise ValueError(f"window {window} contains no snapshots")
     req = NormRequest(p)
-    lp_series = np.array([lp_m_norm(hs[i], req) ** p for i in idx])
-    ge_series = np.array([weighted_gradient_energy(hs[i], p) for i in idx])
-    return float(np.max(lp_series)) + _trapezoid(ge_series, times[idx])
+    series = np.array([(lp_m_norm(h, req) ** p, weighted_gradient_energy(h, p)) for h in _snapshot_h(traj, idx)])
+    return float(np.max(series[:, 0])) + _trapezoid(series[:, 1], times[idx])
 
 
 @dataclass(frozen=True)
@@ -415,9 +416,9 @@ def moment_bound_check(traj: Trajectory, l: float, theta: float, margin: float =
     if theta > traj.m + 1e-12:
         raise ValueError(f"weight exponent {theta} exceeds the run's moment order m={traj.m}")
     exponent = q_ltheta(l, theta) + margin
-    times, hs = _snapshot_h(traj)
+    times = np.asarray(traj.snapshot_times)
     req = NormRequest(1.0, theta)
-    norms = np.array([lp_m_norm(h, req) for h in hs])
+    norms = np.array([lp_m_norm(h, req) for h in _snapshot_h(traj, range(len(traj.snapshots)))])
     envelope = (1.0 + times) ** exponent
     c3 = float(np.max(norms / envelope))
     ratios = norms / (c3 * envelope) if c3 > 0 else np.zeros_like(norms)
@@ -475,9 +476,8 @@ def ode_barrier_check(
     above = y > eps
     exit_time = float(times[np.argmax(above)]) if bool(np.any(above)) else None
 
-    times2, hs = _snapshot_h(traj)
     req = NormRequest(1.0, m)
-    m_bar = max(lp_m_norm(h, req) for h in hs)
+    m_bar = max(lp_m_norm(h, req) for h in _snapshot_h(traj, range(len(traj.snapshots))))
     if c0 is None:
         c0 = float(np.min(traj.c0))
 
@@ -585,8 +585,5 @@ def h1_smallness(traj: Trajectory, t_query: float) -> tuple[float, float]:
     grid = h.grid
     w = grid.cell_volume
     norm_l2_1 = math.sqrt(w * float(np.sum(h.values**2 * grid.bracket_power(1.0))))
-    grad = spectral_gradient(h)
-    norm_grad = math.sqrt(
-        w * float(np.sum(np.sum(grad.values**2, axis=0) * grid.bracket_power(2.0)))
-    )
+    norm_grad = math.sqrt(w * float(np.sum(squared_gradient(h) * grid.bracket_power(2.0))))
     return norm_l2_1, norm_grad

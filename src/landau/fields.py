@@ -26,6 +26,7 @@ __all__ = [
     "moments",
     "boltzmann_entropy",
     "level_set_plus",
+    "squared_gradient",
     "weighted_gradient_energy",
     "weighted_h1_norm",
     "sobolev_ratio",
@@ -114,6 +115,15 @@ def level_set_plus(h: Field, level: float) -> Field:
     return Field(h.grid, np.maximum(h.values - level, 0.0))
 
 
+def squared_gradient(field: Field) -> np.ndarray:
+    """|grad f|^2 per node from the spectral gradient, its components squared and added in place."""
+    grad = spectral_gradient(field).values
+    out = grad[0] * grad[0]
+    for component in grad[1:]:
+        out += component * component
+    return out
+
+
 def weighted_gradient_energy(h: Field, p: float) -> float:
     """Integral of <v>^-3 |grad(|h|^(p/2))|^2 via the spectral gradient.
 
@@ -128,8 +138,8 @@ def weighted_gradient_energy(h: Field, p: float) -> float:
         base = h.values
     else:
         base = np.abs(h.values) ** (0.5 * p)
-    grad = spectral_gradient(Field(grid, base))
-    density = grid.bracket_power(-3.0) * np.sum(grad.values * grad.values, axis=0)
+    density = squared_gradient(Field(grid, base))
+    density *= grid.bracket_power(-3.0)
     return grid.cell_volume * float(np.sum(density))
 
 
@@ -137,8 +147,7 @@ def weighted_h1_norm(h: Field, weight_exponent: float) -> float:
     """First-order Sobolev norm of <v>^(k/2) h with the weight inside the derivative."""
     grid = h.grid
     g = grid.bracket_power(0.5 * weight_exponent) * h.values
-    grad = spectral_gradient(Field(grid, g))
-    sq = float(np.sum(g * g)) + float(np.sum(grad.values * grad.values))
+    sq = float(np.sum(g * g)) + float(np.sum(squared_gradient(Field(grid, g))))
     return math.sqrt(grid.cell_volume * sq)
 
 
@@ -158,7 +167,6 @@ def sobolev_ratio(g: Field, s: float) -> float:
     grid = g.grid
     w = grid.cell_volume
     lhs = (w * float(np.sum(np.abs(g.values) ** 6 * grid.bracket_power(-9.0)))) ** (1.0 / 3.0)
-    grad = spectral_gradient(g)
-    dissipation = w * float(np.sum(grid.bracket_power(-3.0) * np.sum(grad.values**2, axis=0)))
+    dissipation = w * float(np.sum(grid.bracket_power(-3.0) * squared_gradient(g)))
     lp_term = (w * float(np.sum(np.abs(g.values) ** s))) ** (2.0 / s)
     return lhs / (dissipation + lp_term)

@@ -6,8 +6,8 @@ be chosen large enough that all fields of interest decay below roundoff
 at the faces, so the periodic wrap never carries physical information.
 
 All operations here are pure functions of immutable inputs and are safe
-to call concurrently; grids cache their coordinate arrays lazily and
-never mutate them afterwards.
+to call concurrently; grids cache their coordinate arrays and weights
+lazily and never mutate them afterwards.
 """
 
 from __future__ import annotations
@@ -80,11 +80,21 @@ class Grid:
         v1, v2, v3 = self.coords
         return v1 * v1 + v2 * v2 + v3 * v3
 
+    @cached_property
+    def _bracket_powers(self) -> dict[float, np.ndarray]:
+        return {}
+
     def bracket_power(self, exponent: float) -> np.ndarray:
-        """(1 + |v|^2)^(exponent/2), the polynomial weight on the lattice."""
-        if exponent == 0.0:
-            return np.ones(self.shape)
-        return (1.0 + self.radius2) ** (0.5 * exponent)
+        """(1 + |v|^2)^(exponent/2), the polynomial weight on the lattice.
+
+        Built once per grid and exponent; the shared array is read-only.
+        """
+        weight = self._bracket_powers.get(exponent)
+        if weight is None:
+            weight = np.ones(self.shape) if exponent == 0.0 else (1.0 + self.radius2) ** (0.5 * exponent)
+            weight.flags.writeable = False
+            self._bracket_powers[exponent] = weight
+        return weight
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -287,25 +297,21 @@ def irfft3(spectrum: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.fft.irfft(out, n=m, axis=2)[:, :, :n])
 
 
-def _derivative_wavenumbers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    # Nyquist mode zeroed for odd derivatives of real data.
-    full = grid.wavenumbers.copy()
-    full[grid.n // 2] = 0.0
-    half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
-    half[-1] = 0.0
-    return full, half
-
-
 def spectral_gradient(field: Field) -> VecField:
-    """Gradient via the periodic Fourier interpolant; exact on grid modes."""
+    """Gradient via the periodic Fourier interpolant; exact on grid modes.
+
+    The symbol i k_j of derivative j depends on axis j alone, so each
+    derivative is one pair of real 1-D transforms along its own axis,
+    irfft(i k * rfft(f, axis=j), axis=j), with the Nyquist mode zeroed.
+    """
     grid = field.grid
-    n = grid.n
-    spec = rfft3(field.values, n)
-    kfull, khalf = _derivative_wavenumbers(grid)
+    ik = 2j * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
+    ik[-1] = 0.0  # Nyquist mode zeroed for odd derivatives of real data
     out = np.empty((3, *grid.shape))
-    out[0] = irfft3(1j * kfull[:, None, None] * spec, n, n)
-    out[1] = irfft3(1j * kfull[None, :, None] * spec, n, n)
-    out[2] = irfft3(1j * khalf[None, None, :] * spec, n, n)
+    for axis, shape in enumerate(((-1, 1, 1), (-1, 1), (-1,))):
+        spec = np.fft.rfft(field.values, axis=axis)
+        spec *= ik.reshape(shape)
+        np.fft.irfft(spec, n=grid.n, axis=axis, out=out[axis])
     return VecField(grid, out)
 
 

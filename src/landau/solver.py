@@ -299,9 +299,11 @@ def _equilibrium_residual(n: int, extent: float) -> np.ndarray:
 
 
 def _check_state(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    # one reduction: the sup is NaN or inf exactly when some entry is
+    sup = float(np.max(np.abs(values)))
+    if not math.isfinite(sup):
         raise BlowUpError("non-finite values in the iterate")
-    if float(np.max(np.abs(values))) > BLOWUP_SUP:
+    if sup > BLOWUP_SUP:
         raise BlowUpError(f"sup norm exceeded {BLOWUP_SUP:.0e}")
 
 
@@ -488,8 +490,8 @@ def run(config: SimConfig) -> Trajectory:
     stops the run and is reported on the returned trajectory rather
     than raised.
     """
-    grid = make_grid(config.n, config.extent)
     f = initial_datum(config)
+    grid = f.grid
     recorder = _Recorder(grid, config)
     coeffs = compute_coefficients(f)
     recorder.record(0.0, 0.0, f, coeffs, snapshot=True)

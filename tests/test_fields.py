@@ -170,6 +170,14 @@ class TestWeightedGradientEnergy:
         exact = grid48.cell_volume * float(np.sum(weight * grid48.radius2 * mu48.values**2))
         assert weighted_gradient_energy(mu48, 2.0) == pytest.approx(exact, rel=1e-6)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_matches_the_explicit_formula(self, grid48, mu48, p):
+        h = Field(grid48, mu48.values * (1.0 + 0.3 * np.sin(grid48.coords[0] + 2.0 * grid48.coords[2])))
+        base = h.values if p == 2.0 else np.abs(h.values) ** (0.5 * p)
+        grad = spectral_gradient(Field(grid48, base)).values
+        exact = grid48.cell_volume * float(np.sum(grid48.bracket_power(-3.0) * np.sum(grad**2, axis=0)))
+        assert weighted_gradient_energy(h, p) == pytest.approx(exact, rel=1e-14)
+
     def test_sign_irrelevant_for_p2(self, grid48, mu48):
         assert weighted_gradient_energy(-1.0 * mu48, 2.0) == pytest.approx(
             weighted_gradient_energy(mu48, 2.0), rel=1e-12

@@ -177,7 +177,36 @@ class TestIntegrate:
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
+class TestBracketPower:
+    def test_matches_the_formula_and_is_shared_read_only(self):
+        grid = make_grid(16, 4.0)
+        for exponent in (-3.0, 1.0, 2.0, 12.0):
+            weight = grid.bracket_power(exponent)
+            np.testing.assert_array_equal(weight, (1.0 + grid.radius2) ** (0.5 * exponent))
+            assert grid.bracket_power(exponent) is weight
+            with pytest.raises(ValueError):
+                weight[0, 0, 0] = 0.0
+
+    def test_zero_exponent_is_all_ones(self):
+        grid = make_grid(16, 4.0)
+        np.testing.assert_array_equal(grid.bracket_power(0.0), np.ones(grid.shape))
+
+
 class TestSpectralGradient:
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    def test_matches_the_three_dimensional_transform(self, n):
+        # the per-axis passes against one rfftn, the symbol i k per axis with its
+        # Nyquist mode zeroed, and one irfftn per component
+        grid = make_grid(n, 6.0)
+        values = np.random.default_rng(n).standard_normal(grid.shape)
+        spec = np.fft.rfftn(values)
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+        k[n // 2] = 0.0
+        symbols = (k[:, None, None], k[None, :, None], np.abs(k[None, None, : n // 2 + 1]))
+        expected = np.stack([np.fft.irfftn(1j * s * spec, s=grid.shape, axes=(0, 1, 2)) for s in symbols])
+        got = spectral_gradient(Field(grid, values)).values
+        assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(expected))
+
     def test_constant_field(self):
         grid = make_grid(16, 4.0)
         grad = spectral_gradient(Field(grid, np.full(grid.shape, 3.7)))

@@ -277,6 +277,14 @@ class TestRun:
         assert traj.abort_time is not None
         assert "sup norm" in traj.abort_reason
 
+    def test_non_finite_iterate_is_surfaced(self):
+        grid = make_grid(16, 8.0)
+        mu = maxwellian(grid)
+        values = mu.values.copy()
+        values[3, 4, 5] = np.nan
+        with pytest.raises(solver_mod.BlowUpError, match="non-finite"):
+            step(Field(grid, values), 0.01, compute_coefficients(mu))
+
 
 class TestStepControl:
     def test_error_falls_with_the_tolerance(self, monkeypatch):
