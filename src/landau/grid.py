@@ -66,11 +66,6 @@ class Grid:
         return -self.extent + self.spacing * np.arange(self.n)
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Spectral frequencies in numpy FFT layout; exactly one zero mode."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-
-    @cached_property
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable (v1, v2, v3) node coordinates (axis v1 slowest)."""
         return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij", sparse=True)
@@ -133,9 +128,6 @@ class Field:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
 
 @dataclass(frozen=True, eq=False)

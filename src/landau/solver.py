@@ -23,6 +23,13 @@ ceiling.  Steps land exactly on the snapshot times, every
 long for one step is split in two equal steps rather than leaving a
 sliver.
 
+Each coefficient set is reduced once to the 12 face weights its flux
+reads, with every stencil constant folded in (`_face_weights`).  A run
+keeps only those weights and the three statistics a step reads,
+`lambda_max`, `grad_a_max` and `c0_empirical` (`FrozenCoefficients`),
+and lets the node-valued A, a and grad a go as soon as the weights
+exist, so that the weights add nothing to the peak memory of a run.
+
 The integrator is equilibrium-balanced: the (order Delta v^3) residual
 of the raw flux divergence at the sampled Maxwellian is subtracted from
 every stage derivative.  The correction vanishes under refinement, is
@@ -58,6 +65,7 @@ __all__ = [
     "TwoBump",
     "InitialDatum",
     "SimConfig",
+    "FrozenCoefficients",
     "Trajectory",
     "SCALAR_COLUMNS",
     "BlowUpError",
@@ -238,48 +246,100 @@ def initial_datum(config: SimConfig) -> Field:
     return f
 
 
-def _face_average(x: np.ndarray, axis: int) -> np.ndarray:
-    return 0.5 * (x + np.roll(x, -1, axis=axis))
+# The two transverse axes of each axis, in the order of its weight slots.
+_TRANSVERSE = ((1, 2), (0, 2), (0, 1))
 
 
-def _face_difference(x: np.ndarray, axis: int, dv: float) -> np.ndarray:
-    return (np.roll(x, -1, axis=axis) - x) / dv
+def _face_weights(coeffs: CoefficientSet) -> np.ndarray:
+    """The flux's face weights of one coefficient set, shape (3, 4, n, n, n).
+
+    Slot k holds, on the faces between node i and node i + e_k,
+    W_kk = avg_k(A_kk)/dv^2, W_kj = avg_k(A_kj)/(4 dv^2) for the two
+    transverse j in `_TRANSVERSE` order, and D_k = (a(i + e_k) - a(i))/(2 dv^2),
+    where avg_k is the mean of the two nodes.  The scales fold in every
+    constant of the stencil, so `rhs` multiplies node differences only.
+    """
+    grid = coeffs.a.grid
+    inv_dv2 = 1.0 / (grid.spacing * grid.spacing)
+    out = np.empty((3, 4, *grid.shape))
+    a = coeffs.a.values
+    for k, (w_kk, w_j1, w_j2, d_k) in enumerate(out):
+        j1, j2 = _TRANSVERSE[k]
+        for w, j, scale in ((w_kk, k, 0.5), (w_j1, j1, 0.125), (w_j2, j2, 0.125)):
+            component = coeffs.A.component(k, j)
+            np.add(component, np.roll(component, -1, axis=k), out=w)
+            w *= scale * inv_dv2
+        np.subtract(np.roll(a, -1, axis=k), a, out=d_k)
+        d_k *= 0.5 * inv_dv2
+    return out
 
 
-def _centered(x: np.ndarray, axis: int, dv: float) -> np.ndarray:
-    return (np.roll(x, -1, axis=axis) - np.roll(x, 1, axis=axis)) / (2.0 * dv)
+@dataclass(frozen=True, eq=False)
+class FrozenCoefficients:
+    """What a step of `run` reads of one coefficient set.
+
+    The face weights of the flux and the three statistics behind the
+    step bound and the recorder.  Holding these instead of the set lets
+    the run drop the node-valued A, a and grad a as soon as the weights
+    exist.
+    """
+
+    weights: np.ndarray
+    lambda_max: float
+    grad_a_max: float
+    c0_empirical: float
+
+    @classmethod
+    def of(cls, coeffs: CoefficientSet) -> FrozenCoefficients:
+        return cls(_face_weights(coeffs), coeffs.lambda_max, coeffs.grad_a_max, coeffs.c0_empirical)
 
 
-def rhs(f: Field, coeffs: CoefficientSet) -> Field:
+def rhs(f: Field, coeffs: CoefficientSet | FrozenCoefficients) -> Field:
     """Discrete flux divergence of A grad f - grad a f.
 
     Fluxes live on cell faces: the normal gradient is the compact
     two-point difference, transverse gradients and coefficients are
     averaged from the adjacent nodes, and the drift uses the compact
-    difference of the potential a.  The divergence telescopes, so the
-    integral of the result vanishes to machine precision.
+    difference of the potential a.  With the face weights of
+    `_face_weights`, the axis-k flux divided by dv is
+
+        F_k = W_kk (f+ - f) + sum_j W_kj (g_j + g_j+) - D_k (f + f+),
+
+    where + is the neighbour along k and g_j = f(i + e_j) - f(i - e_j),
+    and the result is the sum over k of F_k(i) - F_k(i - e_k).  The
+    divergence telescopes, so the integral of the result vanishes to
+    machine precision.  A call makes 15 rolls and about 60 array passes:
+    about 6, 1.4 and 0.7 ms at n = 48, 32 and 24 on one core of a
+    2-core host.  Given a `CoefficientSet` rather than its
+    `FrozenCoefficients`, a call first builds the weights, 4.4, 1.1 and
+    0.5 ms more; `run` builds them once per set.
     """
+    weights = coeffs.weights if isinstance(coeffs, FrozenCoefficients) else _face_weights(coeffs)
     grid = f.grid
-    dv = grid.spacing
     vals = f.values
-    a_vals = coeffs.a.values
-    centered = [_centered(vals, j, dv) for j in range(3)]
+    ahead = [np.roll(vals, -1, axis=k) for k in range(3)]
+    spread = []
+    for j in range(3):
+        behind = np.roll(vals, 1, axis=j)
+        spread.append(np.subtract(ahead[j], behind, out=behind))
     out = np.zeros(grid.shape)
-    for k in range(3):
-        flux = np.zeros(grid.shape)
-        for j in range(3):
-            grad_face = (
-                _face_difference(vals, k, dv)
-                if j == k
-                else _face_average(centered[j], k)
-            )
-            flux += _face_average(coeffs.A.component(k, j), k) * grad_face
-        flux -= _face_difference(a_vals, k, dv) * _face_average(vals, k)
-        out += (flux - np.roll(flux, 1, axis=k)) / dv
+    for k, (w_kk, w_j1, w_j2, d_k) in enumerate(weights):
+        flux = np.add(vals, ahead[k])
+        flux *= d_k
+        normal = np.subtract(ahead[k], vals, out=ahead[k])  # f+ is not read again
+        normal *= w_kk
+        np.subtract(normal, flux, out=flux)
+        for w, j in zip((w_j1, w_j2), _TRANSVERSE[k]):
+            term = np.roll(spread[j], -1, axis=k)
+            term += spread[j]
+            term *= w
+            flux += term
+        out += flux
+        out -= np.roll(flux, 1, axis=k)
     return Field(grid, out)
 
 
-def stable_dt(f: Field, coeffs: CoefficientSet, cfl: float) -> float:
+def stable_dt(f: Field, coeffs: CoefficientSet | FrozenCoefficients, cfl: float) -> float:
     """Parabolic/advective explicit step bound (the CFL ceiling of `run`).
 
     Uncapped: where the coefficients vanish it is unbounded, and a run
@@ -321,21 +381,29 @@ def _clip_negative(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _ssp_step(
-    f: Field, dt: float, coeffs: CoefficientSet, slope: np.ndarray, clip_negatives: bool
+    f: Field, dt: float, coeffs: FrozenCoefficients, slope: np.ndarray, base: np.ndarray, clip_negatives: bool
 ) -> tuple[Field, float]:
     """Two-stage SSP Runge-Kutta update with frozen coefficients.
 
-    `slope` is rhs(f, coeffs).values, the raw first-stage divergence.
-    Stage derivatives are the equilibrium-balanced flux divergence.
-    Returns the new field and the (quadrature-weighted) mass removed by
-    negative clipping, zero when clipping is disabled or inactive.
+    `slope` is rhs(f, coeffs).values, the raw first-stage divergence; it
+    is consumed, as the first stage's buffer.  Stage derivatives are the
+    equilibrium-balanced flux divergence, the raw one less `base`, the
+    grid's `_equilibrium_residual`.  Returns the new field and the
+    (quadrature-weighted) mass removed by negative clipping, zero when
+    clipping is disabled or inactive.
     """
     grid = f.grid
-    base = _equilibrium_residual(grid.n, grid.extent)
-    f1 = f.values + dt * (slope - base)
+    f1 = slope
+    f1 -= base
+    f1 *= dt
+    f1 += f.values
     _check_state(f1)
-    f2 = f1 + dt * (rhs(Field(grid, f1), coeffs).values - base)
-    new_vals = 0.5 * (f.values + f2)
+    new_vals = rhs(Field(grid, f1), coeffs).values
+    new_vals -= base
+    new_vals *= dt
+    new_vals += f1
+    new_vals += f.values
+    new_vals *= 0.5
     _check_state(new_vals)
     clipped = 0.0
     if clip_negatives:
@@ -346,9 +414,12 @@ def _ssp_step(
 
 def step(f: Field, dt: float, coeffs: CoefficientSet | None = None, clip_negatives: bool = False) -> Field:
     """One SSP-RK2 update of the state; coefficients built from f when not given."""
-    if coeffs is None:
-        coeffs = compute_coefficients(f)
-    new_f, _ = _ssp_step(f, dt, coeffs, rhs(f, coeffs).values, clip_negatives)
+    # the residual first, so that its coefficient set is not built beside the weights
+    base = _equilibrium_residual(f.grid.n, f.grid.extent)
+    weights = _face_weights(compute_coefficients(f) if coeffs is None else coeffs)
+    # the stages read the weights alone, so the statistics are left unmeasured
+    frozen = FrozenCoefficients(weights, math.nan, math.nan, math.nan)
+    new_f, _ = _ssp_step(f, dt, frozen, rhs(f, frozen).values, base, clip_negatives)
     return new_f
 
 
@@ -439,7 +510,7 @@ class _Recorder:
         self.snapshots: list[Field] = []
         self._p_req = NormRequest(config.p)
 
-    def record(self, t: float, dt_used: float, f: Field, coeffs: CoefficientSet, snapshot: bool) -> None:
+    def record(self, t: float, dt_used: float, f: Field, coeffs: FrozenCoefficients, snapshot: bool) -> None:
         h = f - self.mu
         mom = moments(f)
         series = {
@@ -492,8 +563,10 @@ def run(config: SimConfig) -> Trajectory:
     """
     f = initial_datum(config)
     grid = f.grid
+    base = _equilibrium_residual(grid.n, grid.extent)  # before the run's first set, not beside it
     recorder = _Recorder(grid, config)
-    coeffs = compute_coefficients(f)
+    # each set lives only until its weights and statistics exist
+    coeffs = FrozenCoefficients.of(compute_coefficients(f))
     recorder.record(0.0, 0.0, f, coeffs, snapshot=True)
     slope = rhs(f, coeffs).values
 
@@ -507,7 +580,7 @@ def run(config: SimConfig) -> Trajectory:
         target = min(snapshots * config.snapshot_every * DT_CAP, config.t_end)
         dt = _next_dt(min(dt_control, stable_dt(f, coeffs, config.cfl)), target - t)
         try:
-            f_new, clipped = _ssp_step(f, dt, coeffs, slope, config.clip_negatives)
+            f_new, clipped = _ssp_step(f, dt, coeffs, slope, base, config.clip_negatives)
         except BlowUpError as exc:
             abort = {"aborted": True, "abort_time": t, "abort_reason": str(exc)}
             break
@@ -515,8 +588,8 @@ def run(config: SimConfig) -> Trajectory:
         slope = rhs(f_new, coeffs).values
         if since_rebuild == config.coefficient_refresh:
             lagged = slope
-            coeffs = None  # one coefficient set alive at a time
-            coeffs = compute_coefficients(f_new)
+            coeffs = None  # one set of weights alive at a time
+            coeffs = FrozenCoefficients.of(compute_coefficients(f_new))
             slope = rhs(f_new, coeffs).values
             lag = float(np.max(np.abs(np.subtract(slope, lagged, out=lagged), out=lagged)))
             lag *= 0.5 / (float(np.max(f_new.values)) * since_rebuild)
@@ -529,7 +602,7 @@ def run(config: SimConfig) -> Trajectory:
                     abort = {"aborted": True, "abort_time": t, "abort_reason": f"step size underflow at dt {dt:.1e}"}
                     break
                 coeffs = None
-                coeffs = compute_coefficients(f)
+                coeffs = FrozenCoefficients.of(compute_coefficients(f))
                 slope = rhs(f, coeffs).values
                 since_rebuild = 0
                 continue

@@ -42,10 +42,6 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(16, -2.0)
 
-    def test_one_zero_wavenumber_per_axis(self):
-        grid = make_grid(16, 4.0)
-        assert np.count_nonzero(grid.wavenumbers == 0.0) == 1
-
 
 class TestFieldContainers:
     def test_shape_validation(self):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +112,40 @@ class TestRhs:
         f1 = step(f0, 0.02, coeffs)
         assert boltzmann_entropy(f1) < boltzmann_entropy(f0)
 
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_matches_the_two_point_stencil(self, n):
+        # random coefficients reach every wrap face and off-diagonal term that smooth data leave near zero
+        grid = make_grid(n, 8.0)
+        rng = np.random.default_rng(n)
+        f = Field(grid, rng.uniform(0.5, 1.5, grid.shape))
+        A = SymTensorField(grid, rng.uniform(-1.0, 1.0, (6, *grid.shape)))
+        a = Field(grid, rng.uniform(-1.0, 1.0, grid.shape))
+        coeffs = CoefficientSet(A=A, a=a, grad_a=VecField(grid, np.zeros((3, *grid.shape))))
+        out = rhs(f, coeffs).values
+        reference = _two_point_rhs(f.values, A, a.values, grid.spacing)
+        assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(reference))
+        assert abs(integrate(Field(grid, out))) <= 1e-12 * integrate(f)
+
+
+def _two_point_rhs(f: np.ndarray, A: SymTensorField, a: np.ndarray, dv: float) -> np.ndarray:
+    """The flux divergence with face averages and compact differences written out, one roll at a time."""
+
+    def average(x, k):
+        return 0.5 * (x + np.roll(x, -1, axis=k))
+
+    def difference(x, k):
+        return (np.roll(x, -1, axis=k) - x) / dv
+
+    centred = [(np.roll(f, -1, axis=j) - np.roll(f, 1, axis=j)) / (2.0 * dv) for j in range(3)]
+    out = np.zeros_like(f)
+    for k in range(3):
+        flux = -difference(a, k) * average(f, k)
+        for j in range(3):
+            gradient = difference(f, k) if j == k else average(centred[j], k)
+            flux += average(A.component(k, j), k) * gradient
+        out += (flux - np.roll(flux, 1, axis=k)) / dv
+    return out
+
 
 def _synthetic_coeffs(grid, diag: float) -> CoefficientSet:
     tensor = np.zeros((6, *grid.shape))
@@ -133,7 +168,9 @@ class TestStableDt:
     def test_vanishing_coefficients_leave_only_snapshots_and_horizon(self, monkeypatch):
         grid = make_grid(16, 8.0)
         assert stable_dt(Field(grid, np.zeros(grid.shape)), _synthetic_coeffs(grid, 0.0), 0.5) > 1e20
-        # a run on vanishing coefficients steps from snapshot time to snapshot time, then to t_end
+        # a run on vanishing coefficients steps from snapshot time to snapshot time, then to t_end;
+        # the grid's equilibrium residual is cached first, so that it is not cached as zero
+        solver_mod._equilibrium_residual(grid.n, grid.extent)
         monkeypatch.setattr(solver_mod, "compute_coefficients", lambda f: _synthetic_coeffs(f.grid, 0.0))
         traj = run(SimConfig(n=16, t_end=0.5, snapshot_every=2, initial=TwoBump(2.0)))
         np.testing.assert_allclose(traj.times, [0.0, 0.2, 0.4, 0.5], rtol=0.0, atol=1e-15)
@@ -269,6 +306,37 @@ class TestRun:
             screen = int(np.count_nonzero(row_bound >= top - 1e-12 * scale))
             assert screen <= grid.n**3 // 100
             assert 0 < nodes[id(coeffs.A)] <= ball + screen
+
+    @pytest.mark.parametrize("refresh, snapshot_every", [(1, 20), (3, 1)])
+    def test_weights_built_once_per_set_and_sets_released(self, monkeypatch, refresh, snapshot_every):
+        # cfl = 1: with a rebuild per step and no snapshot before t_end the first trial step
+        # is rejected and retried; with one rebuild per three steps each set serves several
+        cfg = SimConfig(n=16, t_end=0.6, cfl=1.0, snapshot_every=snapshot_every, coefficient_refresh=refresh,
+                        initial=TwoBump(2.0))
+        solver_mod._equilibrium_residual(cfg.n, cfg.extent)  # its set is built outside the run
+        sets, builds = [], []
+        build, weights = solver_mod.compute_coefficients, solver_mod._face_weights
+
+        def tracking_build(f):
+            # the run keeps the weights of a set, never the set itself
+            assert all(ref() is None for ref in sets)
+            coeffs = build(f)
+            sets.append(weakref.ref(coeffs))
+            return coeffs
+
+        def counting_weights(coeffs):
+            assert coeffs is sets[-1]()  # the newest set's weights, built right after it
+            builds.append(len(sets))
+            return weights(coeffs)
+
+        monkeypatch.setattr(solver_mod, "compute_coefficients", tracking_build)
+        monkeypatch.setattr(solver_mod, "_face_weights", counting_weights)
+        traj = run(cfg)
+        steps = len(traj.times) - 1
+        assert not traj.aborted
+        assert len(sets) > steps + 1 if refresh == 1 else len(sets) < steps
+        assert builds == list(range(1, len(sets) + 1))
+        assert all(ref() is None for ref in sets)
 
     def test_blowup_is_surfaced(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "BLOWUP_SUP", 1e-3)
