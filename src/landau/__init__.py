@@ -7,7 +7,6 @@ from .grid import (
     Grid,
     SymTensorField,
     VecField,
-    finite_difference_gradient,
     integrate,
     make_grid,
     spectral_gradient,

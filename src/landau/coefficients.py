@@ -14,12 +14,16 @@ equal to the Laplacian transform.  Transforms run as pruned 1-D passes,
 axis by axis (Hockney-Eastwood; `grid.rfft3`/`grid.irfft3`): the forward
 passes never transform the known-zero blocks of the padding, and each
 inverse pass is cropped to the original box before the next axis.  The
-nine output symbols are polynomials of degree <= 3 in k1, and a factor
-of k2 and k3 alone commutes with the axis-0 pass, so that pass (the
-largest) runs four times, on k1^p phat, instead of nine; each output
-then combines the four cropped slabs before its own axis-1 and axis-2
-passes.  The result agrees with nine full inverse transforms to
-roundoff, not bit for bit.
+output symbols are polynomials in k1, and a factor of k2 and k3 alone
+commutes with the axis-0 pass, so that pass (the largest) runs once per
+power k1^p phat, and each output combines the cropped slabs before its
+own axis-1 and axis-2 passes (`_factored_inverse`).  A set transforms
+only the six components of A, which the flux reads: three axis-0
+passes (p = 0..2) and 18 FFT calls in all.  grad a, which no step
+reads (the flux takes its drift from face differences of a), is
+transformed from the set's density on first read: the three drift
+symbols, four axis-0 passes (p = 0..3).  The results agree with full
+inverse transforms to roundoff, not bit for bit.
 
 The eigenvalues run only where they can matter: `lambda_max` on the
 nodes whose Gershgorin row bound reaches the largest diagonal entry,
@@ -117,42 +121,103 @@ def _potential_spectrum(f: Field) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _factored_symbols(n: int, extent: float) -> tuple[tuple, tuple]:
-    """Powers k1^p (p = 1..3), and each output symbol split as sum_p k1^p Q_p(k2, k3).
+def _factored_symbols(n: int, extent: float) -> tuple[tuple, tuple, tuple]:
+    """Powers k1^p (p = 1..3), and two lists of output symbols split as sum_p k1^p Q_p(k2, k3).
 
-    The outputs are the six components of A (symbols -k_i k_j, in
-    SYM_COMPONENTS order), then the three of grad a (symbols
-    -1j k_i |k|^2); each is a tuple of pairs (p, Q_p).  Every factor is
-    complex and Q_p spans all of (k2, k3): NumPy multiplies complex by
-    complex fastest.
+    The lists are the six components of A (symbols -k_i k_j, in
+    SYM_COMPONENTS order) and the three of grad a (symbols
+    -1j k_i |k|^2); each symbol is a tuple of pairs (p, Q_p).  Every
+    factor is complex and Q_p spans all of (k2, k3): NumPy multiplies
+    complex by complex fastest.
     """
     k1, k2, k3 = _doubled_wavenumbers(n, extent)
     transverse = k2 * k2 + k3 * k3
-    symbols = (
+    tensor = (
         ((2, -1.0),),
         ((0, -(k2 * k2)),),
         ((0, -(k3 * k3)),),
         ((1, -k2),),
         ((1, -k3),),
         ((0, -(k2 * k3)),),
+    )
+    drift = (
         ((3, -1j), (1, -1j * transverse)),
         ((2, -1j * k2), (0, -1j * k2 * transverse)),
         ((2, -1j * k3), (0, -1j * k3 * transverse)),
     )
     plane = (1, 2 * n, n + 1)
+
+    def factored(symbols):
+        return tuple(tuple((p, np.broadcast_to(q, plane).astype(complex)) for p, q in terms) for terms in symbols)
+
     return (
         tuple(k.astype(complex) for k in (k1, k1 * k1, k1 * k1 * k1)),
-        tuple(tuple((p, np.broadcast_to(q, plane).astype(complex)) for p, q in terms) for terms in symbols),
+        factored(tensor),
+        factored(drift),
     )
+
+
+def _factored_inverse(f: Field, symbols: tuple) -> np.ndarray:
+    """The listed symbols times the potential spectrum of f, inverse-transformed
+    and cropped to the box, shape (len(symbols), n, n, n).
+
+    The axis-0 pass, the largest, runs on k1^p phat for p = 0..top only,
+    top being the highest power the symbols use; a factor Q(k2, k3)
+    commutes with it, so each output combines the cropped slabs with its
+    own Q_p before its axis-1 and axis-2 passes.
+    """
+    grid = f.grid
+    n, m = grid.n, 2 * grid.n
+    powers = _factored_symbols(n, grid.extent)[0]
+    top = max(p for terms in symbols for p, _ in terms)
+
+    # p = 0 goes last, in place on phat, so at most one spare full-size
+    # buffer is live.  Separate slabs rather than one stack: glibc's heap
+    # grows with the largest block freed (at n = 48 one stack raised the
+    # peak RSS of a run by 6 MiB).
+    phat = _potential_spectrum(f)
+    work = np.empty_like(phat)
+    slabs = [None] * (top + 1)
+    for p in range(top, 0, -1):
+        np.fft.ifft(np.multiply(phat, powers[p - 1], out=work), axis=0, out=work)
+        slabs[p] = work[:n].copy()
+    del work
+    slabs[0] = np.fft.ifft(phat, axis=0, out=phat)[:n].copy()
+    del phat
+
+    out = np.empty((len(symbols), n, n, n))
+    line = np.empty((n, m, n + 1), dtype=complex)
+    for target, ((p, q), *rest) in zip(out, symbols):
+        np.multiply(slabs[p], q, out=line)
+        for p, q in rest:
+            line += q * slabs[p]
+        np.fft.ifft(line, axis=1, out=line)
+        target[...] = np.fft.irfft(line[:, :n], n=m, axis=2)[:, :, :n]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """A[f], a[f], grad a[f] plus the measured coercivity statistics."""
+    """A[f] and a[f] = tr A, grad a[f] on first read, plus the measured step statistics.
+
+    `density` is the f the set was built from, kept (not copied) for
+    `grad_a`; it must not be changed while the set is in use.
+    """
 
     A: SymTensorField
     a: Field
-    grad_a: VecField
+    density: Field
+
+    @cached_property
+    def grad_a(self) -> VecField:
+        """grad a[f], transformed from `density` on first read.
+
+        No step of a run reads it: the flux takes its drift from face
+        differences of a (`drift_max`).  Verification and the bound
+        checks do, and get the values an eager transform would give.
+        """
+        grid = self.density.grid
+        return VecField(grid, _factored_inverse(self.density, _factored_symbols(grid.n, grid.extent)[2]))
 
     @cached_property
     def lambda_max(self) -> float:
@@ -189,8 +254,11 @@ class CoefficientSet:
         return float(np.min(weight * self.A.eigenvalues_at(ball)[:, 0]))
 
     @cached_property
-    def grad_a_max(self) -> float:
-        return float(np.max(self.grad_a.magnitude()))
+    def drift_max(self) -> float:
+        """Largest drift speed the flux reads: max |a(i + e_k) - a(i)| / dv
+        over the axes and all faces, the wrap faces included."""
+        a = self.a.values
+        return max(float(np.max(np.abs(np.roll(a, -1, axis=k) - a))) for k in range(3)) / self.a.grid.spacing
 
 
 def biharmonic_potential(f: Field) -> Field:
@@ -201,43 +269,15 @@ def biharmonic_potential(f: Field) -> Field:
 
 
 def compute_coefficients(f: Field) -> CoefficientSet:
-    """Diffusion matrix, potential, and drift from one padded transform.
+    """Diffusion matrix and potential from one padded transform.
 
-    The axis-0 inverse pass, the largest, runs on k1^p phat for
-    p = 0..3 only; a factor Q(k2, k3) commutes with it, so each of the
-    nine outputs combines the four cropped slabs with its own Q_p
-    before its axis-1 and axis-2 passes.
+    Only the six components of A are transformed (18 FFT calls); a is
+    tr A, and grad a waits for its first read (`CoefficientSet.grad_a`).
     """
     _check_boundary_decay(f)
     grid = f.grid
-    n, m = grid.n, 2 * grid.n
-    powers, symbols = _factored_symbols(n, grid.extent)
-
-    # p = 0 goes last, in place on phat, so at most one spare full-size
-    # buffer is live.  Separate slabs rather than one (4, n, 2n, n+1) stack:
-    # glibc's heap grows with the largest block freed (at n = 48 one stack
-    # raised the peak RSS of a run by 6 MiB).
-    phat = _potential_spectrum(f)
-    work = np.empty_like(phat)
-    slabs = [None] * 4
-    for p in (3, 2, 1):
-        np.fft.ifft(np.multiply(phat, powers[p - 1], out=work), axis=0, out=work)
-        slabs[p] = work[:n].copy()
-    del work
-    slabs[0] = np.fft.ifft(phat, axis=0, out=phat)[:n].copy()
-    del phat
-
-    tensor, grad = np.empty((6, n, n, n)), np.empty((3, n, n, n))
-    line = np.empty((n, m, n + 1), dtype=complex)
-    for target, ((p, q), *rest) in zip((*tensor, *grad), symbols):
-        np.multiply(slabs[p], q, out=line)
-        for p, q in rest:
-            line += q * slabs[p]
-        np.fft.ifft(line, axis=1, out=line)
-        target[...] = np.fft.irfft(line[:, :n], n=m, axis=2)[:, :, :n]
-
-    A = SymTensorField(grid, tensor)
-    return CoefficientSet(A=A, a=Field(grid, A.trace_values()), grad_a=VecField(grid, grad))
+    A = SymTensorField(grid, _factored_inverse(f, _factored_symbols(grid.n, grid.extent)[1]))
+    return CoefficientSet(A=A, a=Field(grid, A.trace_values()), density=f)
 
 
 def structural_residuals(f: Field) -> tuple[float, float]:
@@ -264,7 +304,7 @@ def structural_residuals(f: Field) -> tuple[float, float]:
     for i in range(3):
         div_i = irfft3(sum(1j * k[j] * (-(k[i] * k[j]) * phat) for j in range(3)), m, n)
         div_res = max(div_res, float(np.max(np.abs(div_i - coeffs.grad_a.values[i]))))
-    return trace_res, div_res / coeffs.grad_a_max
+    return trace_res, div_res / float(np.max(coeffs.grad_a.magnitude()))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ __all__ = [
     "make_grid",
     "integrate",
     "spectral_gradient",
-    "finite_difference_gradient",
 ]
 
 
@@ -304,15 +303,4 @@ def spectral_gradient(field: Field) -> VecField:
         spec = np.fft.rfft(field.values, axis=axis)
         spec *= ik.reshape(shape)
         np.fft.irfft(spec, n=grid.n, axis=axis, out=out[axis])
-    return VecField(grid, out)
-
-
-def finite_difference_gradient(field: Field) -> VecField:
-    """Second-order central differences with periodic wrap (test oracle)."""
-    grid = field.grid
-    v = field.values
-    inv2h = 1.0 / (2.0 * grid.spacing)
-    out = np.empty((3, *grid.shape))
-    for k in range(3):
-        out[k] = (np.roll(v, -1, axis=k) - np.roll(v, 1, axis=k)) * inv2h
     return VecField(grid, out)

@@ -26,9 +26,10 @@ sliver.
 Each coefficient set is reduced once to the 12 face weights its flux
 reads, with every stencil constant folded in (`_face_weights`).  A run
 keeps only those weights and the three statistics a step reads,
-`lambda_max`, `grad_a_max` and `c0_empirical` (`FrozenCoefficients`),
-and lets the node-valued A, a and grad a go as soon as the weights
-exist, so that the weights add nothing to the peak memory of a run.
+`lambda_max`, `drift_max` and `c0_empirical` (`FrozenCoefficients`),
+and lets the node-valued A and a go as soon as the weights exist, so
+that the weights add nothing to the peak memory of a run.  No step
+reads the spectral grad a, so a run never transforms it.
 
 The integrator is equilibrium-balanced: the (order Delta v^3) residual
 of the raw flux divergence at the sampled Maxwellian is subtracted from
@@ -279,19 +280,19 @@ class FrozenCoefficients:
     """What a step of `run` reads of one coefficient set.
 
     The face weights of the flux and the three statistics behind the
-    step bound and the recorder.  Holding these instead of the set lets
-    the run drop the node-valued A, a and grad a as soon as the weights
-    exist.
+    step bound and the recorder, `drift_max` the set's own.  Holding
+    these instead of the set lets the run drop the node-valued A and a
+    as soon as the weights exist.
     """
 
     weights: np.ndarray
     lambda_max: float
-    grad_a_max: float
+    drift_max: float
     c0_empirical: float
 
     @classmethod
     def of(cls, coeffs: CoefficientSet) -> FrozenCoefficients:
-        return cls(_face_weights(coeffs), coeffs.lambda_max, coeffs.grad_a_max, coeffs.c0_empirical)
+        return cls(_face_weights(coeffs), coeffs.lambda_max, coeffs.drift_max, coeffs.c0_empirical)
 
 
 def rhs(f: Field, coeffs: CoefficientSet | FrozenCoefficients) -> Field:
@@ -342,11 +343,14 @@ def rhs(f: Field, coeffs: CoefficientSet | FrozenCoefficients) -> Field:
 def stable_dt(f: Field, coeffs: CoefficientSet | FrozenCoefficients, cfl: float) -> float:
     """Parabolic/advective explicit step bound (the CFL ceiling of `run`).
 
+    The advective term is `drift_max`, the largest face drift
+    |a(i + e_k) - a(i)| / dv, which is 2 dv |D_k| of the face weights;
+    a set and its `FrozenCoefficients` give the same bound bit for bit.
     Uncapped: where the coefficients vanish it is unbounded, and a run
     is limited by its snapshot times and horizon.
     """
     dv = f.grid.spacing
-    denom = 2.0 * 3.0 * coeffs.lambda_max + dv * coeffs.grad_a_max + 1e-30
+    denom = 2.0 * 3.0 * coeffs.lambda_max + dv * coeffs.drift_max + 1e-30
     return cfl * dv * dv / denom
 
 
@@ -471,9 +475,6 @@ class Trajectory:
 
     def equilibrium(self) -> Field:
         return maxwellian(self.grid)
-
-    def h_snapshot(self, index: int) -> Field:
-        return self.snapshots[index] - self.equilibrium()
 
     def scalar_table(self) -> np.ndarray:
         """One row per recorded step, columns in SCALAR_COLUMNS order."""

@@ -156,7 +156,8 @@ class TestLevelSetEnergy:
 
     def test_empty_cut_boundary_matches_direct_computation(self, twobump32):
         # at a snapshot's max h its cut is empty and skipped; one ulp below, its top node is in the cut
-        tops = sorted(float(np.max(twobump32.h_snapshot(i).values)) for i in range(len(twobump32.snapshots)))
+        mu = twobump32.equilibrium()
+        tops = sorted(float(np.max((snapshot - mu).values)) for snapshot in twobump32.snapshots)
         at = tops[len(tops) // 2]
         assert tops[0] < at < tops[-1]  # both the skipped and the computed path run
         for level in (at, float(np.nextafter(at, 0.0))):
@@ -182,7 +183,7 @@ class TestLevelSetEnergy:
             with pytest.raises(ValueError, match="level must be nonnegative"):
                 level_set_energy(twobump32, level, window, 2.0, c0=0.02)
         with pytest.raises(ValueError, match="level must be nonnegative"):
-            level_set_plus(twobump32.h_snapshot(0), level)
+            level_set_plus(twobump32.snapshots[0] - twobump32.equilibrium(), level)
 
     def test_level_above_sup_vanishes(self, twobump32):
         top = float(np.max(twobump32.linf_h))

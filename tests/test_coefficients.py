@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from landau.coefficients import (
     structural_residuals,
 )
 from landau.fields import maxwellian
-from landau.grid import SYM_COMPONENTS, Field, SymTensorField, VecField, irfft3, make_grid, rfft3
+from landau.grid import SYM_COMPONENTS, Field, SymTensorField, irfft3, make_grid, rfft3
 from landau.solver import AnisotropicGaussian, Maxwellian, SimConfig, TwoBump, initial_datum
 from landau.verify import corpus_fields
 
@@ -98,6 +99,63 @@ class TestFactoredTransforms:
             assert np.max(np.abs(value - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+class TestTransformOnRead:
+    """A set transforms the six components of A; grad a waits for its first read."""
+
+    def test_a_set_makes_eighteen_fft_calls(self, monkeypatch):
+        f = initial_datum(SimConfig(n=16, initial=AnisotropicGaussian((0.8, 1.0, 1.2))))
+        compute_coefficients(f)  # the kernel spectrum is built and cached outside the count
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+
+            def counting(*args, _real=getattr(np.fft, name), **kwargs):
+                calls.append(_real)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        coeffs = compute_coefficients(f)
+        # 3 forward, 3 axis-0 passes (k1^0..2), 2 per component of A
+        assert len(calls) == 18
+        coeffs.grad_a
+        # the forward pass again, 4 axis-0 passes (k1^0..3), 2 per component of grad a
+        assert len(calls) == 18 + 13
+
+    def test_grad_a_is_built_once_per_set(self, monkeypatch):
+        coeffs = compute_coefficients(initial_datum(SimConfig(n=16, initial=TwoBump(2.0))))
+        builds = []
+        real = coefficients._factored_inverse
+
+        def counting(f, symbols):
+            builds.append(len(symbols))
+            return real(f, symbols)
+
+        monkeypatch.setattr(coefficients, "_factored_inverse", counting)
+        first = coeffs.grad_a
+        assert coeffs.grad_a is first and builds == [3]
+
+    def test_boundary_warning_fires_once_per_set(self):
+        # at n = 8 the data reach the faces
+        f = initial_datum(SimConfig(n=8, initial=TwoBump(2.0)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            compute_coefficients(f).grad_a
+        assert len([w for w in caught if "source density" in str(w.message)]) == 1
+
+    def test_drift_max_is_the_largest_face_difference(self):
+        grid = make_grid(8, 8.0)
+        a = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
+        coeffs = CoefficientSet(
+            A=SymTensorField(grid, np.zeros((6, *grid.shape))), a=Field(grid, a), density=Field(grid, grid.zeros())
+        )
+        faces = []
+        for node in np.ndindex(grid.shape):
+            for k in range(3):
+                ahead = list(node)
+                ahead[k] = (ahead[k] + 1) % grid.n  # the wrap faces included
+                faces.append(abs(a[tuple(ahead)] - a[node]) / grid.spacing)
+        assert coeffs.drift_max == max(faces)
+
+
 def full_pass(tensor: SymTensorField) -> tuple[float, float]:
     """lambda_max and c0_empirical read off the closed form at every node."""
     eig = tensor.eigenvalues()
@@ -110,7 +168,7 @@ def full_pass(tensor: SymTensorField) -> tuple[float, float]:
 def screened(values: np.ndarray) -> CoefficientSet:
     grid = make_grid(values.shape[1], 4.0)
     return CoefficientSet(
-        A=SymTensorField(grid, values), a=Field(grid, grid.zeros()), grad_a=VecField(grid, np.zeros((3, *grid.shape)))
+        A=SymTensorField(grid, values), a=Field(grid, grid.zeros()), density=Field(grid, grid.zeros())
     )
 
 
@@ -247,7 +305,7 @@ class TestComputeCoefficients:
         grid = make_grid(32, 8.0)
         f = corpus_fields(grid)[2]
         good = compute_coefficients(f)
-        broken = CoefficientSet(A=good.A, a=Field(grid, good.a.values * (1.0 + 1e-6)), grad_a=good.grad_a)
+        broken = CoefficientSet(A=good.A, a=Field(grid, good.a.values * (1.0 + 1e-6)), density=f)
         monkeypatch.setattr(coefficients, "compute_coefficients", lambda _: broken)
         trace_res, div_res = structural_residuals(f)
         assert trace_res > 1e-10

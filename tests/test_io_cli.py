@@ -486,7 +486,7 @@ class TestCli:
 
         def broken(f):
             good = real(f)
-            return CoefficientSet(A=good.A, a=Field(f.grid, good.a.values * (1.0 + 1e-6)), grad_a=good.grad_a)
+            return CoefficientSet(A=good.A, a=Field(f.grid, good.a.values * (1.0 + 1e-6)), density=f)
 
         monkeypatch.setattr(coefficients, "compute_coefficients", broken)
         assert cli(["verify", "--n", "24"]) == 1

@@ -7,7 +7,7 @@ import pytest
 import landau.solver as solver_mod
 from landau.coefficients import CoefficientSet, compute_coefficients
 from landau.fields import boltzmann_entropy, maxwellian, moments
-from landau.grid import Field, SymTensorField, VecField, integrate, make_grid
+from landau.grid import Field, SymTensorField, integrate, make_grid
 from landau.solver import (
     AnisotropicGaussian,
     Maxwellian,
@@ -120,7 +120,7 @@ class TestRhs:
         f = Field(grid, rng.uniform(0.5, 1.5, grid.shape))
         A = SymTensorField(grid, rng.uniform(-1.0, 1.0, (6, *grid.shape)))
         a = Field(grid, rng.uniform(-1.0, 1.0, grid.shape))
-        coeffs = CoefficientSet(A=A, a=a, grad_a=VecField(grid, np.zeros((3, *grid.shape))))
+        coeffs = CoefficientSet(A=A, a=a, density=Field(grid, grid.zeros()))
         out = rhs(f, coeffs).values
         reference = _two_point_rhs(f.values, A, a.values, grid.spacing)
         assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(reference))
@@ -153,7 +153,7 @@ def _synthetic_coeffs(grid, diag: float) -> CoefficientSet:
     return CoefficientSet(
         A=SymTensorField(grid, tensor),
         a=Field(grid, np.full(grid.shape, 3.0 * diag)),
-        grad_a=VecField(grid, np.zeros((3, *grid.shape))),
+        density=Field(grid, grid.zeros()),
     )
 
 
@@ -181,7 +181,17 @@ class TestStableDt:
         grid = make_grid(32, 8.0)
         mu = maxwellian(grid)
         dt = stable_dt(mu, compute_coefficients(mu), 0.5)
-        assert dt == pytest.approx(0.9205, rel=1e-3)
+        assert dt == pytest.approx(0.9215, rel=1e-3)
+
+    @pytest.mark.parametrize("datum", [AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0)])
+    def test_a_set_and_its_frozen_form_give_one_bound(self, datum):
+        f = initial_datum(SimConfig(n=16, initial=datum))
+        coeffs = compute_coefficients(f)
+        frozen = solver_mod.FrozenCoefficients.of(coeffs)
+        assert stable_dt(f, coeffs, 0.5) == stable_dt(f, frozen, 0.5)
+        # the drift term is the flux's own: 2 dv |D_k| of the face weights
+        drift = 2.0 * f.grid.spacing * float(np.max(np.abs(frozen.weights[:, 3])))
+        assert frozen.drift_max == pytest.approx(drift, rel=1e-14)
 
 
 class TestStep:
@@ -337,6 +347,15 @@ class TestRun:
         assert len(sets) > steps + 1 if refresh == 1 else len(sets) < steps
         assert builds == list(range(1, len(sets) + 1))
         assert all(ref() is None for ref in sets)
+
+    def test_run_never_reads_grad_a(self, monkeypatch):
+        def unread(coeffs):
+            raise AssertionError("a run read grad a")
+
+        monkeypatch.setattr(CoefficientSet, "grad_a", property(unread))
+        # snapshots every 0.1: at least six steps, each on a rebuilt set
+        traj = run(SimConfig(n=16, t_end=0.6, snapshot_every=1, initial=TwoBump(2.0)))
+        assert not traj.aborted and len(traj.times) >= 7
 
     def test_blowup_is_surfaced(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "BLOWUP_SUP", 1e-3)
