@@ -12,6 +12,7 @@ lazily and never mutate them afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,8 +45,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n % 2 != 0 or self.n < 8:
             raise ValueError(f"grid needs an even point count >= 8 per axis, got n={self.n}")
-        if not self.extent > 0:
-            raise ValueError(f"grid extent must be positive, got {self.extent}")
+        if not 0.0 < self.extent < math.inf:
+            raise ValueError(f"grid extent L must be finite and positive, got {self.extent}")
 
     @property
     def spacing(self) -> float:

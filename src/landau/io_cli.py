@@ -1,12 +1,13 @@
 """Configuration parsing, trajectory persistence, reports, and the CLI.
 
 Config files are flat ``key = value`` text with ``#`` comments; unknown
-keys are errors, never silently defaulted.  Trajectories persist as a
-scalar CSV (full-precision reprs, so the round trip is bit-exact), raw
-little-endian float64 snapshots (row-major, first velocity axis
-slowest) with one text sidecar each, and a small JSON index, removed
-first and written last, atomically.  A run manifest is written
-atomically at the end of every run.
+keys are errors, never silently defaulted.  The keys are read off the
+fields of `SimConfig` and of the datum classes, which check the values.
+Trajectories persist as a scalar CSV (full-precision reprs, so the round
+trip is bit-exact), raw little-endian float64 snapshots (row-major,
+first velocity axis slowest) with one text sidecar each, and a small
+JSON index, removed first and written last, atomically.  A run manifest
+is written atomically at the end of every run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,17 +30,7 @@ from . import __version__
 from . import analysis
 from .fields import boltzmann_entropy
 from .grid import Field, make_grid
-from .solver import (
-    SCALAR_COLUMNS,
-    AnisotropicGaussian,
-    InitialDatum,
-    Maxwellian,
-    PerturbedMaxwellian,
-    SimConfig,
-    Trajectory,
-    TwoBump,
-    run,
-)
+from .solver import SCALAR_COLUMNS, InitialDatum, PerturbedMaxwellian, SimConfig, Trajectory, run
 
 __all__ = [
     "RunManifest",
@@ -53,41 +44,54 @@ __all__ = [
     "main",
 ]
 
-_FAMILIES = ("maxwellian", "perturbed_maxwellian", "anisotropic_gaussian", "two_bump")
-
 # max_t ||h||_inf / max mu at or below this marks an equilibrium run, whose
 # h = f - mu is roundoff (1.8e-13 at n = 48); the perturbed data in use
 # sit at 5e-2 and above
 ROUNDOFF_PERTURBATION = 1e-10
-
-# key -> (python type, family restriction or None)
-_SCHEMA: dict[str, tuple[type, str | None]] = {
-    "n": (int, None),
-    "L": (float, None),
-    "t_end": (float, None),
-    "cfl": (float, None),
-    "p": (float, None),
-    "m": (float, None),
-    "initial": (str, None),
-    "snapshot_every": (int, None),
-    "clip_negatives": (bool, None),
-    "coefficient_refresh": (int, None),
-    "seed": (int, None),
-    "amplitude": (float, "perturbed_maxwellian"),
-    "mode": (int, "perturbed_maxwellian"),
-    "theta": (tuple, "anisotropic_gaussian"),
-    "separation": (float, "two_bump"),
-    "weights": (tuple, "two_bump"),
-}
 
 
 class ConfigError(ValueError):
     pass
 
 
+class _Key(NamedTuple):
+    """A config key: the field it fills, its type, and its datum family (None for `SimConfig`'s)."""
+
+    field: str
+    type: type
+    family: str | None
+    required: bool
+
+
+# Datum classes by their `kind`, the value of the `initial` key.
+_DATA: dict[str, type] = {cls.kind: cls for cls in get_args(InitialDatum)}
+# The config keys named otherwise than the field they fill.
+_RENAMED = {"extent": "L", "temperatures": "theta"}
+
+
+def _key_table() -> dict[str, _Key]:
+    """Config key -> _Key, read off the fields of SimConfig and of each datum class.
+
+    `initial` selects the datum class; a datum's `kind` is not a key.
+    """
+    table = {}
+    for cls in (SimConfig, *_DATA.values()):
+        family = None if cls is SimConfig else cls.kind
+        hints = get_type_hints(cls)
+        for spec in dataclasses.fields(cls):
+            if spec.name not in ("initial", "kind"):
+                hint = hints[spec.name]
+                required = spec.default is dataclasses.MISSING
+                key = _RENAMED.get(spec.name, spec.name)
+                table[key] = _Key(spec.name, get_origin(hint) or hint, family, required)
+    return table
+
+
+_KEYS = _key_table()
+
+
 def _parse_value(key: str, raw: str):
-    kind, _ = _SCHEMA[key]
-    raw = raw.strip()
+    kind = _KEYS[key].type
     try:
         if kind is bool:
             lowered = raw.lower()
@@ -103,8 +107,18 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"key '{key}' expects a {kind.__name__}, got '{raw}'") from exc
 
 
+def _format_value(key: str, value) -> str:
+    """`value` as `_parse_value` reads it back; NumPy scalars are written as Python numbers."""
+    kind = _KEYS[key].type
+    if kind is bool:
+        return str(value).lower()
+    if kind is tuple:
+        return ", ".join(repr(float(x)) for x in value)
+    return repr(kind(value))
+
+
 def parse_config(path: str | Path) -> SimConfig:
-    """Read and validate a flat key-value run configuration."""
+    """Read a flat key-value run configuration; the dataclasses check the values."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -116,79 +130,39 @@ def parse_config(path: str | Path) -> SimConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line.strip()}'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key != "initial" and key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in entries:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-        entries[key] = _parse_value(key, raw)
+        entries[key] = raw if key == "initial" else _parse_value(key, raw)
 
-    family = entries.pop("initial", "maxwellian")
-    if family not in _FAMILIES:
-        raise ConfigError(f"initial must be one of {_FAMILIES}, got '{family}'")
-    for key in entries:
-        restriction = _SCHEMA[key][1]
-        if restriction is not None and restriction != family:
-            raise ConfigError(f"key '{key}' is only valid with initial = {restriction}")
+    family = entries.pop("initial", SimConfig.initial.kind)
+    if family not in _DATA:
+        raise ConfigError(f"initial must be one of {tuple(_DATA)}, got '{family}'")
+    fields: dict[str | None, dict[str, object]] = {None: {}, family: {}}
+    for key, value in entries.items():
+        spec = _KEYS[key]
+        if spec.family not in fields:
+            raise ConfigError(f"key '{key}' is only valid with initial = {spec.family}")
+        fields[spec.family][spec.field] = value
+    for key, spec in _KEYS.items():
+        if spec.family == family and spec.required and spec.field not in fields[family]:
+            raise ConfigError(f"initial = {family} requires '{key}'")
 
-    initial: InitialDatum
     try:
-        if family == "maxwellian":
-            initial = Maxwellian()
-        elif family == "perturbed_maxwellian":
-            if "amplitude" not in entries:
-                raise ConfigError("perturbed_maxwellian requires 'amplitude'")
-            initial = PerturbedMaxwellian(
-                amplitude=float(entries.pop("amplitude")),
-                mode=int(entries.pop("mode", 4)),
-            )
-        elif family == "anisotropic_gaussian":
-            theta = entries.pop("theta", None)
-            if theta is None or len(theta) != 3:
-                raise ConfigError("anisotropic_gaussian requires 'theta = t1, t2, t3'")
-            initial = AnisotropicGaussian(temperatures=tuple(theta))
-        else:
-            if "separation" not in entries:
-                raise ConfigError("two_bump requires 'separation'")
-            weights = entries.pop("weights", (0.5, 0.5))
-            if len(weights) != 2:
-                raise ConfigError("two_bump weights must be two comma-separated numbers")
-            initial = TwoBump(separation=float(entries.pop("separation")), weights=tuple(weights))
-
-        kwargs = {("extent" if key == "L" else key): value for key, value in entries.items()}
-        if "p" in kwargs and not kwargs["p"] > 1.5:
-            raise ConfigError(f"p must exceed 3/2, got {kwargs['p']}")
-        return SimConfig(initial=initial, **kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        return SimConfig(initial=_DATA[family](**fields[family]), **fields[None])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_to_text(config: SimConfig) -> str:
     """Serialize a SimConfig back to the flat key-value format."""
-    lines = [
-        f"n = {config.n}",
-        f"L = {config.extent!r}",
-        f"t_end = {config.t_end!r}",
-        f"cfl = {config.cfl!r}",
-        f"p = {config.p!r}",
-        f"m = {config.m!r}",
-        f"initial = {config.initial.kind}",
-    ]
     datum = config.initial
-    if isinstance(datum, PerturbedMaxwellian):
-        lines += [f"amplitude = {datum.amplitude!r}", f"mode = {datum.mode}"]
-    elif isinstance(datum, AnisotropicGaussian):
-        lines.append("theta = " + ", ".join(repr(t) for t in datum.temperatures))
-    elif isinstance(datum, TwoBump):
-        lines.append(f"separation = {datum.separation!r}")
-        lines.append("weights = " + ", ".join(repr(w) for w in datum.weights))
-    lines += [
-        f"snapshot_every = {config.snapshot_every}",
-        f"clip_negatives = {str(config.clip_negatives).lower()}",
-        f"coefficient_refresh = {config.coefficient_refresh}",
-        f"seed = {config.seed}",
-    ]
+    lines = [f"initial = {datum.kind}"]
+    for key, spec in _KEYS.items():
+        if spec.family in (None, datum.kind):
+            value = getattr(config if spec.family is None else datum, spec.field)
+            lines.append(f"{key} = {_format_value(key, value)}")
     return "\n".join(lines) + "\n"
 
 

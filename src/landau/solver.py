@@ -121,8 +121,10 @@ class AnisotropicGaussian:
     kind: str = "anisotropic_gaussian"
 
     def __post_init__(self) -> None:
-        if not all(t > 0.0 for t in self.temperatures):
-            raise ValueError(f"temperatures must be positive, got {self.temperatures}")
+        if len(self.temperatures) != 3:
+            raise ValueError(f"theta takes 3 axis temperatures, got {self.temperatures}")
+        if not all(0.0 < t < math.inf for t in self.temperatures):
+            raise ValueError(f"theta temperatures must be finite and positive, got {self.temperatures}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,10 @@ class TwoBump:
     kind: str = "two_bump"
 
     def __post_init__(self) -> None:
-        if not all(w > 0.0 for w in self.weights):
-            raise ValueError(f"bump weights must be positive, got {self.weights}")
+        if len(self.weights) != 2:
+            raise ValueError(f"weights takes 2 bump weights, got {self.weights}")
+        if not all(0.0 < w < math.inf for w in self.weights):
+            raise ValueError(f"bump weights must be finite and positive, got {self.weights}")
         w1, w2 = (w / sum(self.weights) for w in self.weights)
         if not 3.0 - w1 * w2 * self.separation**2 > 0.0:
             raise ValueError(
@@ -149,7 +153,11 @@ InitialDatum = Union[Maxwellian, PerturbedMaxwellian, AnisotropicGaussian, TwoBu
 
 @dataclass(frozen=True)
 class SimConfig:
-    """All run parameters; the initial datum is normalized on construction of the run."""
+    """All run parameters; the initial datum is normalized on construction of the run.
+
+    The fields are config keys (`io_cli.parse_config`), checked here
+    alone: `n` and `extent` by the `Grid` they make, the datum by its class.
+    """
 
     n: int = 32
     extent: float = 8.0
@@ -164,14 +172,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        make_grid(self.n, self.extent)
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not self.p > 1.5:
-            raise ValueError(f"p must exceed 3/2, got {self.p}")
-        if not self.m > 0.0:
-            raise ValueError(f"m must be positive, got {self.m}")
+        if not 1.5 < self.p < math.inf:
+            raise ValueError(f"p must be finite and exceed 3/2, got {self.p}")
+        if not 0.0 < self.m < math.inf:
+            raise ValueError(f"m must be finite and positive, got {self.m}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
         if self.coefficient_refresh < 1:
@@ -292,7 +301,9 @@ class FrozenCoefficients:
 
     @classmethod
     def of(cls, coeffs: CoefficientSet) -> FrozenCoefficients:
-        return cls(_face_weights(coeffs), coeffs.lambda_max, coeffs.drift_max, coeffs.c0_empirical)
+        # the statistics first: their full-grid temporaries are freed before the weights exist
+        stats = coeffs.lambda_max, coeffs.drift_max, coeffs.c0_empirical
+        return cls(_face_weights(coeffs), *stats)
 
 
 def rhs(f: Field, coeffs: CoefficientSet | FrozenCoefficients) -> Field:

@@ -50,6 +50,20 @@ class TestPrunedTransforms:
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", [8, 24, 48])
+    def test_kernel_spectrum_keeps_the_real_part_of_a_real_spectrum(self, n):
+        extent = 8.0
+        m, dv = 2 * n, 2.0 * extent / n
+        z = np.fft.fftfreq(m, d=1.0 / m) * dv
+        r = np.sqrt(z[:, None, None] ** 2 + z[None, :, None] ** 2 + z[None, None, :] ** 2)
+        kernel = np.where(r > 2.0 * math.sqrt(3.0) * extent + 1e-12, 0.0, r / (8.0 * np.pi))
+        full = rfft3(kernel, m)
+        cached = coefficients._kernel_spectrum(n, extent)
+        assert not np.iscomplexobj(cached)
+        np.testing.assert_array_equal(cached, full.real)
+        # the kernel is even, so the dropped imaginary part is rounding
+        assert np.max(np.abs(full.imag)) <= 1e-15 * np.max(np.abs(full.real))
+
+    @pytest.mark.parametrize("n", [8, 24, 48])
     def test_forward_of_full_array_matches_rfftn(self, n):
         # the kernel spectrum and spectral_gradient take this path: no padding
         full = np.random.default_rng(n).standard_normal((2 * n,) * 3)

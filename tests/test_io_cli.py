@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from landau import analysis, coefficients, verify
+from landau import analysis, coefficients, io_cli, verify
 from landau.coefficients import CoefficientSet
 from landau.grid import Field, make_grid
 from landau.io_cli import (
@@ -90,6 +91,40 @@ class TestParseConfig:
             cfg = SimConfig(n=16, t_end=0.2, initial=initial, m=12.0)
             parsed = parse_config(write_cfg(tmp_path, config_to_text(cfg), name=f"{initial.kind}.cfg"))
             assert parsed == cfg
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        cfg = SimConfig(n=np.int64(16), t_end=np.float64(0.2), initial=TwoBump(np.float64(2.0), (np.float64(0.7), 0.3)))
+        assert parse_config(write_cfg(tmp_path, config_to_text(cfg))) == cfg
+
+    @pytest.mark.parametrize(
+        "key, entries",
+        [
+            ("t_end", {"t_end": "inf"}),  # `run` would never end
+            ("L", {"L": "inf"}),
+            ("L", {"L": "nan"}),
+            ("p", {"p": "inf"}),
+            ("m", {"m": "inf"}),
+            ("theta", {"initial": "anisotropic_gaussian", "theta": "inf, 1, 1"}),
+            ("weights", {"initial": "two_bump", "separation": "1.0", "weights": "inf, 1"}),
+            # the grid is checked when the config is read, not first in `run`
+            ("n", {"n": "7"}),
+            ("n", {"n": "6"}),
+            ("L", {"L": "-1"}),
+            ("L", {"L": "0"}),
+        ],
+    )
+    def test_rejects_value_out_of_range_naming_its_key(self, tmp_path, key, entries):
+        base = dict(line.split(" = ") for line in MINIMAL.strip().splitlines())
+        text = "".join(f"{k} = {v}\n" for k, v in {**base, **entries}.items())
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            parse_config(write_cfg(tmp_path, text))
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("|")][2:]  # past header and rule
+        documented = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        assert documented == set(io_cli._KEYS) | {"initial"}
 
 
 def _positive(upper: float):

@@ -48,6 +48,23 @@ class TestSimConfig:
             with pytest.raises(ValueError):
                 bad()
 
+    def test_datum_tuples_have_their_length(self):
+        # the messages name the config keys
+        with pytest.raises(ValueError, match="theta"):
+            AnisotropicGaussian((1.0, 2.0))
+        with pytest.raises(ValueError, match="theta"):
+            AnisotropicGaussian((1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="weights"):
+            TwoBump(1.0, weights=(1.0,))
+        with pytest.raises(ValueError, match="weights"):
+            TwoBump(1.0, weights=(1.0, 1.0, 1.0))
+
+    def test_grid_is_checked_on_construction(self):
+        with pytest.raises(ValueError, match="n=7"):
+            SimConfig(n=7)
+        with pytest.raises(ValueError, match="extent"):
+            SimConfig(extent=-1.0)
+
 
 class TestInitialDatum:
     def test_maxwellian_is_equilibrium(self):
@@ -192,6 +209,20 @@ class TestStableDt:
         # the drift term is the flux's own: 2 dv |D_k| of the face weights
         drift = 2.0 * f.grid.spacing * float(np.max(np.abs(frozen.weights[:, 3])))
         assert frozen.drift_max == pytest.approx(drift, rel=1e-14)
+
+    def test_frozen_form_takes_the_statistics_before_the_weights(self, monkeypatch):
+        # their full-grid temporaries must be gone before the weights are allocated
+        coeffs = compute_coefficients(initial_datum(SimConfig(n=16, initial=TwoBump(2.0))))
+        build = solver_mod._face_weights
+
+        def checked(c):
+            assert {"lambda_max", "drift_max", "c0_empirical"} <= vars(c).keys()
+            return build(c)
+
+        monkeypatch.setattr(solver_mod, "_face_weights", checked)
+        frozen = solver_mod.FrozenCoefficients.of(coeffs)
+        assert (frozen.lambda_max, frozen.drift_max, frozen.c0_empirical) == (
+            coeffs.lambda_max, coeffs.drift_max, coeffs.c0_empirical)
 
 
 class TestStep:
