@@ -10,20 +10,23 @@ The convolution is free-space (zero-padded to the doubled box with the
 radially truncated kernel sampled pointwise), so periodic images never
 pollute the long-range potential.  All derivatives are taken in the
 doubled transform space; a is taken as tr A, which linearity makes
-equal to the Laplacian transform.  Transforms run as pruned 1-D passes,
-axis by axis (Hockney-Eastwood; `grid.rfft3`/`grid.irfft3`): the forward
-passes never transform the known-zero blocks of the padding, and each
-inverse pass is cropped to the original box before the next axis.  The
-output symbols are polynomials in k1, and a factor of k2 and k3 alone
-commutes with the axis-0 pass, so that pass (the largest) runs once per
-power k1^p phat, and each output combines the cropped slabs before its
-own axis-1 and axis-2 passes (`_factored_inverse`).  A set transforms
-only the six components of A, which the flux reads: three axis-0
-passes (p = 0..2) and 18 FFT calls in all.  grad a, which no step
-reads (the flux takes its drift from face differences of a), is
-transformed from the set's density on first read: the three drift
-symbols, four axis-0 passes (p = 0..3).  The results agree with full
-inverse transforms to roundoff, not bit for bit.
+equal to the Laplacian transform.  The forward transform runs as pruned
+1-D FFTs, axis by axis (Hockney-Eastwood; `grid.rfft3`), which never
+transform the known-zero blocks of the padding.  The inverse runs as
+matrix products (`_matrix_inverse`): at these sizes a 1-D inverse DFT
+cropped to the box's n outputs and weighted by k^p is a small dense
+matrix, and BLAS multiplies by it faster than an FFT walks the strided
+lines.  Every output symbol is a sum of monomials k1^a k2^b k3^c, so
+the axis-0 product (the largest) runs once per power a, and each
+monomial takes its own axis-1 and axis-2 products; the last maps the
+half spectrum straight to real values.  A set transforms only the six
+components of A, which the flux reads: 15 matrix products and three
+forward FFT calls.  grad a, which no step reads (the flux takes its
+drift from face differences of a), is transformed from the set's
+density on first read: three more forward FFT calls and 22 products.
+The results agree with full inverse transforms to roundoff (2e-15
+relative at n = 48), not bit for bit, and do not depend on the number
+of BLAS threads.
 
 The eigenvalues run only where they can matter: `lambda_max` on the
 nodes whose Gershgorin row bound reaches the largest diagonal entry,
@@ -36,7 +39,8 @@ A direct O(n^3)-per-point quadrature of the same integrals serves as
 the independent oracle, and the bound checks of the coefficient theory
 (pointwise coercivity, interpolation upper bounds) are measured here.
 
-Pure functions throughout; the cached kernel spectra are immutable.
+Pure functions throughout; the cached kernel spectra and DFT matrices
+are read-only.
 """
 
 from __future__ import annotations
@@ -44,11 +48,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .fields import NormRequest, lp_m_norm
-from .grid import Field, SymTensorField, VecField, irfft3, rfft3
+from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField, irfft3, rfft3
 
 __all__ = [
     "CoefficientSet",
@@ -66,6 +72,11 @@ __all__ = [
 BOUNDARY_DENSITY_WARN = 1e-10
 # Slack of the Gershgorin screen in `lambda_max`, relative to the largest entry.
 _SCREEN_SLACK = 2.0**-40
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=8)
@@ -87,7 +98,7 @@ def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
     )
     kernel = r / (8.0 * np.pi)
     kernel[r > 2.0 * np.sqrt(3.0) * extent + 1e-12] = 0.0
-    return rfft3(kernel, m).real.copy()
+    return _read_only(rfft3(kernel, m).real.copy())
 
 
 @lru_cache(maxsize=8)
@@ -123,80 +134,93 @@ def _potential_spectrum(f: Field) -> np.ndarray:
     return spectrum
 
 
+def _reduced_twiddles(rows: int, columns: int, m: int) -> np.ndarray:
+    """exp(2 pi i j k / m) for j < rows, k < columns, the angle reduced
+    modulo m in integers first: unreduced, the angles cost 1.1e-14
+    relative in A and 2.9e-14 in grad a at n = 48."""
+    return np.exp((2j * np.pi / m) * (np.outer(np.arange(rows), np.arange(columns)) % m))
+
+
 @lru_cache(maxsize=8)
-def _factored_symbols(n: int, extent: float) -> tuple[tuple, tuple, tuple]:
-    """Powers k1^p (p = 1..3), and two lists of output symbols split as sum_p k1^p Q_p(k2, k3).
+def _full_axis_matrices(n: int, extent: float) -> tuple[np.ndarray, ...]:
+    """F[p] = exp(2 pi i j k / m) / m diag(k^p), p = 0..3, of shape (n, 2n):
+    a full axis's spectrum times k^p, inverse-transformed and cropped to
+    the box's n points."""
+    m = 2 * n
+    twiddle = _reduced_twiddles(n, m, m) / m
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * extent / n)
+    return tuple(_read_only(twiddle * k**p) for p in range(4))
 
-    The lists are the six components of A (symbols -k_i k_j, in
-    SYM_COMPONENTS order) and the three of grad a (symbols
-    -1j k_i |k|^2); each symbol is a tuple of pairs (p, Q_p).  Every
-    factor is complex and Q_p spans all of (k2, k3): NumPy multiplies
-    complex by complex fastest.
+
+@lru_cache(maxsize=16)
+def _half_axis_matrices(n: int, extent: float, scale: complex) -> tuple[np.ndarray, ...]:
+    """W[c], c = 0..3, real of shape (2(n+1), n): irfft of the half
+    spectrum times scale k3^c, cropped to the box's n points.
+
+    The rows take the spectrum's re and im interleaved, as
+    `view(float64)` lays them out, and fold in the Hermitian weights
+    (1, 2, ..., 2, 1) and 1/m.  At k3 = 0 and k3 = n the twiddle is
+    real, so the imaginary part of the product is ignored there, as
+    irfft ignores it.
     """
-    k1, k2, k3 = _doubled_wavenumbers(n, extent)
-    transverse = k2 * k2 + k3 * k3
-    tensor = (
-        ((2, -1.0),),
-        ((0, -(k2 * k2)),),
-        ((0, -(k3 * k3)),),
-        ((1, -k2),),
-        ((1, -k3),),
-        ((0, -(k2 * k3)),),
-    )
-    drift = (
-        ((3, -1j), (1, -1j * transverse)),
-        ((2, -1j * k2), (0, -1j * k2 * transverse)),
-        ((2, -1j * k3), (0, -1j * k3 * transverse)),
-    )
-    plane = (1, 2 * n, n + 1)
-
-    def factored(symbols):
-        return tuple(tuple((p, np.broadcast_to(q, plane).astype(complex)) for p, q in terms) for terms in symbols)
-
-    return (
-        tuple(k.astype(complex) for k in (k1, k1 * k1, k1 * k1 * k1)),
-        factored(tensor),
-        factored(drift),
-    )
+    m = 2 * n
+    rows = _reduced_twiddles(n + 1, n, m)
+    rows[[0, -1]] = rows[[0, -1]].real
+    weight = np.full(n + 1, 2.0 / m)
+    weight[[0, -1]] = 1.0 / m
+    k = 2.0 * np.pi * np.fft.rfftfreq(m, d=2.0 * extent / n)
+    matrices = []
+    for c in range(4):
+        rotated = (scale * weight * k**c)[:, None] * rows
+        matrices.append(_read_only(np.stack((rotated.real, -rotated.imag), axis=1).reshape(2 * (n + 1), n)))
+    return tuple(matrices)
 
 
-def _factored_inverse(f: Field, symbols: tuple) -> np.ndarray:
-    """The listed symbols times the potential spectrum of f, inverse-transformed
-    and cropped to the box, shape (len(symbols), n, n, n).
+def _monomial(*factors: int) -> tuple[int, int, int]:
+    """Exponents (a, b, c) of k1^a k2^b k3^c, the product of k_i over the listed axes i."""
+    return tuple(factors.count(axis) for axis in range(3))
 
-    The axis-0 pass, the largest, runs on k1^p phat for p = 0..top only,
-    top being the highest power the symbols use; a factor Q(k2, k3)
-    commutes with it, so each output combines the cropped slabs with its
-    own Q_p before its axis-1 and axis-2 passes.
+
+# A_ij is -k_i k_j (SYM_COMPONENTS order) and grad_i a is -1j k_i |k|^2:
+# a scale times a sum of monomials, listed as (a, b, c, output).
+_TENSOR_TERMS = tuple((*_monomial(i, j), o) for o, (i, j) in enumerate(SYM_COMPONENTS))
+_DRIFT_TERMS = tuple((*_monomial(i, j, j), i) for i in range(3) for j in range(3))
+
+
+def _matrix_inverse(f: Field, scale: complex, terms: tuple) -> np.ndarray:
+    """scale times the listed monomials times the potential spectrum of f,
+    inverse-transformed and cropped to the box, summed per output: shape
+    (outputs, n, n, n).
+
+    Each axis is one matrix product with a cropped inverse-DFT matrix,
+    so no inverse FFT runs.  The axis-0 product runs once per power a;
+    each monomial with that a takes its own axis-1 product and its
+    axis-2 product, which writes real values straight into the output.
+    The output is allocated first, then the spectrum and one buffer per
+    axis that every monomial reuses: in that order glibc's heap does not
+    grow over a run.
     """
     grid = f.grid
     n, m = grid.n, 2 * grid.n
-    powers = _factored_symbols(n, grid.extent)[0]
-    top = max(p for terms in symbols for p, _ in terms)
-
-    # p = 0 goes last, in place on phat, so at most one spare full-size
-    # buffer is live.  Separate slabs rather than one stack: glibc's heap
-    # grows with the largest block freed (at n = 48 one stack raised the
-    # peak RSS of a run by 6 MiB).
-    phat = _potential_spectrum(f)
-    work = np.empty_like(phat)
-    slabs = [None] * (top + 1)
-    for p in range(top, 0, -1):
-        np.fft.ifft(np.multiply(phat, powers[p - 1], out=work), axis=0, out=work)
-        slabs[p] = work[:n].copy()
-    del work
-    slabs[0] = np.fft.ifft(phat, axis=0, out=phat)[:n].copy()
-    del phat
-
-    out = np.empty((len(symbols), n, n, n))
-    line = np.empty((n, m, n + 1), dtype=complex)
-    for target, ((p, q), *rest) in zip(out, symbols):
-        np.multiply(slabs[p], q, out=line)
-        for p, q in rest:
-            line += q * slabs[p]
-        np.fft.ifft(line, axis=1, out=line)
-        target[...] = np.fft.irfft(line[:, :n], n=m, axis=2)[:, :, :n]
-    return out
+    full = _full_axis_matrices(n, grid.extent)
+    half = _half_axis_matrices(n, grid.extent, scale)
+    outputs = 1 + max(o for *_, o in terms)
+    out = np.empty((outputs, n * n, n))
+    phat = _potential_spectrum(f).reshape(m, m * (n + 1))
+    g0 = np.empty((n, m, n + 1), dtype=complex)
+    g1 = np.empty((n, n, n + 1), dtype=complex)
+    lines = g1.view(np.float64).reshape(n * n, 2 * (n + 1))
+    written = set()
+    for a, monomials in groupby(sorted(terms), key=itemgetter(0)):
+        np.matmul(full[a], phat, out=g0.reshape(n, m * (n + 1)))
+        for _, b, c, o in monomials:
+            np.matmul(full[b], g0, out=g1)
+            if o in written:
+                out[o] += lines @ half[c]
+            else:
+                np.matmul(lines, half[c], out=out[o])
+                written.add(o)
+    return out.reshape(outputs, n, n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,8 +243,7 @@ class CoefficientSet:
         differences of a (`drift_max`).  Verification and the bound
         checks do, and get the values an eager transform would give.
         """
-        grid = self.density.grid
-        return VecField(grid, _factored_inverse(self.density, _factored_symbols(grid.n, grid.extent)[2]))
+        return VecField(self.density.grid, _matrix_inverse(self.density, -1j, _DRIFT_TERMS))
 
     @cached_property
     def lambda_max(self) -> float:
@@ -274,12 +297,13 @@ def biharmonic_potential(f: Field) -> Field:
 def compute_coefficients(f: Field) -> CoefficientSet:
     """Diffusion matrix and potential from one padded transform.
 
-    Only the six components of A are transformed (18 FFT calls); a is
-    tr A, and grad a waits for its first read (`CoefficientSet.grad_a`).
+    Only the six components of A are transformed (three forward FFT
+    calls, 15 matrix products, no inverse FFT); a is tr A, and grad a
+    waits for its first read (`CoefficientSet.grad_a`).
     """
     _check_boundary_decay(f)
     grid = f.grid
-    A = SymTensorField(grid, _factored_inverse(f, _factored_symbols(grid.n, grid.extent)[1]))
+    A = SymTensorField(grid, _matrix_inverse(f, -1.0, _TENSOR_TERMS))
     return CoefficientSet(A=A, a=Field(grid, A.trace_values()), density=f)
 
 

@@ -1,5 +1,11 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,53 +105,99 @@ def oracle_coefficients(f):
     return A, A[0] + A[1] + A[2], grad
 
 
+@lru_cache(maxsize=None)
+def oracle_case(n, datum):
+    f = initial_datum(SimConfig(n=n, initial=datum))
+    return f, oracle_coefficients(f)
+
+
+DATA = [AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0), Maxwellian()]
+
+
 class TestFactoredTransforms:
-    """The axis-0-factored inverse transforms against nine full irfftn."""
+    """The matrix inverse transforms against nine full irfftn."""
 
     # at n = 8 the data reach the faces; the warning does not bear on the transforms
     @pytest.mark.filterwarnings("ignore:source density")
     @pytest.mark.parametrize("n", [8, 24, 48])
-    @pytest.mark.parametrize("datum", [AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0), Maxwellian()])
+    @pytest.mark.parametrize("datum", DATA)
     def test_matches_full_inverse_transforms(self, n, datum):
-        f = initial_datum(SimConfig(n=n, initial=datum))
+        f, oracle = oracle_case(n, datum)
         got = compute_coefficients(f)
-        for value, expected in zip((got.A.values, got.a.values, got.grad_a.values), oracle_coefficients(f)):
+        for value, expected in zip((got.A.values, got.a.values, got.grad_a.values), oracle):
             assert np.max(np.abs(value - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("datum", DATA)
+    def test_matches_full_inverse_transforms_to_a_few_ulps(self, n, datum):
+        # twiddle angles reduced modulo m before exp: unreduced, A reads 1.1e-14 and grad a 2.9e-14 at n = 48
+        f, (A, _, grad) = oracle_case(n, datum)
+        got = compute_coefficients(f)
+        for value, expected in ((got.A.values, A), (got.grad_a.values, grad)):
+            assert np.max(np.abs(value - expected)) <= 3e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [8, 48])
+    def test_cached_matrices_are_read_only(self, n):
+        cached = [
+            coefficients._kernel_spectrum(n, 8.0),
+            *coefficients._full_axis_matrices(n, 8.0),
+            *coefficients._half_axis_matrices(n, 8.0, -1.0),
+            *coefficients._half_axis_matrices(n, 8.0, -1j),
+        ]
+        for matrix in cached:
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0] = 0.0
 
 
 class TestTransformOnRead:
     """A set transforms the six components of A; grad a waits for its first read."""
 
-    def test_a_set_makes_eighteen_fft_calls(self, monkeypatch):
+    def test_a_set_makes_three_forward_fft_calls_and_no_inverse(self, monkeypatch):
         f = initial_datum(SimConfig(n=16, initial=AnisotropicGaussian((0.8, 1.0, 1.2))))
         compute_coefficients(f)  # the kernel spectrum is built and cached outside the count
         calls = []
-        for name in ("fft", "ifft", "rfft", "irfft"):
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
 
-            def counting(*args, _real=getattr(np.fft, name), **kwargs):
-                calls.append(_real)
+            def counting(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counting)
         coeffs = compute_coefficients(f)
-        # 3 forward, 3 axis-0 passes (k1^0..2), 2 per component of A
-        assert len(calls) == 18
+        # one forward pass per axis; every inverse pass is a matrix product
+        assert calls == ["rfft", "fft", "fft"]
         coeffs.grad_a
-        # the forward pass again, 4 axis-0 passes (k1^0..3), 2 per component of grad a
-        assert len(calls) == 18 + 13
+        assert calls == ["rfft", "fft", "fft"] * 2
 
     def test_grad_a_is_built_once_per_set(self, monkeypatch):
         coeffs = compute_coefficients(initial_datum(SimConfig(n=16, initial=TwoBump(2.0))))
         builds = []
-        real = coefficients._factored_inverse
+        real = coefficients._matrix_inverse
 
-        def counting(f, symbols):
-            builds.append(len(symbols))
-            return real(f, symbols)
+        def counting(f, scale, terms):
+            builds.append(terms)
+            return real(f, scale, terms)
 
-        monkeypatch.setattr(coefficients, "_factored_inverse", counting)
+        monkeypatch.setattr(coefficients, "_matrix_inverse", counting)
         first = coeffs.grad_a
-        assert coeffs.grad_a is first and builds == [3]
+        assert coeffs.grad_a is first and builds == [coefficients._DRIFT_TERMS]
+
+    def test_one_blas_thread_gives_the_same_bits(self):
+        # the matrix products must not depend on how BLAS splits them over threads
+        script = (
+            "import hashlib; from landau.coefficients import compute_coefficients; "
+            "from landau.solver import SimConfig, TwoBump, initial_datum; "
+            "c = compute_coefficients(initial_datum(SimConfig(n=48, initial=TwoBump(2.0)))); "
+            "print(hashlib.sha256(c.A.values.tobytes() + c.grad_a.values.tobytes()).hexdigest())"
+        )
+        src = str(Path(coefficients.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        single = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        coeffs = compute_coefficients(initial_datum(SimConfig(n=48, initial=TwoBump(2.0))))
+        here = hashlib.sha256(coeffs.A.values.tobytes() + coeffs.grad_a.values.tobytes()).hexdigest()
+        assert single.stdout.strip() == here
 
     def test_boundary_warning_fires_once_per_set(self):
         # at n = 8 the data reach the faces

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -318,6 +319,17 @@ class TestCli:
         assert payload["gamma"] == pytest.approx(0.278788, abs=1e-6)
         assert payload["degenerate"] is False
 
+    @pytest.mark.parametrize("flag", ["--p", "--m"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_exponents_rejects_non_finite_values(self, capsys, flag, value):
+        values = {"--p": "2", "--m": "55", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            cli(["exponents", *(f"{key}={raw}" for key, raw in values.items())])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected a finite number, got '{value}'" in captured.err
+        assert captured.out == ""
+
     def test_diagnose_missing_directory(self, tmp_path, capsys):
         assert cli(["diagnose", "--traj", str(tmp_path / "nope"), "--out", str(tmp_path / "rep")]) == 2
 
@@ -331,6 +343,9 @@ class TestCli:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["abort_reason"] is None
         assert "scalars.csv" in manifest["outputs"]
+        # run time depends on the BLAS behind the coefficient transforms
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["libraries"] == {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
         rep = tmp_path / "rep"
         assert cli(["diagnose", "--traj", str(out), "--out", str(rep)]) == 0
@@ -491,6 +506,16 @@ class TestCli:
         assert (out / "ampbase_n8_p2.0" / "config.cfg").is_file()
         assert parse_config(out / "ampbase_n16_p2.0" / "config.cfg").n == 16
         assert (out / "ampbase_n16_p2.0" / "run_manifest.json").is_file()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_workers_share_the_cores_blas_threads(self, monkeypatch, workers):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with io_cli._sweep_pool(workers) as pool:
+            seen = list(pool.map(os.getenv, io_cli._BLAS_THREAD_VARIABLES))
+        assert seen == [str(max(1, (os.cpu_count() or 1) // workers))] * 3
+        # the sweep's own process keeps its environment
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "7" and "MKL_NUM_THREADS" not in os.environ
 
     def test_sweep_amplitudes_require_perturbed_base(self, tmp_path):
         base = write_cfg(tmp_path, MINIMAL, name="base.cfg")
