@@ -21,7 +21,6 @@ from .fields import (
     moments,
     sobolev_ratio,
     weighted_gradient_energy,
-    weighted_h1_norm,
 )
 from .coefficients import (
     CoefficientSet,

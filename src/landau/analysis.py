@@ -40,7 +40,6 @@ __all__ = [
     "moment_bound_check",
     "energy_E0",
     "ode_barrier_check",
-    "exit_time_scaling",
     "level_set_energy",
     "level_set_recurrence_check",
     "degiorgi_iterate",
@@ -501,16 +500,6 @@ def ode_barrier_check(
         m_bar=m_bar,
         c0=c0,
     )
-
-
-def exit_time_scaling(reports: list[OdeBarrierReport]) -> float | None:
-    """Log-log slope of exit time against eps over runs that exited."""
-    pts = [(r.eps, r.exit_time) for r in reports if r.exit_time is not None and r.exit_time > 0]
-    if len(pts) < 2:
-        return None
-    eps_v = np.log([p[0] for p in pts])
-    t_v = np.log([p[1] for p in pts])
-    return float(np.polyfit(eps_v, t_v, 1)[0])
 
 
 # --------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fields import NormRequest, lp_m_norm
-from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField, irfft3, rfft3
+from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField, rfft3
 
 __all__ = [
     "CoefficientSet",
@@ -98,7 +98,7 @@ def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
     )
     kernel = r / (8.0 * np.pi)
     kernel[r > 2.0 * np.sqrt(3.0) * extent + 1e-12] = 0.0
-    return _read_only(rfft3(kernel, m).real.copy())
+    return _read_only(np.fft.rfftn(kernel).real.copy())
 
 
 @lru_cache(maxsize=8)
@@ -287,11 +287,16 @@ class CoefficientSet:
         return max(float(np.max(np.abs(np.roll(a, -1, axis=k) - a))) for k in range(3)) / self.a.grid.spacing
 
 
+def _cropped_irfftn(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Full irfftn of a doubled-grid spectrum, cropped to the box's n^3 corner (a view)."""
+    m = 2 * n
+    return np.fft.irfftn(spectrum, s=(m, m, m), axes=(0, 1, 2))[:n, :n, :n]
+
+
 def biharmonic_potential(f: Field) -> Field:
     """Free-space convolution of f with |z|/(8 pi) on the original box."""
     _check_boundary_decay(f)
-    n = f.grid.n
-    return Field(f.grid, irfft3(_potential_spectrum(f), 2 * n, n))
+    return Field(f.grid, _cropped_irfftn(_potential_spectrum(f), f.grid.n).copy())
 
 
 def compute_coefficients(f: Field) -> CoefficientSet:
@@ -319,17 +324,17 @@ def structural_residuals(f: Field) -> tuple[float, float]:
     only measure windowing artifacts.
     """
     grid = f.grid
-    n, m = grid.n, 2 * grid.n
+    n = grid.n
     coeffs = compute_coefficients(f)
     phat = _potential_spectrum(f)
     k = _doubled_wavenumbers(n, grid.extent)
 
-    lap = irfft3(-(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat, m, n)
+    lap = _cropped_irfftn(-(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat, n)
     trace_res = float(np.max(np.abs(coeffs.a.values - lap))) / coeffs.a.max_abs()
 
     div_res = 0.0
     for i in range(3):
-        div_i = irfft3(sum(1j * k[j] * (-(k[i] * k[j]) * phat) for j in range(3)), m, n)
+        div_i = _cropped_irfftn(sum(1j * k[j] * (-(k[i] * k[j]) * phat) for j in range(3)), n)
         div_res = max(div_res, float(np.max(np.abs(div_i - coeffs.grad_a.values[i]))))
     return trace_res, div_res / float(np.max(coeffs.grad_a.magnitude()))
 

@@ -28,7 +28,6 @@ __all__ = [
     "level_set_plus",
     "squared_gradient",
     "weighted_gradient_energy",
-    "weighted_h1_norm",
     "sobolev_ratio",
 ]
 
@@ -141,14 +140,6 @@ def weighted_gradient_energy(h: Field, p: float) -> float:
     density = squared_gradient(Field(grid, base))
     density *= grid.bracket_power(-3.0)
     return grid.cell_volume * float(np.sum(density))
-
-
-def weighted_h1_norm(h: Field, weight_exponent: float) -> float:
-    """First-order Sobolev norm of <v>^(k/2) h with the weight inside the derivative."""
-    grid = h.grid
-    g = grid.bracket_power(0.5 * weight_exponent) * h.values
-    sq = float(np.sum(g * g)) + float(np.sum(squared_gradient(Field(grid, g))))
-    return math.sqrt(grid.cell_volume * sq)
 
 
 def sobolev_ratio(g: Field, s: float) -> float:

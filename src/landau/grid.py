@@ -277,18 +277,6 @@ def rfft3(values: np.ndarray, m: int) -> np.ndarray:
     return np.fft.fft(out, n=m, axis=0)
 
 
-def irfft3(spectrum: np.ndarray, m: int, n: int) -> np.ndarray:
-    """irfftn on the m^3 grid cropped to its first n^3 corner, one axis at a time.
-
-    Each axis is cropped right after its 1-D pass, so later passes
-    transform only the lines that reach the corner; the values are
-    bit-identical to irfftn's.
-    """
-    out = np.fft.ifft(spectrum, axis=0)[:n]
-    out = np.fft.ifft(out, axis=1)[:, :n]
-    return np.ascontiguousarray(np.fft.irfft(out, n=m, axis=2)[:, :, :n])
-
-
 def spectral_gradient(field: Field) -> VecField:
     """Gradient via the periodic Fourier interpolant; exact on grid modes.
 

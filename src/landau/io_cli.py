@@ -385,8 +385,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     barrier = analysis.ode_barrier_check(traj, p, m, eps)
     report["ode_barrier"] = dataclasses.asdict(barrier)
 
-    if sup_h > 0.0:
-        ladder = [frac * sup_h for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 0.9)]
+    ladder = [frac * sup_h for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 0.9)] if sup_h > 0.0 else []
+    if ladder:
         energies = [analysis.level_set_energy(traj, lev, (0.0, t_end), p, c0) for lev in ladder]
         _write_csv(
             out / "levels.csv",
@@ -395,6 +395,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         )
 
     if not exps.degenerate and 0.0 < t_mid < t_end:
+        # one probe per consecutive pair of ladder levels; each reads only cuts the ladder measured
+        report["recurrence"] = [
+            dataclasses.asdict(analysis.level_set_recurrence_check(traj, k, level, 0.0, t_mid, t_end, p, m, c0))
+            for k, level in zip(ladder, ladder[1:])
+        ]
         e0 = analysis.level_set_energy(traj, 0.0, (0.0, t_end), p, c0).total
         K = args.K if args.K is not None else analysis.predict_K(e0, t_mid, t_end, p, m, args.calibration_c)
         if K > 0:

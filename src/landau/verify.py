@@ -5,7 +5,8 @@ coefficient-oracle gaps, structural residuals over a probe corpus,
 conservation drifts along trajectories, the refinement order of the
 equilibrium residual, and the exponent-identity residual.  They are the
 single implementation of these checks: ``run_verification`` applies its
-bounds to them, and the acceptance tests call the same functions with
+bounds to them, and to the worst `coefficient_upper_bounds` ratios over
+the probe corpus, and the acceptance tests call the same functions with
 their own fixtures and bounds.
 """
 
@@ -17,7 +18,12 @@ from typing import Iterable
 import numpy as np
 
 from .analysis import exponents
-from .coefficients import compute_coefficients, direct_quadrature_coefficients, structural_residuals
+from .coefficients import (
+    coefficient_upper_bounds,
+    compute_coefficients,
+    direct_quadrature_coefficients,
+    structural_residuals,
+)
 from .fields import maxwellian
 from .grid import SYM_COMPONENTS, Field, Grid, integrate, make_grid, spectral_gradient
 from .solver import AnisotropicGaussian, Maxwellian, SimConfig, Trajectory, TwoBump, rhs, run
@@ -158,7 +164,10 @@ def _check_grid_ops(grid: Grid) -> CheckResult:
 
 def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
     grid = make_grid(n, extent)
-    trace, div = structural_worst(corpus_fields(grid))
+    corpus = corpus_fields(grid)
+    trace, div = structural_worst(corpus)
+    bounds = [coefficient_upper_bounds(f, 2.0) for f in corpus]
+    a_ratio, grad_ratio = max(b.a_ratio for b in bounds), max(b.grad_a_ratio for b in bounds)
     gap_A, gap_grad, a0_err = oracle_gaps(grid)
     # the a(0) tolerance is calibrated at n = 48, L = 8 (spacing 1/3) and
     # scales with the second-order spacing error
@@ -198,4 +207,10 @@ def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
             f"sup |f - mu| {sup_drift:.1e} (tol 1e-2), residual order {order:.2f} (>= 1.8)",
         ),
         CheckResult("exponent algebra", exp_res <= 1e-12, f"worst identity residual {exp_res:.1e}"),
+        # about twice the corpus maxima, 0.079 and 0.249 at n = 24, 32 and 48
+        CheckResult(
+            "coefficient upper bounds",
+            a_ratio <= 0.16 and grad_ratio <= 0.5,
+            f"p = 2: ||A||_inf ratio {a_ratio:.3f} (tol 0.16), ||grad a||_3 ratio {grad_ratio:.3f} (tol 0.5)",
+        ),
     ]

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from landau.analysis import (
+    calibrate_degiorgi_constant,
     degiorgi_iterate,
     exponents,
     level_set_energy,
@@ -46,7 +47,7 @@ from landau.verify import (
 
 # single calibrated constants, pinned from the measurement pilots on the
 # standard corpora (deterministic for these configurations)
-DEGIORGI_C = 1.2e-5  # 2x the bisected minimum 5.7e-6
+DEGIORGI_C = 1.2e-5  # criterion 7 requires >= 2x the bisected minimum (5.71e-6)
 DUHAMEL_C_TILDE = 0.05  # measured minimum 0.0 across the sweep
 SOBOLEV_BOUND = 0.30  # corpus maximum measured 0.228
 
@@ -218,7 +219,8 @@ def test_criterion_06_exponent_arithmetic():
 def test_criterion_07_level_iteration(perturbed_corpus):
     t_mid, t_end, p, m = 0.25, 1.0, 2.0, 12.0
     c0 = min(float(np.min(traj.c0)) for _, traj in perturbed_corpus)
-    all_ok = True
+    calibrated = calibrate_degiorgi_constant([traj for _, traj in perturbed_corpus], t_mid, t_end, p, m, c0)
+    all_ok = DEGIORGI_C >= 2.0 * calibrated
     details = []
     for eps, traj in perturbed_corpus:
         e0 = level_set_energy(traj, 0.0, (0.0, t_end), p, c0).total
@@ -230,7 +232,7 @@ def test_criterion_07_level_iteration(perturbed_corpus):
     report(
         "criterion 7: geometric level iteration with one calibrated constant",
         all_ok,
-        f"C={DEGIORGI_C:.1e}; " + "; ".join(details),
+        f"C={DEGIORGI_C:.1e} (>= 2x calibrated {calibrated:.3e}); " + "; ".join(details),
     )
 
 

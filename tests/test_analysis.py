@@ -8,7 +8,6 @@ import pytest
 from landau.analysis import (
     degiorgi_iterate,
     energy_E0,
-    exit_time_scaling,
     exponents,
     h1_smallness,
     level_set_energy,
@@ -321,20 +320,6 @@ class TestOdeBarrier:
         rep = ode_barrier_check(traj, 2.0, 12.0, eps)
         again = ode_barrier_check(traj, 2.0, 12.0, eps, c_tilde=rep.c_tilde_min + 1.0)
         assert again.duhamel_holds
-
-    def test_no_exits_gives_no_scaling(self, perturbed_corpus):
-        reports = [ode_barrier_check(t, 2.0, 12.0, e) for e, t in perturbed_corpus]
-        assert exit_time_scaling(reports) is None
-
-    def test_exit_scaling_recovers_power_law(self):
-        from landau.analysis import OdeBarrierReport
-
-        reports = [
-            OdeBarrierReport(eps=e, exit_time=0.7 * e**0.25, barrier_held=False,
-                             c_tilde_min=0.0, duhamel_holds=True, m_bar=1.0, c0=0.02)
-            for e in (1e-3, 1e-2, 1e-1)
-        ]
-        assert exit_time_scaling(reports) == pytest.approx(0.25, abs=1e-12)
 
 
 class TestSmoothingFit:

@@ -12,7 +12,6 @@ from landau.fields import (
     moments,
     sobolev_ratio,
     weighted_gradient_energy,
-    weighted_h1_norm,
 )
 from landau.grid import Field, make_grid, spectral_gradient
 
@@ -182,26 +181,6 @@ class TestWeightedGradientEnergy:
         assert weighted_gradient_energy(-1.0 * mu48, 2.0) == pytest.approx(
             weighted_gradient_energy(mu48, 2.0), rel=1e-12
         )
-
-
-class TestWeightedH1Norm:
-    def test_zero_field(self, grid48):
-        assert weighted_h1_norm(Field(grid48, np.zeros(grid48.shape)), 2.0) == 0.0
-
-    def test_unweighted_reduction(self, mu48, grid48):
-        grad = spectral_gradient(mu48)
-        expected = math.sqrt(
-            grid48.cell_volume * (float(np.sum(mu48.values**2)) + float(np.sum(grad.values**2)))
-        )
-        assert weighted_h1_norm(mu48, 0.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_weighted_against_analytic_gradient(self, grid48, mu48):
-        # g = <v> mu has grad g = -v |v|^2 mu / <v>, so |grad g|^2 = |v|^6 mu^2 / <v>^2
-        bracket = grid48.bracket_power(1.0)
-        g = bracket * mu48.values
-        grad_sq = grid48.radius2**3 / grid48.bracket_power(2.0) * mu48.values**2
-        exact = math.sqrt(grid48.cell_volume * (float(np.sum(g * g)) + float(np.sum(grad_sq))))
-        assert weighted_h1_norm(mu48, 2.0) == pytest.approx(exact, rel=1e-6)
 
 
 class TestWeightedInterpolation:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from landau import analysis, coefficients, io_cli, verify
 from landau.coefficients import CoefficientSet
-from landau.grid import Field, make_grid
+from landau.grid import Field, SymTensorField, make_grid
 from landau.io_cli import (
     ConfigError,
     SCALAR_COLUMNS,
@@ -397,6 +398,48 @@ class TestCli:
         assert len(cuts) == len(set(cuts)), "a cut was differentiated twice"
         assert set(cuts) == needed, "an empty cut was differentiated, or a needed one was not"
 
+    def test_recurrence_probes_match_direct_checks(self, small_traj, tmp_path):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        report = json.loads((rep / "report.json").read_text())
+        ladder = [float(line.split(",")[0]) for line in (rep / "levels.csv").read_text().splitlines()[1:]]
+        traj = read_trajectory(traj_dir)
+        t_end, c0 = float(traj.times[-1]), report["c0"]
+        direct = [
+            dataclasses.asdict(
+                analysis.level_set_recurrence_check(traj, k, level, 0.0, 0.25 * t_end, t_end, traj.p, traj.m, c0)
+            )
+            for k, level in zip(ladder, ladder[1:])
+        ]
+        assert len(direct) == 5
+        assert report["recurrence"] == json.loads(json.dumps(direct))
+
+    def test_recurrence_ratios_within_calibrated_headroom(self, small_traj, tmp_path):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        probes = json.loads((rep / "report.json").read_text())["recurrence"]
+        assert [p["level"] for p in probes[:-1]] == [p["k"] for p in probes[1:]]
+        assert all(p["lhs"] > 0.0 and 0.0 < p["ratio"] <= 1e-4 for p in probes)
+
+    def test_diagnose_with_degenerate_exponents_writes_no_recurrence(self, tmp_path):
+        # m = 6 < 9 at p = 2: the smoothing exponent is not positive
+        traj = run(SimConfig(n=16, t_end=0.3, cfl=0.25, snapshot_every=2, initial=PerturbedMaxwellian(0.1, 3), m=6.0))
+        assert analysis.exponents(traj.p, traj.m).degenerate
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(traj, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        report = json.loads((rep / "report.json").read_text())
+        assert "recurrence" not in report and "degiorgi" not in report
+        assert (rep / "levels.csv").is_file()
+
+    def test_diagnose_at_t0_writes_no_recurrence(self, small_traj, tmp_path):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--t", "0"]) == 0
+        assert "recurrence" not in json.loads((rep / "report.json").read_text())
+
     def test_rerun_with_t0_leaves_no_stale_outputs(self, small_traj, tmp_path):
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
         write_trajectory(small_traj, traj_dir)
@@ -538,7 +581,7 @@ class TestCli:
         monkeypatch.setattr(verify, "run_verification", recording)
         assert cli(["verify", "--n", "24"]) == 0
         out = capsys.readouterr().out
-        assert "[FAIL]" not in out and out.splitlines()[-1] == "6/6 checks passed"
+        assert "[FAIL]" not in out and out.splitlines()[-1] == "7/7 checks passed"
         assert all(type(r.passed) is bool for r in results)
 
     def test_verify_fails_on_broken_trace(self, capsys, monkeypatch):
@@ -552,4 +595,27 @@ class TestCli:
         assert cli(["verify", "--n", "24"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] trace and divergence identities" in out
-        assert out.splitlines()[-1] == "5/6 checks passed"
+        assert out.splitlines()[-1] == "6/7 checks passed"
+
+    @pytest.mark.parametrize("inflate", ["A", "grad_a"])
+    def test_verify_fails_on_inflated_coefficients(self, capsys, monkeypatch, inflate):
+        # each ratio alone past its bound fails the check; grad a is transformed from `density`
+        real = coefficients.compute_coefficients
+
+        def inflated(f):
+            good = real(f)
+            if inflate == "A":
+                return CoefficientSet(A=SymTensorField(f.grid, 3.0 * good.A.values), a=good.a, density=f)
+            return CoefficientSet(A=good.A, a=good.a, density=Field(f.grid, 3.0 * f.values))
+
+        monkeypatch.setattr(coefficients, "compute_coefficients", inflated)
+        assert cli(["verify", "--n", "24"]) == 1
+        assert "[FAIL] coefficient upper bounds" in capsys.readouterr().out
+
+    def test_verify_upper_bounds_read_the_corpus_worst(self):
+        grid = make_grid(24, 8.0)
+        reports = [coefficients.coefficient_upper_bounds(f, 2.0) for f in verify.corpus_fields(grid)]
+        (check,) = [r for r in verify.run_verification(n=24) if r.name == "coefficient upper bounds"]
+        assert check.passed
+        assert f"ratio {max(r.a_ratio for r in reports):.3f} (tol 0.16)" in check.detail
+        assert f"ratio {max(r.grad_a_ratio for r in reports):.3f} (tol 0.5)" in check.detail
