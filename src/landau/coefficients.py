@@ -10,23 +10,23 @@ The convolution is free-space (zero-padded to the doubled box with the
 radially truncated kernel sampled pointwise), so periodic images never
 pollute the long-range potential.  All derivatives are taken in the
 doubled transform space; a is taken as tr A, which linearity makes
-equal to the Laplacian transform.  The forward transform runs as pruned
-1-D FFTs, axis by axis (Hockney-Eastwood; `grid.rfft3`), which never
-transform the known-zero blocks of the padding.  The inverse runs as
-matrix products (`_matrix_inverse`): at these sizes a 1-D inverse DFT
-cropped to the box's n outputs and weighted by k^p is a small dense
-matrix, and BLAS multiplies by it faster than an FFT walks the strided
-lines.  Every output symbol is a sum of monomials k1^a k2^b k3^c, so
-the axis-0 product (the largest) runs once per power a, and each
-monomial takes its own axis-1 and axis-2 products; the last maps the
-half spectrum straight to real values.  A set transforms only the six
-components of A, which the flux reads: 15 matrix products and three
-forward FFT calls.  grad a, which no step reads (the flux takes its
-drift from face differences of a), is transformed from the set's
-density on first read: three more forward FFT calls and 22 products.
-The results agree with full inverse transforms to roundoff (2e-15
-relative at n = 48), not bit for bit, and do not depend on the number
-of BLAS threads.
+equal to the Laplacian transform.  Both transforms run as matrix
+products on BLAS, not FFTs: at these sizes a 1-D DFT between the box's
+n points and the doubled grid is a small dense matrix, and BLAS
+multiplies by it faster than an FFT walks the strided lines.  The
+forward matrices fold in the zero padding, so no zero is ever
+transformed (Hockney-Eastwood; `_potential_spectrum`).  The inverse
+matrices crop to the box's n outputs and fold in k^p
+(`_matrix_inverse`).  Every output symbol is a sum of monomials
+k1^a k2^b k3^c, so the axis-0 product (the largest) runs once per power
+a, and each monomial takes its own axis-1 and axis-2 products; the last
+maps the half spectrum straight to real values.  A set transforms only
+the six components of A, which the flux reads: 3 forward and 15 inverse
+products.  grad a, which no step reads (the flux takes its drift from
+face differences of a), is transformed from the set's density on first
+read: 3 more forward and 22 inverse products.  The results agree with
+full FFTs to roundoff (2e-15 relative at n = 48), not bit for bit, and
+do not depend on the number of BLAS threads.
 
 The eigenvalues run only where they can matter: `lambda_max` on the
 nodes whose Gershgorin row bound reaches the largest diagonal entry,
@@ -54,7 +54,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fields import NormRequest, lp_m_norm
-from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField, rfft3
+from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField
 
 __all__ = [
     "CoefficientSet",
@@ -126,19 +126,56 @@ def _check_boundary_decay(f: Field) -> None:
         )
 
 
+def _reduced_twiddles(rows: int, columns: int, m: int) -> np.ndarray:
+    """exp(2 pi i j k / m) for j < rows, k < columns (m divisible by 4).
+
+    The angle is reduced modulo m in integers, then to its quadrant and
+    octant, so that cos and sin see only angles in [0, pi/4] and the
+    twiddle is exactly 1, i, -1 or -i at multiples of m/4.  At n = 48,
+    exp of the unreduced angles costs 1.1e-14 relative in A and 2.9e-14
+    in grad a; exp of angles reduced modulo m alone, 7e-15 in grad a.
+    """
+    quarter = m // 4
+    quadrant, step = np.divmod(np.outer(np.arange(rows), np.arange(columns)) % m, quarter)
+    upper = 2 * step > quarter
+    angle = (2.0 * np.pi / m) * np.where(upper, quarter - step, step)
+    cos, sin = np.cos(angle), np.sin(angle)
+    twiddle = np.where(upper, sin + 1j * cos, cos + 1j * sin)
+    return twiddle * np.array([1.0, 1j, -1.0, -1j])[quadrant]
+
+
+@lru_cache(maxsize=8)
+def _forward_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, G): the padded forward DFT of the box's n points to m = 2n.
+
+    R is real of shape (n, 2(n+1)): a line of n values times R is its
+    rfft of length m, re and im interleaved as `view(float64)` lays
+    them out.  G is complex of shape (m, n): G times n values is their
+    fft of length m.  The padding is folded in, so no zero is ever
+    transformed.
+    """
+    m = 2 * n
+    half = _reduced_twiddles(n, n + 1, m).conj()
+    full = _reduced_twiddles(m, n, m).conj()
+    return _read_only(half.view(np.float64).copy()), _read_only(full)
+
+
 def _potential_spectrum(f: Field) -> np.ndarray:
+    """rfftn of f zero-padded to the doubled grid, times the kernel
+    spectrum and the cell volume, as one product per axis.  The
+    spectrum is allocated first, then the half-axis and axis-1 buffers."""
     grid = f.grid
-    spectrum = rfft3(f.values, 2 * grid.n)
-    spectrum *= _kernel_spectrum(grid.n, grid.extent)
+    n, m = grid.n, 2 * grid.n
+    half, full = _forward_matrices(n)
+    spectrum = np.empty((m, m, n + 1), dtype=complex)
+    g2 = np.empty((n, n, n + 1), dtype=complex)
+    g1 = np.empty((n, m, n + 1), dtype=complex)
+    np.matmul(f.values.reshape(n * n, n), half, out=g2.view(np.float64).reshape(n * n, 2 * (n + 1)))
+    np.matmul(full, g2, out=g1)
+    np.matmul(full, g1.reshape(n, m * (n + 1)), out=spectrum.reshape(m, m * (n + 1)))
+    spectrum *= _kernel_spectrum(n, grid.extent)
     spectrum *= grid.cell_volume
     return spectrum
-
-
-def _reduced_twiddles(rows: int, columns: int, m: int) -> np.ndarray:
-    """exp(2 pi i j k / m) for j < rows, k < columns, the angle reduced
-    modulo m in integers first: unreduced, the angles cost 1.1e-14
-    relative in A and 2.9e-14 in grad a at n = 48."""
-    return np.exp((2j * np.pi / m) * (np.outer(np.arange(rows), np.arange(columns)) % m))
 
 
 @lru_cache(maxsize=8)
@@ -193,7 +230,7 @@ def _matrix_inverse(f: Field, scale: complex, terms: tuple) -> np.ndarray:
     (outputs, n, n, n).
 
     Each axis is one matrix product with a cropped inverse-DFT matrix,
-    so no inverse FFT runs.  The axis-0 product runs once per power a;
+    so no FFT runs.  The axis-0 product runs once per power a;
     each monomial with that a takes its own axis-1 product and its
     axis-2 product, which writes real values straight into the output.
     The output is allocated first, then the spectrum and one buffer per
@@ -302,9 +339,9 @@ def biharmonic_potential(f: Field) -> Field:
 def compute_coefficients(f: Field) -> CoefficientSet:
     """Diffusion matrix and potential from one padded transform.
 
-    Only the six components of A are transformed (three forward FFT
-    calls, 15 matrix products, no inverse FFT); a is tr A, and grad a
-    waits for its first read (`CoefficientSet.grad_a`).
+    Only the six components of A are transformed (3 forward and 15
+    inverse matrix products, no FFT call); a is tr A, and grad a waits
+    for its first read (`CoefficientSet.grad_a`).
     """
     _check_boundary_decay(f)
     grid = f.grid
@@ -312,21 +349,20 @@ def compute_coefficients(f: Field) -> CoefficientSet:
     return CoefficientSet(A=A, a=Field(grid, A.trace_values()), density=f)
 
 
-def structural_residuals(f: Field) -> tuple[float, float]:
+def structural_residuals(coeffs: CoefficientSet) -> tuple[float, float]:
     """Relative sup residuals of the kernel identities tr A = a and div A = grad a.
 
-    A, a = tr A and grad a come from `compute_coefficients`, the set the
-    solver uses.  They are compared with two routes built from one
-    potential spectrum: a as the Laplacian-symbol transform, and
-    grad a as the divergence-symbol transform of A.  The divergence is
-    taken in the doubled transform space where the construction defines
-    it; differentiating the extracted (non-periodic) box values would
-    only measure windowing artifacts.
+    A, a = tr A and grad a are those of `coeffs`, a set as the solver
+    builds it.  They are compared with two routes built from the
+    potential spectrum of its density: a as the Laplacian-symbol
+    transform, and grad a as the divergence-symbol transform of A.  The
+    divergence is taken in the doubled transform space where the
+    construction defines it; differentiating the extracted (non-periodic)
+    box values would only measure windowing artifacts.
     """
-    grid = f.grid
+    grid = coeffs.density.grid
     n = grid.n
-    coeffs = compute_coefficients(f)
-    phat = _potential_spectrum(f)
+    phat = _potential_spectrum(coeffs.density)
     k = _doubled_wavenumbers(n, grid.extent)
 
     lap = _cropped_irfftn(-(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat, n)
@@ -412,13 +448,13 @@ class CoefficientBoundReport:
     grad_a_ratio: float
 
 
-def coefficient_upper_bounds(f: Field, p: float) -> CoefficientBoundReport:
-    """Ratios ||A[f]||_inf and ||grad a[f]||_3 against their interpolation bounds."""
+def coefficient_upper_bounds(coeffs: CoefficientSet, p: float) -> CoefficientBoundReport:
+    """Ratios ||A[f]||_inf and ||grad a[f]||_3 against their interpolation bounds, f the set's density."""
     if not p > 1.5:
         raise ValueError(f"upper bounds require p > 3/2, got {p}")
+    f = coeffs.density
     if float(np.min(f.values)) < 0.0 or f.max_abs() == 0.0:
         raise ValueError("upper bounds are stated for nonnegative, nonzero densities")
-    coeffs = compute_coefficients(f)
     a_inf = float(np.max(np.abs(coeffs.A.eigenvalues())))
     grid = f.grid
     grad_a_l3 = (grid.cell_volume * float(np.sum(coeffs.grad_a.magnitude() ** 3))) ** (1.0 / 3.0)

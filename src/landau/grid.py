@@ -7,14 +7,15 @@ at the faces, so the periodic wrap never carries physical information.
 
 All operations here are pure functions of immutable inputs and are safe
 to call concurrently; grids cache their coordinate arrays and weights
-lazily and never mutate them afterwards.
+lazily and never mutate them afterwards, and the spectral
+differentiation matrices are cached per (n, spacing), read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -265,31 +266,33 @@ def integrate(field: Field) -> float:
     return field.grid.cell_volume * float(np.sum(field.values))
 
 
-def rfft3(values: np.ndarray, m: int) -> np.ndarray:
-    """rfftn of `values` zero-padded to m^3, one axis at a time.
+@lru_cache(maxsize=8)
+def _derivative_matrix(n: int, spacing: float) -> np.ndarray:
+    """Periodic spectral differentiation matrix D, real (n, n), read-only.
 
-    Each 1-D pass pads only the lines it transforms, so the known-zero
-    blocks of a padded array are never transformed.  pocketfft runs the
-    same 1-D passes inside rfftn, so the values are bit-identical.
+    D = irfft(i k * rfft(I)) column by column, with the Nyquist mode
+    zeroed, so D v carries exactly the symbol of the Fourier interpolant
+    (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3).
     """
-    out = np.fft.rfft(values, n=m, axis=2)
-    out = np.fft.fft(out, n=m, axis=1)
-    return np.fft.fft(out, n=m, axis=0)
+    ik = 2j * np.pi * np.fft.rfftfreq(n, d=spacing)
+    ik[-1] = 0.0  # Nyquist mode zeroed for odd derivatives of real data
+    matrix = np.fft.irfft(ik[:, None] * np.fft.rfft(np.eye(n), axis=0), n=n, axis=0)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def spectral_gradient(field: Field) -> VecField:
     """Gradient via the periodic Fourier interpolant; exact on grid modes.
 
     The symbol i k_j of derivative j depends on axis j alone, so each
-    derivative is one pair of real 1-D transforms along its own axis,
-    irfft(i k * rfft(f, axis=j), axis=j), with the Nyquist mode zeroed.
+    derivative is one product with the cached differentiation matrix D
+    (`_derivative_matrix`): D v on axes 0 and 1, v D^T on axis 2.
     """
     grid = field.grid
-    ik = 2j * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
-    ik[-1] = 0.0  # Nyquist mode zeroed for odd derivatives of real data
+    n = grid.n
+    d, v = _derivative_matrix(n, grid.spacing), field.values
     out = np.empty((3, *grid.shape))
-    for axis, shape in enumerate(((-1, 1, 1), (-1, 1), (-1,))):
-        spec = np.fft.rfft(field.values, axis=axis)
-        spec *= ik.reshape(shape)
-        np.fft.irfft(spec, n=grid.n, axis=axis, out=out[axis])
+    np.matmul(d, v.reshape(n, n * n), out=out[0].reshape(n, n * n))
+    np.matmul(d, v, out=out[1])
+    np.matmul(v.reshape(n * n, n), d.T, out=out[2].reshape(n * n, n))
     return VecField(grid, out)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .analysis import exponents
 from .coefficients import (
+    CoefficientSet,
     coefficient_upper_bounds,
     compute_coefficients,
     direct_quadrature_coefficients,
@@ -64,9 +65,9 @@ def corpus_fields(grid: Grid) -> list[Field]:
     return [Field(grid, s + np.zeros(grid.shape)) for s in shapes]
 
 
-def structural_worst(fields: Iterable[Field]) -> tuple[float, float]:
-    """Worst trace and divergence residuals (`structural_residuals`) over the fields."""
-    residuals = [structural_residuals(f) for f in fields]
+def structural_worst(sets: Iterable[CoefficientSet]) -> tuple[float, float]:
+    """Worst trace and divergence residuals (`structural_residuals`) over the coefficient sets."""
+    residuals = [structural_residuals(coeffs) for coeffs in sets]
     return max(r[0] for r in residuals), max(r[1] for r in residuals)
 
 
@@ -164,9 +165,9 @@ def _check_grid_ops(grid: Grid) -> CheckResult:
 
 def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
     grid = make_grid(n, extent)
-    corpus = corpus_fields(grid)
-    trace, div = structural_worst(corpus)
-    bounds = [coefficient_upper_bounds(f, 2.0) for f in corpus]
+    sets = [compute_coefficients(f) for f in corpus_fields(grid)]
+    trace, div = structural_worst(sets)
+    bounds = [coefficient_upper_bounds(coeffs, 2.0) for coeffs in sets]
     a_ratio, grad_ratio = max(b.a_ratio for b in bounds), max(b.grad_a_ratio for b in bounds)
     gap_A, gap_grad, a0_err = oracle_gaps(grid)
     # the a(0) tolerance is calibrated at n = 48, L = 8 (spacing 1/3) and

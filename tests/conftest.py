@@ -21,6 +21,20 @@ from landau.solver import (
 )
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft transforms called during the test, in order; clear it to restart the count."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+
+        def counting(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
 def timed_run(config: SimConfig):
     start = time.perf_counter()
     traj = run(config)

@@ -22,7 +22,7 @@ from landau.coefficients import (
     structural_residuals,
 )
 from landau.fields import maxwellian
-from landau.grid import SYM_COMPONENTS, Field, SymTensorField, make_grid, rfft3
+from landau.grid import SYM_COMPONENTS, Field, SymTensorField, _derivative_matrix, make_grid, spectral_gradient
 from landau.solver import AnisotropicGaussian, Maxwellian, SimConfig, TwoBump, initial_datum
 from landau.verify import corpus_fields
 
@@ -42,8 +42,8 @@ def coeffs48(mu48):
     return compute_coefficients(mu48)
 
 
-class TestPrunedTransforms:
-    """The axis-by-axis doubled-grid transforms against the full zero-padded ones."""
+class TestPaddedForwardTransform:
+    """The matrix forward transform of the padded density, its twiddles and the kernel spectrum, against full rfftn."""
 
     @pytest.mark.parametrize("n", [8, 24, 48])
     def test_potential_spectrum_matches_padded_rfftn(self, n):
@@ -69,12 +69,21 @@ class TestPrunedTransforms:
         # the kernel is even, so the dropped imaginary part is rounding
         assert np.max(np.abs(full.imag)) <= 1e-15 * np.max(np.abs(full.real))
 
-    @pytest.mark.parametrize("n", [8, 24, 48])
-    def test_forward_of_full_array_matches_rfftn(self, n):
-        # with m equal to the array's size no line is padded: plain rfftn
-        full = np.random.default_rng(n).standard_normal((2 * n,) * 3)
-        expected = np.fft.rfftn(full)
-        assert np.max(np.abs(rfft3(full, 2 * n) - expected)) <= 1e-15 * np.max(np.abs(expected))
+    @pytest.mark.parametrize("m", [32, 48, 96])
+    def test_twiddles_are_exact_at_quarter_turns(self, m):
+        twiddle = coefficients._reduced_twiddles(m, m, m)
+        turns = np.outer(np.arange(m), np.arange(m)) % m
+        for quarter, exact in enumerate((1.0, 1j, -1.0, -1j)):
+            at = twiddle[turns == quarter * m // 4]
+            assert at.size and np.all(at.real == exact.real) and np.all(at.imag == exact.imag)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("m", [20, 48, 96])
+    def test_twiddles_are_within_an_ulp(self, m):
+        twiddle = coefficients._reduced_twiddles(m, m, m)
+        angle = (2 * np.longdouble("3.14159265358979323846264338327950288") / m) * np.outer(np.arange(m), np.arange(m))
+        assert np.max(np.abs(twiddle.real - np.cos(angle))) <= np.finfo(float).eps
+        assert np.max(np.abs(twiddle.imag - np.sin(angle))) <= np.finfo(float).eps
 
 
 def oracle_coefficients(f):
@@ -121,7 +130,8 @@ class TestFactoredTransforms:
     @pytest.mark.parametrize("n", [24, 48])
     @pytest.mark.parametrize("datum", DATA)
     def test_matches_full_inverse_transforms_to_a_few_ulps(self, n, datum):
-        # twiddle angles reduced modulo m before exp: unreduced, A reads 1.1e-14 and grad a 2.9e-14 at n = 48
+        # octant-reduced twiddles (`_reduced_twiddles`); at n = 48, exp of the angles reduced modulo m
+        # alone reads 7e-15 in grad a, and exp of the unreduced angles 1.1e-14 in A and 2.9e-14 in grad a
         f, (A, _, grad) = oracle_case(n, datum)
         got = compute_coefficients(f)
         for value, expected in ((got.A.values, A), (got.grad_a.values, grad)):
@@ -134,6 +144,8 @@ class TestFactoredTransforms:
             *coefficients._full_axis_matrices(n, 8.0),
             *coefficients._half_axis_matrices(n, 8.0, -1.0),
             *coefficients._half_axis_matrices(n, 8.0, -1j),
+            *coefficients._forward_matrices(n),
+            _derivative_matrix(n, 16.0 / n),
         ]
         for matrix in cached:
             assert not matrix.flags.writeable
@@ -144,22 +156,14 @@ class TestFactoredTransforms:
 class TestTransformOnRead:
     """A set transforms the six components of A; grad a waits for its first read."""
 
-    def test_a_set_makes_three_forward_fft_calls_and_no_inverse(self, monkeypatch):
+    def test_a_set_and_its_grad_a_make_no_fft_call(self, fft_calls):
         f = initial_datum(SimConfig(n=16, initial=AnisotropicGaussian((0.8, 1.0, 1.2))))
         compute_coefficients(f)  # the kernel spectrum is built and cached outside the count
-        calls = []
-        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-
-            def counting(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counting)
+        fft_calls.clear()
         coeffs = compute_coefficients(f)
-        # one forward pass per axis; every inverse pass is a matrix product
-        assert calls == ["rfft", "fft", "fft"]
         coeffs.grad_a
-        assert calls == ["rfft", "fft", "fft"] * 2
+        # every forward and inverse pass is a matrix product
+        assert fft_calls == []
 
     def test_grad_a_is_built_once_per_set(self, monkeypatch):
         coeffs = compute_coefficients(initial_datum(SimConfig(n=16, initial=TwoBump(2.0))))
@@ -175,19 +179,23 @@ class TestTransformOnRead:
         assert coeffs.grad_a is first and builds == [coefficients._DRIFT_TERMS]
 
     def test_one_blas_thread_gives_the_same_bits(self):
-        # the matrix products must not depend on how BLAS splits them over threads
+        # the matrix products, the gradient's included, must not depend on how BLAS splits them over threads
         script = (
             "import hashlib; from landau.coefficients import compute_coefficients; "
             "from landau.solver import SimConfig, TwoBump, initial_datum; "
-            "c = compute_coefficients(initial_datum(SimConfig(n=48, initial=TwoBump(2.0)))); "
-            "print(hashlib.sha256(c.A.values.tobytes() + c.grad_a.values.tobytes()).hexdigest())"
+            "from landau.grid import spectral_gradient; "
+            "f = initial_datum(SimConfig(n=48, initial=TwoBump(2.0))); c = compute_coefficients(f); "
+            "print(hashlib.sha256(c.A.values.tobytes() + c.grad_a.values.tobytes() "
+            "+ spectral_gradient(f).values.tobytes()).hexdigest())"
         )
         src = str(Path(coefficients.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         single = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        coeffs = compute_coefficients(initial_datum(SimConfig(n=48, initial=TwoBump(2.0))))
-        here = hashlib.sha256(coeffs.A.values.tobytes() + coeffs.grad_a.values.tobytes()).hexdigest()
+        f = initial_datum(SimConfig(n=48, initial=TwoBump(2.0)))
+        coeffs = compute_coefficients(f)
+        grad = spectral_gradient(f).values
+        here = hashlib.sha256(coeffs.A.values.tobytes() + coeffs.grad_a.values.tobytes() + grad.tobytes()).hexdigest()
         assert single.stdout.strip() == here
 
     def test_boundary_warning_fires_once_per_set(self):
@@ -358,13 +366,12 @@ class TestComputeCoefficients:
         coeffs = compute_coefficients(corpus_fields(grid)[2])
         assert np.array_equal(coeffs.a.values, coeffs.A.trace_values())
 
-    def test_structural_residuals_catch_broken_trace(self, monkeypatch):
+    def test_structural_residuals_catch_broken_trace(self):
         grid = make_grid(32, 8.0)
         f = corpus_fields(grid)[2]
         good = compute_coefficients(f)
         broken = CoefficientSet(A=good.A, a=Field(grid, good.a.values * (1.0 + 1e-6)), density=f)
-        monkeypatch.setattr(coefficients, "compute_coefficients", lambda _: broken)
-        trace_res, div_res = structural_residuals(f)
+        trace_res, div_res = structural_residuals(broken)
         assert trace_res > 1e-10
         assert div_res <= 1e-8
 
@@ -438,15 +445,15 @@ class TestDirectQuadratureOracle:
 
 
 class TestUpperBounds:
-    def test_rejects_bad_exponent_and_sign(self, mu48, grid48):
+    def test_rejects_bad_exponent_and_sign(self, coeffs48, grid48):
         with pytest.raises(ValueError):
-            coefficient_upper_bounds(mu48, 1.5)
+            coefficient_upper_bounds(coeffs48, 1.5)
         with pytest.raises(ValueError):
-            coefficient_upper_bounds(Field(grid48, -maxwellian(grid48).values), 2.0)
+            coefficient_upper_bounds(compute_coefficients(Field(grid48, -maxwellian(grid48).values)), 2.0)
 
     def test_equilibrium_baseline(self):
         grid = make_grid(32, 8.0)
-        rep = coefficient_upper_bounds(maxwellian(grid), 2.0)
+        rep = coefficient_upper_bounds(compute_coefficients(maxwellian(grid)), 2.0)
         # pinned regression values for n=32, L=8
         assert rep.a_ratio == pytest.approx(0.0752, abs=2e-3)
         assert rep.grad_a_ratio == pytest.approx(0.2445, abs=5e-3)
@@ -454,24 +461,24 @@ class TestUpperBounds:
     def test_scale_invariance(self):
         grid = make_grid(32, 8.0)
         mu = maxwellian(grid)
-        base = coefficient_upper_bounds(mu, 2.0)
-        scaled = coefficient_upper_bounds(Field(grid, 7.0 * mu.values), 2.0)
+        base = coefficient_upper_bounds(compute_coefficients(mu), 2.0)
+        scaled = coefficient_upper_bounds(compute_coefficients(Field(grid, 7.0 * mu.values)), 2.0)
         assert scaled.a_ratio == pytest.approx(base.a_ratio, abs=1e-10)
         assert scaled.grad_a_ratio == pytest.approx(base.grad_a_ratio, abs=1e-10)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # theta=2 tail grazes the boundary
     def test_dilated_family_stays_near_baseline(self):
         grid = make_grid(32, 8.0)
-        base = coefficient_upper_bounds(maxwellian(grid), 2.0)
+        base = coefficient_upper_bounds(compute_coefficients(maxwellian(grid)), 2.0)
         for theta in (0.5, 2.0):
             vals = (2.0 * np.pi * theta) ** -1.5 * np.exp(-0.5 * grid.radius2 / theta)
-            rep = coefficient_upper_bounds(Field(grid, vals + np.zeros(grid.shape)), 2.0)
+            rep = coefficient_upper_bounds(compute_coefficients(Field(grid, vals + np.zeros(grid.shape))), 2.0)
             assert rep.a_ratio <= 3.0 * base.a_ratio
             assert rep.grad_a_ratio <= 3.0 * base.grad_a_ratio
 
     @pytest.mark.parametrize("n", [24, 32, 48])
     def test_corpus_worst_ratios(self, n):
         # pinned regression values; `landau verify` bounds them at 0.16 and 0.5, twice these
-        reports = [coefficient_upper_bounds(f, 2.0) for f in corpus_fields(make_grid(n, 8.0))]
+        reports = [coefficient_upper_bounds(compute_coefficients(f), 2.0) for f in corpus_fields(make_grid(n, 8.0))]
         assert 0.07 <= max(r.a_ratio for r in reports) <= 0.08
         assert 0.24 <= max(r.grad_a_ratio for r in reports) <= 0.25

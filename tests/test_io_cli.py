@@ -368,6 +368,16 @@ class TestCli:
         last_entropy = float((out / "scalars.csv").read_text().splitlines()[-1].split(",")[SCALAR_COLUMNS.index("entropy")])
         assert report["entropy_final"]["signed"] == last_entropy
 
+    def test_run_and_diagnose_make_no_fft_call_once_caches_are_built(self, tmp_path, fft_calls):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("n = 32", "n = 16") + "snapshot_every = 2\n")
+        for name in ("warm", "out"):
+            fft_calls.clear()  # the warm-up builds the per-grid kernel spectrum and matrices
+            assert cli(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            assert cli(["diagnose", "--traj", str(tmp_path / name), "--out", str(tmp_path / f"{name}_rep")]) == 0
+        assert fft_calls == []
+        np.fft.rfft(np.ones(4))  # the count sees the calls it should
+        assert fft_calls == ["rfft"]
+
     def test_diagnose_differentiates_each_nonempty_cut_once(self, small_traj, tmp_path, monkeypatch):
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
         write_trajectory(small_traj, traj_dir)
@@ -585,13 +595,13 @@ class TestCli:
         assert all(type(r.passed) is bool for r in results)
 
     def test_verify_fails_on_broken_trace(self, capsys, monkeypatch):
-        real = coefficients.compute_coefficients
+        real = verify.compute_coefficients
 
         def broken(f):
             good = real(f)
             return CoefficientSet(A=good.A, a=Field(f.grid, good.a.values * (1.0 + 1e-6)), density=f)
 
-        monkeypatch.setattr(coefficients, "compute_coefficients", broken)
+        monkeypatch.setattr(verify, "compute_coefficients", broken)
         assert cli(["verify", "--n", "24"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] trace and divergence identities" in out
@@ -599,22 +609,46 @@ class TestCli:
 
     @pytest.mark.parametrize("inflate", ["A", "grad_a"])
     def test_verify_fails_on_inflated_coefficients(self, capsys, monkeypatch, inflate):
-        # each ratio alone past its bound fails the check; grad a is transformed from `density`
-        real = coefficients.compute_coefficients
+        # each ratio alone past its bound fails the check; grad a is inflated where it is transformed
+        if inflate == "A":
+            real = verify.compute_coefficients
 
-        def inflated(f):
-            good = real(f)
-            if inflate == "A":
+            def inflated(f):
+                good = real(f)
                 return CoefficientSet(A=SymTensorField(f.grid, 3.0 * good.A.values), a=good.a, density=f)
-            return CoefficientSet(A=good.A, a=good.a, density=Field(f.grid, 3.0 * f.values))
 
-        monkeypatch.setattr(coefficients, "compute_coefficients", inflated)
+            monkeypatch.setattr(verify, "compute_coefficients", inflated)
+        else:
+            real = coefficients._matrix_inverse
+
+            def inflated(f, scale, terms):
+                return (3.0 if terms is coefficients._DRIFT_TERMS else 1.0) * real(f, scale, terms)
+
+            monkeypatch.setattr(coefficients, "_matrix_inverse", inflated)
         assert cli(["verify", "--n", "24"]) == 1
         assert "[FAIL] coefficient upper bounds" in capsys.readouterr().out
 
+    def test_verify_builds_each_grad_a_once(self, monkeypatch):
+        # the structural residuals and the upper bounds read one set per probe field
+        builds = []
+        real = coefficients._matrix_inverse
+
+        def counting(f, scale, terms):
+            if terms is coefficients._DRIFT_TERMS:
+                builds.append(f)
+            return real(f, scale, terms)
+
+        monkeypatch.setattr(coefficients, "_matrix_inverse", counting)
+        verify.run_verification(n=24)
+        # one per probe field, and the oracle's Maxwellian
+        assert len(builds) == len(verify.corpus_fields(make_grid(24, 8.0))) + 1
+
     def test_verify_upper_bounds_read_the_corpus_worst(self):
         grid = make_grid(24, 8.0)
-        reports = [coefficients.coefficient_upper_bounds(f, 2.0) for f in verify.corpus_fields(grid)]
+        reports = [
+            coefficients.coefficient_upper_bounds(coefficients.compute_coefficients(f), 2.0)
+            for f in verify.corpus_fields(grid)
+        ]
         (check,) = [r for r in verify.run_verification(n=24) if r.name == "coefficient upper bounds"]
         assert check.passed
         assert f"ratio {max(r.a_ratio for r in reports):.3f} (tol 0.16)" in check.detail
