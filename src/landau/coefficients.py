@@ -15,23 +15,25 @@ products on BLAS, not FFTs: at these sizes a 1-D DFT between the box's
 n points and the doubled grid is a small dense matrix, and BLAS
 multiplies by it faster than an FFT walks the strided lines.  The
 forward matrices fold in the zero padding, so no zero is ever
-transformed (Hockney-Eastwood; `_potential_spectrum`).  The inverse
-matrices crop to the box's n outputs and fold in k^p
-(`_matrix_inverse`).  Every output symbol is a sum of monomials
-k1^a k2^b k3^c, so the axis-0 product (the largest) runs once per power
-a, and each monomial takes its own axis-1 and axis-2 products; the last
-maps the half spectrum straight to real values.  A set transforms only
-the six components of A, which the flux reads: 3 forward and 15 inverse
-products.  grad a, which no step reads (the flux takes its drift from
-face differences of a), is transformed from the set's density on first
-read: 3 more forward and 22 inverse products.  The results agree with
-full FFTs to roundoff (2e-15 relative at n = 48), not bit for bit, and
-do not depend on the number of BLAS threads.
+transformed (Hockney-Eastwood; `_potential_spectrum`).  Their one
+batched product, in the forward pass, is the k2 one; the last stores
+the spectrum as (k2, k3, k1).  The inverse matrices, each one 2-D GEMM,
+crop to the box's n outputs and fold in k^p (`_matrix_inverse`): the
+axis-1 product (the largest) runs once per power b of the monomials
+k1^a k2^b k3^c, and each monomial takes its own axis-0 and axis-2
+products; the last maps the half spectrum straight to real values.  A
+set transforms only the six components of A, which the flux reads: 3
+forward and 15 inverse products.  grad a, which no step reads (the flux
+takes its drift from face differences of a), is transformed from the
+set's density on first read: 3 more forward and 22 inverse products.
+The results agree with full FFTs to roundoff (1.7e-15 relative at
+n = 48), not bit for bit, and do not depend on the number of BLAS
+threads.
 
 The eigenvalues run only where they can matter: `lambda_max` on the
 nodes whose Gershgorin row bound reaches the largest diagonal entry,
-`c0_empirical` on the half-extent ball.  Both equal a full closed-form
-pass bit for bit; the full pass serves `coefficient_upper_bounds`.
+`c0_empirical` on the cached half-extent ball.  Both equal a full
+closed-form pass bit for bit; the full pass serves `coefficient_upper_bounds`.
 `structural_residuals` checks the set against independent,
 unfactored symbol routes (Laplacian, divergence of A).
 
@@ -54,7 +56,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fields import NormRequest, lp_m_norm
-from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField
+from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField, face_pairs, make_grid
 
 __all__ = [
     "CoefficientSet",
@@ -81,7 +83,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
-    """rfftn of |z|/(8 pi) sampled on the doubled periodic lattice, real part.
+    """rfftn of |z|/(8 pi) sampled on the doubled periodic lattice, real part (a (k2, k3, k1) view).
 
     Displacements wrap to (-2L, 2L] per axis; the kernel is truncated at
     radius 2*sqrt(3)*L, which covers every displacement reachable from
@@ -98,7 +100,7 @@ def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
     )
     kernel = r / (8.0 * np.pi)
     kernel[r > 2.0 * np.sqrt(3.0) * extent + 1e-12] = 0.0
-    return _read_only(np.fft.rfftn(kernel).real.copy())
+    return _read_only(np.fft.rfftn(kernel).real.transpose(1, 2, 0).copy()).transpose(2, 0, 1)
 
 
 @lru_cache(maxsize=8)
@@ -109,6 +111,15 @@ def _doubled_wavenumbers(n: int, extent: float) -> tuple[np.ndarray, np.ndarray,
     full = 2.0 * np.pi * np.fft.fftfreq(m, d=dv)
     half = 2.0 * np.pi * np.fft.rfftfreq(m, d=dv)
     return full[:, None, None], full[None, :, None], half[None, None, :]
+
+
+@lru_cache(maxsize=8)
+def _coercivity_ball(n: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the nodes with |v| <= L/2 and their weights
+    <v>^3 = (1 + |v|^2)^1.5, read-only (`CoefficientSet.c0_empirical`)."""
+    radius2 = make_grid(n, extent).radius2.reshape(-1)
+    ball = radius2 <= (0.5 * extent) ** 2
+    return _read_only(np.flatnonzero(ball)), _read_only((1.0 + radius2[ball]) ** 1.5)
 
 
 def _check_boundary_decay(f: Field) -> None:
@@ -161,21 +172,21 @@ def _forward_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _potential_spectrum(f: Field) -> np.ndarray:
-    """rfftn of f zero-padded to the doubled grid, times the kernel
-    spectrum and the cell volume, as one product per axis.  The
-    spectrum is allocated first, then the half-axis and axis-1 buffers."""
+    """rfftn of f zero-padded to the doubled grid, times the kernel spectrum
+    and the cell volume, one product per axis: a (k1, k2, k3) view of (k2, k3, k1)
+    storage.  The spectrum is allocated first, then the k3 and k2 buffers."""
     grid = f.grid
-    n, m = grid.n, 2 * grid.n
+    n, m, h = grid.n, 2 * grid.n, grid.n + 1
     half, full = _forward_matrices(n)
-    spectrum = np.empty((m, m, n + 1), dtype=complex)
-    g2 = np.empty((n, n, n + 1), dtype=complex)
-    g1 = np.empty((n, m, n + 1), dtype=complex)
-    np.matmul(f.values.reshape(n * n, n), half, out=g2.view(np.float64).reshape(n * n, 2 * (n + 1)))
+    spectrum = np.empty((m, h, m), dtype=complex)
+    g2 = np.empty((n, n, h), dtype=complex)
+    g1 = np.empty((n, m, h), dtype=complex)
+    np.matmul(f.values.reshape(n * n, n), half, out=g2.view(np.float64).reshape(n * n, 2 * h))
     np.matmul(full, g2, out=g1)
-    np.matmul(full, g1.reshape(n, m * (n + 1)), out=spectrum.reshape(m, m * (n + 1)))
-    spectrum *= _kernel_spectrum(n, grid.extent)
+    np.matmul(g1.reshape(n, m * h).T, full.T, out=spectrum.reshape(m * h, m))
+    spectrum *= _kernel_spectrum(n, grid.extent).transpose(1, 2, 0)
     spectrum *= grid.cell_volume
-    return spectrum
+    return spectrum.transpose(2, 0, 1)
 
 
 @lru_cache(maxsize=8)
@@ -229,31 +240,31 @@ def _matrix_inverse(f: Field, scale: complex, terms: tuple) -> np.ndarray:
     inverse-transformed and cropped to the box, summed per output: shape
     (outputs, n, n, n).
 
-    Each axis is one matrix product with a cropped inverse-DFT matrix,
-    so no FFT runs.  The axis-0 product runs once per power a;
-    each monomial with that a takes its own axis-1 product and its
-    axis-2 product, which writes real values straight into the output.
-    The output is allocated first, then the spectrum and one buffer per
-    axis that every monomial reuses: in that order glibc's heap does not
-    grow over a run.
+    Each axis is one 2-D product with a cropped inverse-DFT matrix, none
+    batched.  On the (k2, k3, k1) spectrum the axis-1 product, to (j, k3, k1),
+    runs once per power b; each monomial with that b takes its own axis-0
+    product, to (i, j, k3) lines, and axis-2 product, which writes real values
+    straight into the output.  The output is allocated first, then the spectrum
+    and one buffer per axis that every monomial reuses: in that order glibc's
+    heap does not grow over a run.
     """
     grid = f.grid
-    n, m = grid.n, 2 * grid.n
+    n, m, h = grid.n, 2 * grid.n, grid.n + 1
     full = _full_axis_matrices(n, grid.extent)
     half = _half_axis_matrices(n, grid.extent, scale)
     outputs = 1 + max(o for *_, o in terms)
     out = np.empty((outputs, n * n, n))
-    phat = _potential_spectrum(f).reshape(m, m * (n + 1))
-    g0 = np.empty((n, m, n + 1), dtype=complex)
-    g1 = np.empty((n, n, n + 1), dtype=complex)
-    lines = g1.view(np.float64).reshape(n * n, 2 * (n + 1))
+    spectrum = _potential_spectrum(f).transpose(1, 2, 0).reshape(m, h * m)
+    y1 = np.empty((n, h, m), dtype=complex)
+    g0 = np.empty((n, n, h), dtype=complex)
+    lines = g0.view(np.float64).reshape(n * n, 2 * h)
     written = set()
-    for a, monomials in groupby(sorted(terms), key=itemgetter(0)):
-        np.matmul(full[a], phat, out=g0.reshape(n, m * (n + 1)))
-        for _, b, c, o in monomials:
-            np.matmul(full[b], g0, out=g1)
+    for b, monomials in groupby(sorted(terms, key=itemgetter(1)), key=itemgetter(1)):
+        np.matmul(full[b], spectrum, out=y1.reshape(n, h * m))
+        for a, _, c, o in monomials:
+            np.matmul(full[a], y1.reshape(n * h, m).T, out=g0.reshape(n, n * h))
             if o in written:
-                out[o] += lines @ half[c]
+                out[o] += np.matmul(lines, half[c])
             else:
                 np.matmul(lines, half[c], out=out[o])
                 written.add(o)
@@ -295,11 +306,15 @@ class CoefficientSet:
         the result equals the maximum of a full pass bit for bit.  A
         non-finite entry puts every node through the full pass.
         """
-        a11, a22, a33, a12, a13, a23 = self.A.values.reshape(6, -1)
-        d12, d13, d23 = np.abs(a12), np.abs(a13), np.abs(a23)
-        bound = np.maximum(np.maximum(a11 + d12 + d13, a22 + d12 + d23), a33 + d13 + d23)
-        top = float(np.max(self.A.values[:3]))
-        scale = float(np.max(np.abs(self.A.values)))
+        a11, a22, a33, *_ = values = self.A.values.reshape(6, -1)
+        d12, d13, d23 = off = np.abs(values[3:])
+        top = float(np.max(values[:3]))
+        # max |A| (NaN where any entry is); the row sums overwrite the d each reads last
+        scale = float(np.max([top, -float(np.min(values[:3])), float(np.max(off))]))
+        bound = np.add(a11, d12)
+        bound += d13
+        np.maximum(bound, np.add(np.add(a22, d12, out=d12), d23, out=d12), out=bound)
+        np.maximum(bound, np.add(np.add(a33, d13, out=d13), d23, out=d13), out=bound)
         nodes = ~(bound < top - _SCREEN_SLACK * scale)
         return float(np.max(self.A.eigenvalues_at(nodes)[:, 2]))
 
@@ -312,16 +327,16 @@ class CoefficientSet:
         The closed form runs on the ball's nodes alone.
         """
         grid = self.A.grid
-        ball = (grid.radius2 <= (0.5 * grid.extent) ** 2).reshape(-1)
-        weight = (1.0 + grid.radius2.reshape(-1)[ball]) ** 1.5
-        return float(np.min(weight * self.A.eigenvalues_at(ball)[:, 0]))
+        nodes, weight = _coercivity_ball(grid.n, grid.extent)
+        return float(np.min(weight * self.A.eigenvalues_at(nodes)[:, 0]))
 
     @cached_property
     def drift_max(self) -> float:
         """Largest drift speed the flux reads: max |a(i + e_k) - a(i)| / dv
         over the axes and all faces, the wrap faces included."""
-        a = self.a.values
-        return max(float(np.max(np.abs(np.roll(a, -1, axis=k) - a))) for k in range(3)) / self.a.grid.spacing
+        a, d = self.a.values, np.empty(self.a.grid.shape)
+        top = max(float(np.max(np.abs(face_pairs(np.subtract, a, k, d), out=d))) for k in range(3))
+        return top / self.a.grid.spacing
 
 
 def _cropped_irfftn(spectrum: np.ndarray, n: int) -> np.ndarray:

@@ -266,6 +266,17 @@ def integrate(field: Field) -> float:
     return field.grid.cell_volume * float(np.sum(field.values))
 
 
+def face_pairs(ufunc: np.ufunc, x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """out = ufunc(np.roll(x, -1, axis=k), x) bit for bit, without the
+    rolled copy, for (n, n, n) arrays (out C-contiguous): one ufunc over
+    the flat arrays shifted by n^(2-k), then the wrap plane i_k = n - 1."""
+    shift = x.shape[0] ** (2 - k)
+    ufunc(x.reshape(-1)[shift:], x.reshape(-1)[:-shift], out=out.reshape(-1)[:-shift])
+    last, first = (slice(None),) * k + (-1,), (slice(None),) * k + (0,)
+    ufunc(x[first], x[last], out=out[last])
+    return out
+
+
 @lru_cache(maxsize=8)
 def _derivative_matrix(n: int, spacing: float) -> np.ndarray:
     """Periodic spectral differentiation matrix D, real (n, n), read-only.

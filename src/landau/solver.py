@@ -57,7 +57,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, compute_coefficients
 from .fields import NormRequest, boltzmann_entropy, lp_m_norm, maxwellian, moments, weighted_gradient_energy
-from .grid import Field, Grid, make_grid
+from .grid import Field, Grid, face_pairs, make_grid
 
 __all__ = [
     "Maxwellian",
@@ -276,10 +276,9 @@ def _face_weights(coeffs: CoefficientSet) -> np.ndarray:
     for k, (w_kk, w_j1, w_j2, d_k) in enumerate(out):
         j1, j2 = _TRANSVERSE[k]
         for w, j, scale in ((w_kk, k, 0.5), (w_j1, j1, 0.125), (w_j2, j2, 0.125)):
-            component = coeffs.A.component(k, j)
-            np.add(component, np.roll(component, -1, axis=k), out=w)
+            face_pairs(np.add, coeffs.A.component(k, j), k, w)
             w *= scale * inv_dv2
-        np.subtract(np.roll(a, -1, axis=k), a, out=d_k)
+        face_pairs(np.subtract, a, k, d_k)
         d_k *= 0.5 * inv_dv2
     return out
 
@@ -323,8 +322,8 @@ def rhs(f: Field, coeffs: CoefficientSet | FrozenCoefficients) -> Field:
     machine precision.  A call makes 15 rolls and about 60 array passes:
     about 6, 1.4 and 0.7 ms at n = 48, 32 and 24 on one core of a
     2-core host.  Given a `CoefficientSet` rather than its
-    `FrozenCoefficients`, a call first builds the weights, 4.4, 1.1 and
-    0.5 ms more; `run` builds them once per set.
+    `FrozenCoefficients`, a call first builds the weights, about 1.6, 0.4
+    and 0.3 ms more; `run` builds them once per set.
     """
     weights = coeffs.weights if isinstance(coeffs, FrozenCoefficients) else _face_weights(coeffs)
     grid = f.grid

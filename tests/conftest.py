@@ -35,6 +35,22 @@ def fft_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def matmul_shapes(monkeypatch):
+    """Operand shapes of each numpy.matmul call during the test, in order; clear it to restart the count.
+
+    Products written with the `@` operator do not pass through it.
+    """
+    shapes = []
+
+    def recording(x, y, *args, _real=np.matmul, **kwargs):
+        shapes.append((np.shape(x), np.shape(y)))
+        return _real(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return shapes
+
+
 def timed_run(config: SimConfig):
     start = time.perf_counter()
     traj = run(config)

@@ -165,6 +165,23 @@ class TestTransformOnRead:
         # every forward and inverse pass is a matrix product
         assert fft_calls == []
 
+    def test_every_inverse_product_is_one_gemm(self, matmul_shapes):
+        n = 16
+        f = initial_datum(SimConfig(n=n, initial=AnisotropicGaussian((0.8, 1.0, 1.2))))
+        compute_coefficients(f)  # the cached matrices are built outside the count
+        matmul_shapes.clear()
+        coeffs = compute_coefficients(f)
+        of_the_set = list(matmul_shapes)
+        matmul_shapes.clear()
+        coeffs.grad_a
+        for shapes, inverse in ((of_the_set, 15), (matmul_shapes, 22)):
+            # the forward pass: the half axis, the batched axis-1 product, then the axis-0 product
+            assert [max(len(x), len(y)) for x, y in shapes[:3]] == [2, 3, 2]
+            assert shapes[1] == ((2 * n, n), (n, n, n + 1))
+            # then one 2-D product per axis and monomial, none batched
+            assert len(shapes) == 3 + inverse
+            assert all(len(x) == len(y) == 2 for x, y in shapes[3:])
+
     def test_grad_a_is_built_once_per_set(self, monkeypatch):
         coeffs = compute_coefficients(initial_datum(SimConfig(n=16, initial=TwoBump(2.0))))
         builds = []
@@ -360,6 +377,10 @@ class TestComputeCoefficients:
         lam_min = np.linalg.eigvalsh(coeffs48.A.matrices()[ball])[:, 0]
         weight = (1.0 + grid48.radius2.reshape(-1)[ball]) ** 1.5
         assert coeffs48.c0_empirical == float(np.min(weight * lam_min))
+
+    def test_coercivity_equals_the_full_pass(self, coeffs48):
+        # the property the ball's screen promises, independent of LAPACK's last bits
+        assert coeffs48.c0_empirical == full_pass(coeffs48.A)[1]
 
     def test_potential_is_trace_of_diffusion(self):
         grid = make_grid(32, 8.0)

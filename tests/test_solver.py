@@ -210,6 +210,24 @@ class TestStableDt:
         drift = 2.0 * f.grid.spacing * float(np.max(np.abs(frozen.weights[:, 3])))
         assert frozen.drift_max == pytest.approx(drift, rel=1e-14)
 
+    def test_face_weights_and_drift_match_the_rolled_formula(self):
+        # random A and a at n = 8, so that every wrap plane carries its own values
+        grid = make_grid(8, 8.0)
+        rng = np.random.default_rng(8)
+        A = SymTensorField(grid, rng.uniform(-1.0, 1.0, (6, *grid.shape)))
+        a = rng.uniform(-1.0, 1.0, grid.shape)
+        coeffs = CoefficientSet(A=A, a=Field(grid, a), density=Field(grid, grid.zeros()))
+        inv_dv2 = 1.0 / grid.spacing**2
+        expected = np.empty((3, 4, *grid.shape))
+        for k, (j1, j2) in enumerate(((1, 2), (0, 2), (0, 1))):
+            for slot, (j, scale) in enumerate(((k, 0.5), (j1, 0.125), (j2, 0.125))):
+                component = A.component(k, j)
+                expected[k, slot] = (component + np.roll(component, -1, axis=k)) * (scale * inv_dv2)
+            expected[k, 3] = (np.roll(a, -1, axis=k) - a) * (0.5 * inv_dv2)
+        np.testing.assert_array_equal(solver_mod._face_weights(coeffs), expected)
+        drift = max(float(np.max(np.abs(np.roll(a, -1, axis=k) - a))) for k in range(3)) / grid.spacing
+        assert coeffs.drift_max == drift
+
     def test_frozen_form_takes_the_statistics_before_the_weights(self, monkeypatch):
         # their full-grid temporaries must be gone before the weights are allocated
         coeffs = compute_coefficients(initial_datum(SimConfig(n=16, initial=TwoBump(2.0))))
