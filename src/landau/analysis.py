@@ -134,24 +134,14 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
 
 
 def energy_E0(traj: Trajectory, p: float, window: tuple[float, float]) -> float:
-    """sup of ||h||_p^p plus the time-integrated weighted gradient energy.
-
-    Uses the per-step scalar series when p matches the run's recording
-    exponent, otherwise recomputes from snapshots.
-    """
-    t_a, t_b = window
-    if p == traj.p:
-        idx = _window_indices(traj.times, t_a, t_b)
-        if idx.size == 0:
-            raise ValueError(f"window {window} contains no samples")
-        return float(np.max(traj.lp_p[idx])) + _trapezoid(traj.grad_energy[idx], traj.times[idx])
-    times = np.asarray(traj.snapshot_times)
-    idx = _window_indices(times, t_a, t_b)
+    """sup of ||h||_p^p plus the time-integrated weighted gradient energy,
+    read off the per-step scalar series, which hold the run's own p only."""
+    if p != traj.p:
+        raise ValueError(f"trajectory was recorded with p={traj.p}, requested {p}")
+    idx = _window_indices(traj.times, *window)
     if idx.size == 0:
-        raise ValueError(f"window {window} contains no snapshots")
-    req = NormRequest(p)
-    series = np.array([(lp_m_norm(h, req) ** p, weighted_gradient_energy(h, p)) for h in _snapshot_h(traj, idx)])
-    return float(np.max(series[:, 0])) + _trapezoid(series[:, 1], times[idx])
+        raise ValueError(f"window {window} contains no samples")
+    return float(np.max(traj.lp_p[idx])) + _trapezoid(traj.grad_energy[idx], traj.times[idx])
 
 
 @dataclass(frozen=True)

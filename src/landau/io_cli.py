@@ -3,11 +3,13 @@
 Config files are flat ``key = value`` text with ``#`` comments; unknown
 keys are errors, never silently defaulted.  The keys are read off the
 fields of `SimConfig` and of the datum classes, which check the values.
-Trajectories persist as a scalar CSV (full-precision reprs, so the round
-trip is bit-exact), raw little-endian float64 snapshots (row-major,
-first velocity axis slowest) with one text sidecar each, and a small
-JSON index, removed first and written last, atomically.  A run manifest
-is written atomically at the end of every run.
+A trajectory persists as three files: a scalar CSV (full-precision
+reprs, so the round trip is bit-exact), one raw little-endian float64
+file holding every snapshot back to back (row-major, first velocity
+axis slowest), and a JSON index of the grid, the exponents, the
+snapshot times and the abort state, removed first and written last,
+atomically.  A run manifest is written atomically at the end of every
+run, the fourth file of a run directory.
 """
 
 from __future__ import annotations
@@ -189,94 +191,77 @@ def _replace_text(target: Path, text: str) -> None:
     os.replace(tmp, target)
 
 
+# The keys of `traj.json` and the exact JSON types each takes (so true is no number)
+_NUMBER = (int, float)
+_INDEX_TYPES = {"n": (int,), "L": _NUMBER, "p": _NUMBER, "m": _NUMBER, "snapshot_times": (list,),
+                "clipped_mass": _NUMBER, "aborted": (bool,), "abort_time": (*_NUMBER, type(None)),
+                "abort_reason": (str, type(None))}
+
+
 def write_trajectory(traj: Trajectory, directory: str | Path) -> None:
-    """Persist scalars (CSV), snapshots (raw f64 + sidecars), and the index.
+    """Persist the scalars (CSV), the snapshots (one raw f64 file) and the index.
 
     The index `traj.json` is removed first and replaced atomically last,
     so a write cut short leaves no index, and readers reject the
-    directory instead of mixing the files of two runs.  Snapshot files
-    past this trajectory's count, left by an older run, are removed.
+    directory instead of mixing the files of two runs.  The snapshots
+    are streamed into `snapshots.f64` one by one, never stacked.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "traj.json").unlink(missing_ok=True)
-    own = {f"snapshot_{i:06d}" for i in range(len(traj.snapshots))}
-    for path in directory.glob("snapshot_*"):
-        if path.suffix in (".f64", ".meta") and path.stem not in own:
-            path.unlink()
 
     _write_csv(directory / "scalars.csv", SCALAR_COLUMNS, traj.scalar_table())
+    with open(directory / "snapshots.f64", "wb") as fh:
+        for snap in traj.snapshots:
+            snap.values.astype("<f8", copy=False).tofile(fh)
 
-    for i, (t, snap) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
-        stem = f"snapshot_{i:06d}"
-        (directory / f"{stem}.f64").write_bytes(
-            np.ascontiguousarray(snap.values, dtype="<f8").tobytes()
-        )
-        (directory / f"{stem}.meta").write_text(
-            f"n = {traj.grid.n}\nL = {traj.grid.extent!r}\ntime = {t!r}\n"
-        )
-
-    index = {
-        "n": traj.grid.n,
-        "L": traj.grid.extent,
-        "p": traj.p,
-        "m": traj.m,
-        "snapshots": len(traj.snapshots),
-        "clipped_mass": traj.clipped_mass,
-        "aborted": traj.aborted,
-        "abort_time": traj.abort_time,
-        "abort_reason": traj.abort_reason,
-    }
+    index = {"n": traj.grid.n, "L": traj.grid.extent, "snapshot_times": [float(t) for t in traj.snapshot_times]}
+    index |= {key: getattr(traj, key) for key in _INDEX_TYPES if key not in index}
     _replace_text(directory / "traj.json", json.dumps(index, indent=2) + "\n")
 
 
-def _read_sidecar(path: Path) -> dict[str, str]:
-    out = {}
-    for line in path.read_text().splitlines():
-        if "=" in line:
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
-    return out
+def _read_index(path: Path) -> dict:
+    """`traj.json`, each key of `_INDEX_TYPES` present, of its type, and at least one snapshot."""
+    index = json.loads(path.read_text())
+    for key, kinds in _INDEX_TYPES.items():
+        if not isinstance(index, dict) or key not in index:
+            raise ValueError(f"{path}: missing key '{key}'")
+        if type(index[key]) not in kinds or key == "snapshot_times" and any(type(t) not in _NUMBER for t in index[key]):
+            raise ValueError(f"{path}: key '{key}' is not of type {' or '.join(k.__name__ for k in kinds)}")
+    if not index["snapshot_times"]:
+        raise ValueError(f"{path}: 0 snapshots; a run stores at least t = 0")
+    return index
 
 
 def read_trajectory(directory: str | Path) -> Trajectory:
+    """Load the `traj.json`, `scalars.csv` and `snapshots.f64` that `write_trajectory` left.
+
+    The k = len(snapshot_times) snapshots are read as one (k, n, n, n)
+    array and handed out as views.  A missing or mistyped index key, a
+    torn table or a snapshot file of the wrong size raises ValueError
+    naming the file.
+    """
     directory = Path(directory)
-    index = json.loads((directory / "traj.json").read_text())
-    if index["snapshots"] < 1:
-        raise ValueError(f"{directory / 'traj.json'}: {index['snapshots']} snapshots; a run stores at least t = 0")
+    index = _read_index(directory / "traj.json")
     grid = make_grid(index["n"], index["L"])
+    snapshot_times = [float(t) for t in index["snapshot_times"]]
 
     scalars = directory / "scalars.csv"
     lines = scalars.read_text().splitlines()
     if not lines or lines[0] != ",".join(SCALAR_COLUMNS):
         raise ValueError(f"unexpected scalar header in {scalars}")
 
-    snapshot_times: list[float] = []
-    snapshots: list[Field] = []
-    for i in range(index["snapshots"]):
-        stem = directory / f"snapshot_{i:06d}"
-        meta = _read_sidecar(stem.with_suffix(".meta"))
-        if int(meta["n"]) != grid.n or float(meta["L"]) != grid.extent:
-            raise ValueError(f"snapshot {i} grid (n={meta['n']}, L={meta['L']}) does not match the index")
-        raw = np.frombuffer(stem.with_suffix(".f64").read_bytes(), dtype="<f8")
-        if raw.size != grid.n**3:
-            raise ValueError(f"snapshot {i} has {raw.size} samples, expected {grid.n ** 3}")
-        snapshot_times.append(float(meta["time"]))
-        snapshots.append(Field(grid, raw.reshape(grid.shape).astype(np.float64)))
+    path = directory / "snapshots.f64"
+    raw = np.fromfile(path, dtype="<f8")
+    expected = len(snapshot_times) * grid.n**3
+    if raw.size != expected:
+        raise ValueError(f"{path}: {raw.size} samples, expected {expected} ({len(snapshot_times)} snapshots of n = {grid.n})")
+    snapshots = [Field(grid, values) for values in raw.reshape(len(snapshot_times), *grid.shape)]
 
-    return Trajectory.from_rows(
-        [line.split(",") for line in lines[1:]],
-        str(scalars),
-        grid=grid,
-        p=index["p"],
-        m=index["m"],
-        snapshot_times=snapshot_times,
-        snapshots=snapshots,
-        clipped_mass=index.get("clipped_mass", 0.0),
-        aborted=index.get("aborted", False),
-        abort_time=index.get("abort_time"),
-        abort_reason=index.get("abort_reason"),
-    )
+    # the other keys are `Trajectory` fields of the same name
+    rest = {key: index[key] for key in _INDEX_TYPES if key not in ("n", "L", "snapshot_times")}
+    rows = [line.split(",") for line in lines[1:]]
+    return Trajectory.from_rows(rows, str(scalars), grid=grid, snapshot_times=snapshot_times, snapshots=snapshots, **rest)
 
 
 @dataclass
@@ -314,7 +299,7 @@ def execute_run(config: SimConfig, out: Path) -> Trajectory:
             libraries=_library_versions(),
             started=started,
             finished=time.time(),
-            outputs=sorted(str(p.name) for p in out.iterdir()),
+            outputs=sorted({p.name for p in out.iterdir()} | {"run_manifest.json"}),
             abort_reason=traj.abort_reason,
         ),
         out,
@@ -382,7 +367,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
     y0 = float(traj.lp_p[0])
     eps = args.eps if args.eps is not None else max(4.0 * y0, 2.0 * float(np.max(traj.lp_p)), 1e-12)
-    barrier = analysis.ode_barrier_check(traj, p, m, eps)
+    barrier = analysis.ode_barrier_check(traj, p, m, eps, c0=c0)
     report["ode_barrier"] = dataclasses.asdict(barrier)
 
     ladder = [frac * sup_h for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 0.9)] if sup_h > 0.0 else []

@@ -87,12 +87,23 @@ LAG_TOLERANCE = 1e-4
 # by at most MAX_GROWTH.
 SAFETY = 0.9
 MAX_GROWTH = 2.0
+# `initial_datum` brings the momentum and energy this close to (0, 3) in at most this many passes.
+MOMENT_TOLERANCE = 1e-12
+NORMALIZATION_PASSES = 50
 # Sup-norm threshold treated as finite-time blow-up.
 BLOWUP_SUP = 1e6
 
 
 class BlowUpError(RuntimeError):
     """Raised when the iterate leaves the regime the scheme can represent."""
+
+
+def _fractions(values: tuple[float, ...], total: float = 1.0) -> tuple[float, ...]:
+    """total * v / sum(values) for positive values, bit for bit, but scaled first by a power
+    of 2 (exactly) to put the largest in [1/2, 1), so the sum neither overflows nor vanishes."""
+    exponent = math.frexp(max(values))[1]
+    scaled = [math.ldexp(v, -exponent) for v in values]
+    return tuple(total * x / sum(scaled) for x in scaled)
 
 
 @dataclass(frozen=True)
@@ -140,8 +151,9 @@ class TwoBump:
             raise ValueError(f"weights takes 2 bump weights, got {self.weights}")
         if not all(0.0 < w < math.inf for w in self.weights):
             raise ValueError(f"bump weights must be finite and positive, got {self.weights}")
-        w1, w2 = (w / sum(self.weights) for w in self.weights)
-        if not 3.0 - w1 * w2 * self.separation**2 > 0.0:
+        w1, w2 = _fractions(self.weights)
+        # x * x, not x**2, which raises OverflowError on a huge separation
+        if not 3.0 - w1 * w2 * (self.separation * self.separation) > 0.0:
             raise ValueError(
                 f"separation {self.separation} leaves no thermal energy for the bumps "
                 "(requires w1*w2*separation^2 < 3)"
@@ -188,7 +200,7 @@ class SimConfig:
 
 
 def _datum_closure(datum: InitialDatum, grid: Grid) -> Callable[..., np.ndarray]:
-    """Analytic datum with exact continuum moments (1, 0, 3)."""
+    """Analytic datum; all but the perturbed family have continuum moments (1, 0, 3)."""
     norm = (2.0 * np.pi) ** -1.5
     if isinstance(datum, Maxwellian):
         return lambda v1, v2, v3: norm * np.exp(-0.5 * (v1**2 + v2**2 + v3**2))
@@ -204,8 +216,9 @@ def _datum_closure(datum: InitialDatum, grid: Grid) -> Callable[..., np.ndarray]
 
         return perturbed
     if isinstance(datum, AnisotropicGaussian):
-        total = sum(datum.temperatures)
-        thetas = tuple(3.0 * t / total for t in datum.temperatures)
+        thetas = _fractions(datum.temperatures, 3.0)
+        if min(thetas) == 0.0:
+            raise ValueError(f"theta {datum.temperatures} is not resolvable: its smallest share underflows to 0")
         pref = np.prod([(2.0 * np.pi * t) ** -0.5 for t in thetas])
 
         def anisotropic(v1, v2, v3):
@@ -215,7 +228,7 @@ def _datum_closure(datum: InitialDatum, grid: Grid) -> Callable[..., np.ndarray]
 
         return anisotropic
     if isinstance(datum, TwoBump):
-        w1, w2 = (w / sum(datum.weights) for w in datum.weights)
+        w1, w2 = _fractions(datum.weights)
         u1, u2 = -w2 * datum.separation, w1 * datum.separation
         theta = (3.0 - w1 * w2 * datum.separation**2) / 3.0
         pref = (2.0 * np.pi * theta) ** -1.5
@@ -234,26 +247,36 @@ def _datum_closure(datum: InitialDatum, grid: Grid) -> Callable[..., np.ndarray]
 def initial_datum(config: SimConfig) -> Field:
     """Sample the configured datum with discrete moments driven to (1, 0, 3).
 
-    One affine correction pass (shift to zero mean, dilate to energy 3,
-    scale to unit mass, in that order) computed from the discrete
-    moments, followed by an exact rescale of the mass.
+    Affine correction passes (shift to zero mean, dilate to energy 3,
+    scale to unit mass, in that order, from the discrete moments of the
+    last pass, then an exact rescale of the mass) until the momentum and
+    energy are within MOMENT_TOLERANCE of (0, 3): one pass on a resolved
+    grid; a datum that needs more than NORMALIZATION_PASSES is rejected.
     """
     grid = make_grid(config.n, config.extent)
-    closure = _datum_closure(config.initial, grid)
     v1, v2, v3 = grid.coords
-    vals = closure(v1, v2, v3)
-
-    mom = moments(Field(grid, vals))
-    u = np.array(mom.momentum) / mom.mass
-    energy_centered = mom.energy / mom.mass - float(u @ u)
-    lam = math.sqrt(energy_centered / 3.0)
-    vals = closure(u[0] + lam * v1, u[1] + lam * v2, u[2] + lam * v3) * (lam**3 / mom.mass)
-
-    f = Field(grid, vals)
-    f = f * (1.0 / moments(f).mass)
-    if float(np.min(f.values)) < 0.0:
-        raise ValueError("initial datum is negative after normalization")
-    return f
+    shift, scale = np.zeros(3), 1.0
+    # a datum too narrow or too wide for the grid samples to inf or nan and is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        closure = _datum_closure(config.initial, grid)
+        mom = moments(Field(grid, closure(v1, v2, v3)))
+        for _ in range(NORMALIZATION_PASSES):
+            u = np.array(mom.momentum) / mom.mass
+            energy_centered = mom.energy / mom.mass - float(u @ u)
+            if not 0.0 < energy_centered < math.inf:
+                break
+            lam = math.sqrt(energy_centered / 3.0)
+            # the last pass sampled closure(shift + scale v); re-center and dilate that
+            shift, scale = shift + scale * u, scale * lam
+            vals = closure(shift[0] + scale * v1, shift[1] + scale * v2, shift[2] + scale * v3)
+            f = Field(grid, vals * (lam**3 / mom.mass))
+            f = f * (1.0 / moments(f).mass)
+            mom = moments(f)
+            if max(abs(x) for x in (*mom.momentum, mom.energy - 3.0)) <= MOMENT_TOLERANCE:
+                if float(np.min(f.values)) < 0.0:
+                    raise ValueError("initial datum is negative after normalization")
+                return f
+    raise ValueError(f"initial datum {config.initial} is not resolved on an n={grid.n} grid: its moments do not reach (1, 0, 3)")
 
 
 # The two transverse axes of each axis, in the order of its weight slots.

@@ -3,6 +3,7 @@ import json
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,13 +240,58 @@ class TestTrajectoryPersistence:
         assert len(SCALAR_COLUMNS) == 12
         assert all(len(line.split(",")) == 12 for line in lines[1:])
 
-    def test_grid_mismatch_detected(self, small_traj, tmp_path):
+    def test_grid_mismatch_detected(self, small_traj, tmp_path, capsys):
+        # an index whose grid is not the snapshots' reads as a snapshot file of the wrong size
         out = tmp_path / "out"
         write_trajectory(small_traj, out)
-        meta = out / "snapshot_000000.meta"
-        meta.write_text(meta.read_text().replace("n = 16", "n = 32"))
-        with pytest.raises(ValueError, match="does not match"):
+        index = json.loads((out / "traj.json").read_text())
+        (out / "traj.json").write_text(json.dumps({**index, "n": 32}))
+        with pytest.raises(ValueError, match=rf"snapshots\.f64: {len(small_traj.snapshots) * 16**3} samples, expected"):
             read_trajectory(out)
+        capsys.readouterr()
+        assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
+        assert f"error: {out / 'snapshots.f64'}" in capsys.readouterr().err
+
+    def test_torn_snapshots_rejected(self, small_traj, tmp_path, capsys):
+        out = tmp_path / "out"
+        write_trajectory(small_traj, out)
+        snapshots = out / "snapshots.f64"
+        snapshots.write_bytes(snapshots.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=r"snapshots\.f64: \d+ samples, expected"):
+            read_trajectory(out)
+        capsys.readouterr()
+        assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
+        assert f"error: {out / 'snapshots.f64'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", list(io_cli._INDEX_TYPES))
+    def test_index_missing_key_rejected(self, small_traj, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        write_trajectory(small_traj, out)
+        index = json.loads((out / "traj.json").read_text())
+        del index[key]
+        (out / "traj.json").write_text(json.dumps(index))
+        with pytest.raises(ValueError, match=rf"traj\.json: missing key '{key}'"):
+            read_trajectory(out)
+        capsys.readouterr()
+        assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
+        assert f"error: {out / 'traj.json'}: missing key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 16.0), ("n", True), ("L", "8.0"), ("p", None), ("m", [12.0]), ("snapshot_times", 0.0),
+         ("snapshot_times", [0.0, "0.1"]), ("clipped_mass", False), ("aborted", 0), ("abort_time", "1.0"),
+         ("abort_reason", 3)],
+    )
+    def test_index_mistyped_key_rejected(self, small_traj, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        write_trajectory(small_traj, out)
+        index = json.loads((out / "traj.json").read_text())
+        (out / "traj.json").write_text(json.dumps({**index, key: value}))
+        with pytest.raises(ValueError, match=rf"traj\.json: key '{key}' is not of type"):
+            read_trajectory(out)
+        capsys.readouterr()
+        assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
+        assert f"error: {out / 'traj.json'}: key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tear", ["header_only", "row_cut"])
     def test_torn_scalars_rejected(self, small_traj, tmp_path, tear):
@@ -265,7 +311,7 @@ class TestTrajectoryPersistence:
         out = tmp_path / "out"
         write_trajectory(small_traj, out)
         index = json.loads((out / "traj.json").read_text())
-        (out / "traj.json").write_text(json.dumps({**index, "snapshots": 0}))
+        (out / "traj.json").write_text(json.dumps({**index, "snapshot_times": []}))
         with pytest.raises(ValueError, match="traj.json"):
             read_trajectory(out)
         capsys.readouterr()
@@ -273,25 +319,22 @@ class TestTrajectoryPersistence:
         err = capsys.readouterr().err
         assert "traj.json" in err and "0 snapshots" in err
 
-    def test_interrupted_overwrite_leaves_no_index(self, small_traj, tmp_path, monkeypatch, capsys):
+    def test_interrupted_overwrite_leaves_no_index(self, small_traj, tmp_path, capsys):
         out = tmp_path / "out"
         write_trajectory(small_traj, out)
         other = run(SimConfig(n=16, t_end=0.4, cfl=0.25, snapshot_every=1, initial=TwoBump(2.0), m=12.0))
         assert len(other.times) != len(small_traj.times)
 
-        write_bytes = Path.write_bytes
-        calls = []
-
-        def fail_second_snapshot(path, data):
-            calls.append(path)
-            if len(calls) == 2:
+        class FullDisk(np.ndarray):
+            def tofile(self, fh):
                 raise OSError("disk full")
-            return write_bytes(path, data)
 
-        monkeypatch.setattr(Path, "write_bytes", fail_second_snapshot)
+        # the second snapshot's write fails after the first has been streamed
+        snapshots = list(other.snapshots)
+        snapshots[1] = SimpleNamespace(values=snapshots[1].values.view(FullDisk))
         with pytest.raises(OSError, match="disk full"):
-            write_trajectory(other, out)
-        monkeypatch.undo()
+            write_trajectory(dataclasses.replace(other, snapshots=snapshots), out)
+        assert 0 < (out / "snapshots.f64").stat().st_size < len(other.snapshots) * 16**3 * 8
 
         assert not (out / "traj.json").exists()
         with pytest.raises(FileNotFoundError):
@@ -367,6 +410,25 @@ class TestCli:
         # the recorder and diagnose use the same entropy convention
         last_entropy = float((out / "scalars.csv").read_text().splitlines()[-1].split(",")[SCALAR_COLUMNS.index("entropy")])
         assert report["entropy_final"]["signed"] == last_entropy
+
+    def test_run_directory_holds_the_readme_output_files(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Output formats", 1)[1].split("\n## ", 1)[0]
+        run_part = section.split("`landau diagnose", 1)[0]
+        documented = re.findall(r"^\* `([\w.]+)`", run_part, flags=re.MULTILINE)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, MINIMAL.replace("n = 32", "n = 16").replace("t_end = 0.5", "t_end = 0.2"))
+        assert cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(documented)
+        assert json.loads((out / "run_manifest.json").read_text())["outputs"] == sorted(documented)
+
+    def test_diagnose_c0_override_reaches_the_ode_barrier(self, small_traj, tmp_path):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--c0", "0.5"]) == 0
+        report = json.loads((rep / "report.json").read_text())
+        assert report["c0"] == report["ode_barrier"]["c0"] == 0.5
+        assert min(small_traj.c0) != 0.5
 
     def test_run_and_diagnose_make_no_fft_call_once_caches_are_built(self, tmp_path, fft_calls):
         cfg = write_cfg(tmp_path, MINIMAL.replace("n = 32", "n = 16") + "snapshot_every = 2\n")
@@ -475,15 +537,16 @@ class TestCli:
         base = MINIMAL.replace("n = 32", "n = 16") + "snapshot_every = 1\n"
         out = tmp_path / "out"
         assert cli(["run", "--config", str(write_cfg(tmp_path, base, "long.cfg")), "--out", str(out)]) == 0
-        longer = json.loads((out / "traj.json").read_text())["snapshots"]
+        longer = len(json.loads((out / "traj.json").read_text())["snapshot_times"])
         short = write_cfg(tmp_path, base.replace("t_end = 0.5", "t_end = 0.1"), "short.cfg")
         assert cli(["run", "--config", str(short), "--out", str(out)]) == 0
-        count = json.loads((out / "traj.json").read_text())["snapshots"]
+        count = len(json.loads((out / "traj.json").read_text())["snapshot_times"])
         assert 1 < count < longer
-        own = sorted(f"snapshot_{i:06d}{ext}" for i in range(count) for ext in (".f64", ".meta"))
-        outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
-        assert sorted(name for name in outputs if name.startswith("snapshot_")) == own
-        assert sorted(p.name for p in out.glob("snapshot_*")) == own
+        assert (out / "snapshots.f64").stat().st_size == count * 16**3 * 8
+        own = ["run_manifest.json", "scalars.csv", "snapshots.f64", "traj.json"]
+        assert json.loads((out / "run_manifest.json").read_text())["outputs"] == own
+        assert sorted(p.name for p in out.iterdir()) == own
+        assert len(read_trajectory(out).snapshots) == count
 
     @pytest.mark.parametrize(
         "n, datum, at_roundoff",

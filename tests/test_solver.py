@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import landau.solver as solver_mod
 from landau.coefficients import CoefficientSet, compute_coefficients
@@ -103,6 +104,67 @@ class TestInitialDatum:
     def test_unresolvable_mode_rejected(self):
         with pytest.raises(ValueError):
             initial_datum(SimConfig(n=16, initial=PerturbedMaxwellian(0.1, 8)))
+
+
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+def _shares(values) -> list[float]:
+    scaled = [v / max(values) for v in values]
+    return [v / sum(scaled) for v in scaled]
+
+
+@st.composite
+def _two_bumps(draw) -> TwoBump:
+    weights = draw(st.tuples(_POSITIVE, _POSITIVE))
+    w1, w2 = _shares(weights)
+    # the separation bound w1 w2 d^2 < 3; no bound once w1 w2 underflows
+    bound = math.sqrt(3.0 / (w1 * w2)) if w1 * w2 > 0.0 else math.inf
+    fraction = st.floats(-1.0, 1.0).map(lambda x: x * bound)
+    separation = draw(fraction if bound < math.inf else st.floats(allow_nan=False, allow_infinity=False))
+    try:
+        return TwoBump(separation, weights)
+    except ValueError:  # past the bound by its rounding
+        reject()
+
+
+# every datum family over the whole range its __post_init__ accepts
+_DATA = st.one_of(
+    st.just(Maxwellian()),
+    st.builds(PerturbedMaxwellian, st.floats(-1.0, 1.0), st.integers(min_value=1)),
+    st.builds(AnisotropicGaussian, st.tuples(_POSITIVE, _POSITIVE, _POSITIVE)),
+    _two_bumps(),
+)
+
+
+def _narrowest_temperature(datum) -> float:
+    """An upper bound on the datum's smallest axis temperature at energy 3 (inf for the others)."""
+    if isinstance(datum, AnisotropicGaussian):
+        return 3.0 * min(datum.temperatures) / max(datum.temperatures)
+    if isinstance(datum, TwoBump):
+        w1, w2 = _shares(datum.weights)
+        return (3.0 - w1 * w2 * datum.separation**2) / 3.0
+    return math.inf
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(datum=_DATA)
+def test_property_datum_normalized_or_rejected(datum):
+    try:
+        f0 = initial_datum(SimConfig(n=16, initial=datum))
+    except ValueError as exc:
+        # only a datum the n = 16 grid (spacing 1) cannot carry is rejected, and by name
+        assert "not resolv" in str(exc)
+        if isinstance(datum, PerturbedMaxwellian):
+            assert datum.mode >= 8
+        else:
+            assert _narrowest_temperature(datum) < 0.25
+        return
+    mom = moments(f0)
+    assert abs(mom.mass - 1.0) <= 1e-12
+    assert max(abs(x) for x in mom.momentum) <= 1e-12
+    assert abs(mom.energy - 3.0) <= 1e-12
+    assert float(np.min(f0.values)) >= 0.0
 
 
 class TestRhs:
