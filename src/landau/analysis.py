@@ -9,10 +9,11 @@ measures, it does not prove.
 
 Time integrals over trajectories use the trapezoid rule on the recorded
 cadence; suprema over time are maxima over samples.  Everything here is
-a pure function of immutable trajectories.  The level-set terms are
-computed at most once per (level, p) on a trajectory and memoized on it,
-and an empty cut costs no transform, so a trajectory must not be mutated
-after construction.
+a pure function of immutable trajectories, and each reads the Lebesgue
+exponent p and the moment order m off the trajectory it measures.  The
+level-set terms are computed at most once per level on a trajectory and
+memoized on it, and an empty cut costs no transform, so a trajectory
+must not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ __all__ = [
     "smoothing_fit",
     "h1_smallness",
 ]
+
+# Levels past the first in the geometric iteration, at most
+DEGIORGI_N_MAX = 12
+# Added to q_{l,theta} in the moment envelope's exponent
+MOMENT_MARGIN = 0.01
+# How much steeper than -1/(1+gamma) a fitted smoothing slope may be
+SLOPE_TOLERANCE = 0.15
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,9 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
 # energies
 
 
-def energy_E0(traj: Trajectory, p: float, window: tuple[float, float]) -> float:
+def energy_E0(traj: Trajectory, window: tuple[float, float]) -> float:
     """sup of ||h||_p^p plus the time-integrated weighted gradient energy,
-    read off the per-step scalar series, which hold the run's own p only."""
-    if p != traj.p:
-        raise ValueError(f"trajectory was recorded with p={traj.p}, requested {p}")
+    read off the per-step scalar series."""
     idx = _window_indices(traj.times, *window)
     if idx.size == 0:
         raise ValueError(f"window {window} contains no samples")
@@ -153,12 +159,10 @@ class LevelSetEnergyReport:
     total: float
 
 
-def level_set_energy(
-    traj: Trajectory, level: float, window: tuple[float, float], p: float, c0: float
-) -> LevelSetEnergyReport:
+def level_set_energy(traj: Trajectory, level: float, window: tuple[float, float], c0: float) -> LevelSetEnergyReport:
     """sup_t ||h_l^+||_p^p + c0 int ||<v>^{-3/2} grad (h_l^+)^{p/2}||_2^2 dt.
 
-    Both per-snapshot terms are memoized on `traj` by (level, p, snapshot);
+    Both per-snapshot terms are memoized on `traj` by (level, snapshot);
     an empty cut (max h <= level) gives exactly 0.0 for both, untransformed.
     """
     t_a, t_b = window
@@ -170,12 +174,13 @@ def level_set_energy(
     if times.size == 0 or t_a < times[0] - 1e-12 or t_b > times[-1] + 1e-12:
         raise ValueError(f"window {window} outside the recorded range")
     idx = _window_indices(times, t_a, t_b)
+    p = traj.p
     req = NormRequest(p)
     memo, mu = traj.level_terms, None
     sup_term = 0.0
     diss = np.empty(idx.size)
     for out_i, i in enumerate(idx):
-        key = (level, p, int(i))
+        key = (level, int(i))
         if key not in memo:
             mu = maxwellian(traj.grid) if mu is None else mu
             h = traj.snapshots[i] - mu
@@ -209,15 +214,7 @@ class RecurrenceReport:
 
 
 def level_set_recurrence_check(
-    traj: Trajectory,
-    k: float,
-    level: float,
-    t1: float,
-    t2: float,
-    t3: float,
-    p: float,
-    m: float,
-    c0: float,
+    traj: Trajectory, k: float, level: float, t1: float, t2: float, t3: float, c0: float
 ) -> RecurrenceReport:
     """Measure E_l(T2,T3) against the nested-level bound from E_k(T1,T3).
 
@@ -229,10 +226,10 @@ def level_set_recurrence_check(
         raise ValueError(f"windows must satisfy 0 <= T1 < T2 <= T3, got {(t1, t2, t3)}")
     if not 0.0 <= k < level:
         raise ValueError(f"levels must satisfy 0 <= k < l, got {(k, level)}")
-    exps = exponents(p, m)
-    lhs = level_set_energy(traj, level, (t2, t3), p, c0).total
-    e_k = level_set_energy(traj, k, (t1, t3), p, c0).total
-    e_0 = level_set_energy(traj, 0.0, (t1, t3), p, c0).total
+    exps = exponents(traj.p, traj.m)
+    lhs = level_set_energy(traj, level, (t2, t3), c0).total
+    e_k = level_set_energy(traj, k, (t1, t3), c0).total
+    e_0 = level_set_energy(traj, 0.0, (t1, t3), c0).total
     gap = level - k
     bracket = (
         1.0 / ((t2 - t1) * gap ** (1.0 + exps.gamma))
@@ -287,37 +284,31 @@ class DeGiorgiReport:
 
 
 def degiorgi_iterate(
-    traj: Trajectory,
-    K: float,
-    t: float,
-    t_end: float,
-    p: float,
-    m: float,
-    c0: float,
-    n_max: int = 12,
-    calibration_c: float = 1.0,
+    traj: Trajectory, K: float, t: float, t_end: float, c0: float, calibration_c: float = 1.0
 ) -> DeGiorgiReport:
     """Nested level-set energies E_n at levels K(1 - 2^-n), times t(1 - 2^-n).
 
     The verdict is whether every computed E_n stays below the geometric
-    comparison sequence E_0 Q^-n with Q = 2^((gamma+2)/beta1); the
-    iteration stops early once the energy falls below 1e-14.
+    comparison sequence E_0 Q^-n with Q = 2^((gamma+2)/beta1) for
+    n <= DEGIORGI_N_MAX; the iteration stops early once the energy falls
+    below 1e-14.
     """
     if not (0.0 < t < t_end):
         raise ValueError(f"need 0 < t < T within the trajectory, got t={t}, T={t_end}")
     if not K > 0.0:
         raise ValueError(f"level ceiling must be positive, got {K}")
+    p, m = traj.p, traj.m
     exps = exponents(p, m)
     if exps.degenerate:
         raise ValueError(f"smoothing exponent is not positive for (p={p}, m={m})")
     q_factor = 2.0 ** ((exps.gamma + 2.0) / exps.beta1)
 
     levels, level_times, energies = [], [], []
-    for n_i in range(n_max + 1):
+    for n_i in range(DEGIORGI_N_MAX + 1):
         scale = 1.0 - 2.0**-n_i
         levels.append(K * scale)
         level_times.append(t * scale)
-        energies.append(level_set_energy(traj, levels[-1], (level_times[-1], t_end), p, c0).total)
+        energies.append(level_set_energy(traj, levels[-1], (level_times[-1], t_end), c0).total)
         if energies[-1] < 1e-14:
             break
     e0 = energies[0]
@@ -341,15 +332,7 @@ def degiorgi_iterate(
     )
 
 
-def calibrate_degiorgi_constant(
-    trajs: list[Trajectory],
-    t: float,
-    t_end: float,
-    p: float,
-    m: float,
-    c0: float,
-    n_max: int = 12,
-) -> float:
+def calibrate_degiorgi_constant(trajs: list[Trajectory], t: float, t_end: float, c0: float) -> float:
     """Smallest calibration constant whose predicted ceiling verifies every run.
 
     Verification means: the geometric decay verdict holds and the ceiling
@@ -359,11 +342,11 @@ def calibrate_degiorgi_constant(
 
     def verifies(c: float) -> bool:
         for traj in trajs:
-            e0 = level_set_energy(traj, 0.0, (0.0, t_end), p, c0).total
-            K = predict_K(e0, t, t_end, p, m, c)
+            e0 = level_set_energy(traj, 0.0, (0.0, t_end), c0).total
+            K = predict_K(e0, t, t_end, traj.p, traj.m, c)
             if K <= 0.0:
                 return False
-            rep = degiorgi_iterate(traj, K, t, t_end, p, m, c0, n_max=n_max, calibration_c=c)
+            rep = degiorgi_iterate(traj, K, t, t_end, c0, calibration_c=c)
             if not rep.verdict or rep.sup_measured > K:
                 return False
         return True
@@ -394,17 +377,18 @@ def calibrate_degiorgi_constant(
 class MomentBoundReport:
     l: float
     theta: float
-    exponent: float  # q_{l,theta} + margin
+    exponent: float  # q_{l,theta} + MOMENT_MARGIN
     c3: float
     holds: bool
     worst_margin: float  # max over samples of norm / (c3 (1+t)^exponent)
 
 
-def moment_bound_check(traj: Trajectory, l: float, theta: float, margin: float = 0.01) -> MomentBoundReport:
-    """Fit the envelope ||h(t)||_{L^1_theta} <= C3 (1+t)^(q_{l,theta}+margin)."""
-    if theta > traj.m + 1e-12:
-        raise ValueError(f"weight exponent {theta} exceeds the run's moment order m={traj.m}")
-    exponent = q_ltheta(l, theta) + margin
+def moment_bound_check(traj: Trajectory, theta: float) -> MomentBoundReport:
+    """Fit the envelope ||h(t)||_{L^1_theta} <= C3 (1+t)^(q_{l,theta}+MOMENT_MARGIN) with l = m."""
+    l = traj.m
+    if theta > l + 1e-12:
+        raise ValueError(f"weight exponent {theta} exceeds the run's moment order m={l}")
+    exponent = q_ltheta(l, theta) + MOMENT_MARGIN
     times = np.asarray(traj.snapshot_times)
     req = NormRequest(1.0, theta)
     norms = np.array([lp_m_norm(h, req) for h in _snapshot_h(traj, range(len(traj.snapshots)))])
@@ -437,12 +421,7 @@ class OdeBarrierReport:
 
 
 def ode_barrier_check(
-    traj: Trajectory,
-    p: float,
-    m: float,
-    eps: float,
-    c_tilde: float | None = None,
-    c0: float | None = None,
+    traj: Trajectory, eps: float, c_tilde: float | None = None, c0: float | None = None
 ) -> OdeBarrierReport:
     """Barrier and integral-inequality check for y(t) = ||h(t)||_p^p.
 
@@ -455,17 +434,15 @@ def ode_barrier_check(
     series and Mbar the sup of the weighted L^1 norm of h over the
     snapshots.  The run should start with y(0) < eps/3.
     """
-    if p != traj.p:
-        raise ValueError(f"trajectory was recorded with p={traj.p}, requested {p}")
     y = traj.lp_p
     if y[0] >= eps / 3.0:
         raise ValueError(f"barrier check needs y(0) < eps/3, got y0={y[0]:.3e}, eps={eps:.3e}")
-    exps = exponents(p, m)
+    exps = exponents(traj.p, traj.m)
     times = traj.times
     above = y > eps
     exit_time = float(times[np.argmax(above)]) if bool(np.any(above)) else None
 
-    req = NormRequest(1.0, m)
+    req = NormRequest(1.0, traj.m)
     m_bar = max(lp_m_norm(h, req) for h in _snapshot_h(traj, range(len(traj.snapshots))))
     if c0 is None:
         c0 = float(np.min(traj.c0))
@@ -499,32 +476,25 @@ def ode_barrier_check(
 @dataclass(frozen=True)
 class SmoothingFitReport:
     slope: float
-    slope_bound: float  # -1/(1+gamma) - tolerance
+    slope_bound: float  # -1/(1+gamma) - SLOPE_TOLERANCE
     envelope_c: float  # calibrated so sup <= C (1 + t^{-1/(1+gamma)}) on the window
     window: tuple[float, float]
     samples: int
     holds: bool
 
 
-def smoothing_fit(
-    traj: Trajectory,
-    p: float,
-    m: float,
-    t_min: float | None = None,
-    t_max: float = 0.5,
-    slope_tolerance: float = 0.15,
-) -> SmoothingFitReport:
+def smoothing_fit(traj: Trajectory, t_min: float | None = None, t_max: float = 0.5) -> SmoothingFitReport:
     """Least-squares decay rate of log ||h||_inf against log t.
 
     The envelope constant is the smallest C with
     ||h(t)||_inf <= C (1 + t^{-1/(1+gamma)}) over the fit window, and
     the fitted slope must not be steeper than -1/(1+gamma) by more than
-    the tolerance (the estimate is an upper envelope, so faster decay at
+    SLOPE_TOLERANCE (the estimate is an upper envelope, so faster decay at
     the fitted-window scale would only flag measurement trouble).
     """
-    exps = exponents(p, m)
+    exps = exponents(traj.p, traj.m)
     if exps.degenerate:
-        raise ValueError(f"smoothing exponent is not positive for (p={p}, m={m})")
+        raise ValueError(f"smoothing exponent is not positive for (p={traj.p}, m={traj.m})")
     if t_min is None:
         t_min = float(traj.times[5]) if len(traj.times) > 5 else 0.0
     idx = _window_indices(traj.times, t_min, t_max)
@@ -540,7 +510,7 @@ def smoothing_fit(
     slope = float(np.polyfit(np.log(t_w), np.log(y_w), 1)[0])
     rate = -1.0 / (1.0 + exps.gamma)
     envelope_c = float(np.max(y_w / (1.0 + t_w**rate)))
-    bound = rate - slope_tolerance
+    bound = rate - SLOPE_TOLERANCE
     return SmoothingFitReport(
         slope=slope,
         slope_bound=bound,

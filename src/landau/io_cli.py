@@ -26,13 +26,13 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from . import analysis
-from .fields import boltzmann_entropy
+from .fields import boltzmann_entropy, maxwellian
 from .grid import Field, make_grid
 from .solver import SCALAR_COLUMNS, InitialDatum, PerturbedMaxwellian, SimConfig, Trajectory, run
 
@@ -174,16 +174,6 @@ def config_to_text(config: SimConfig) -> str:
 # trajectory persistence
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Comma-separated table: floats (NumPy's too) as repr(float(x)), ints and bools via str."""
-
-    def cell(x) -> str:
-        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-
-    lines = [",".join(header)] + [",".join(cell(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _replace_text(target: Path, text: str) -> None:
     """Atomic write: `target` appears complete or not at all."""
     tmp = target.with_name(target.name + ".tmp")
@@ -210,7 +200,8 @@ def write_trajectory(traj: Trajectory, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "traj.json").unlink(missing_ok=True)
 
-    _write_csv(directory / "scalars.csv", SCALAR_COLUMNS, traj.scalar_table())
+    rows = [",".join(map(repr, row)) for row in traj.scalar_table().tolist()]  # reprs read back bit-exactly
+    (directory / "scalars.csv").write_text("\n".join([",".join(SCALAR_COLUMNS), *rows]) + "\n")
     with open(directory / "snapshots.f64", "wb") as fh:
         for snap in traj.snapshots:
             snap.values.astype("<f8", copy=False).tofile(fh)
@@ -312,11 +303,7 @@ def execute_run(config: SimConfig, out: Path) -> Trajectory:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = parse_config(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = parse_config(args.config)
     out = Path(args.out)
     traj = execute_run(config, out)
     status = f"aborted at t={traj.abort_time:.4f}: {traj.abort_reason}" if traj.aborted else "completed"
@@ -340,22 +327,21 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     traj = read_trajectory(directory)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # an older diagnose's files must not sit beside this one's report
-    for name in ("report.json", "levels.csv", "degiorgi.csv", "moments.csv"):
-        (out / name).unlink(missing_ok=True)
+    # an older report must not survive a diagnose that fails
+    (out / "report.json").unlink(missing_ok=True)
     p, m = traj.p, traj.m
     t_end = float(traj.times[-1])
     t_mid = args.t if args.t is not None else 0.25 * t_end
     c0 = args.c0 if args.c0 is not None else float(np.min(traj.c0))
     exps = analysis.exponents(p, m)
     sup_h = float(np.max(traj.linf_h))
-    relative_h = sup_h / traj.equilibrium().max_abs()
+    relative_h = sup_h / maxwellian(traj.grid).max_abs()
 
     report: dict[str, object] = {
         "p": p,
         "m": m,
         "exponents": dataclasses.asdict(exps),
-        "e0": analysis.energy_E0(traj, p, (0.0, t_end)),
+        "e0": analysis.energy_E0(traj, (0.0, t_end)),
         "c0": c0,
         # at roundoff every perturbation quantity in the report is a noise-floor value
         "perturbation": {
@@ -367,46 +353,31 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
     y0 = float(traj.lp_p[0])
     eps = args.eps if args.eps is not None else max(4.0 * y0, 2.0 * float(np.max(traj.lp_p)), 1e-12)
-    barrier = analysis.ode_barrier_check(traj, p, m, eps, c0=c0)
+    barrier = analysis.ode_barrier_check(traj, eps, c0=c0)
     report["ode_barrier"] = dataclasses.asdict(barrier)
 
     ladder = [frac * sup_h for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 0.9)] if sup_h > 0.0 else []
-    if ladder:
-        energies = [analysis.level_set_energy(traj, lev, (0.0, t_end), p, c0) for lev in ladder]
-        _write_csv(
-            out / "levels.csv",
-            ("level", "sup_term", "dissipation_term", "total"),
-            [(lev, ls.sup_term, ls.dissipation_term, ls.total) for lev, ls in zip(ladder, energies)],
-        )
+    report["levels"] = [dataclasses.asdict(analysis.level_set_energy(traj, lev, (0.0, t_end), c0)) for lev in ladder]
 
     if not exps.degenerate and 0.0 < t_mid < t_end:
         # one probe per consecutive pair of ladder levels; each reads only cuts the ladder measured
         report["recurrence"] = [
-            dataclasses.asdict(analysis.level_set_recurrence_check(traj, k, level, 0.0, t_mid, t_end, p, m, c0))
+            dataclasses.asdict(analysis.level_set_recurrence_check(traj, k, level, 0.0, t_mid, t_end, c0))
             for k, level in zip(ladder, ladder[1:])
         ]
-        e0 = analysis.level_set_energy(traj, 0.0, (0.0, t_end), p, c0).total
+        e0 = analysis.level_set_energy(traj, 0.0, (0.0, t_end), c0).total
         K = args.K if args.K is not None else analysis.predict_K(e0, t_mid, t_end, p, m, args.calibration_c)
         if K > 0:
-            dg = analysis.degiorgi_iterate(traj, K, t_mid, t_end, p, m, c0, calibration_c=args.calibration_c)
+            dg = analysis.degiorgi_iterate(traj, K, t_mid, t_end, c0, calibration_c=args.calibration_c)
             report["degiorgi"] = dataclasses.asdict(dg)
-            _write_csv(
-                out / "degiorgi.csv",
-                ("n", "level", "t_n", "energy", "comparison"),
-                [(i, *row) for i, row in enumerate(zip(dg.levels, dg.level_times, dg.energies, dg.comparison))],
-            )
 
     if m > 9.5:
-        bounds = []
-        for theta in (0.0, 2.0, 4.0):
-            if theta <= m:
-                bounds.append(dataclasses.asdict(analysis.moment_bound_check(traj, m, theta)))
-        report["moment_bounds"] = bounds
-        columns = ("theta", "exponent", "c3", "holds")
-        _write_csv(out / "moments.csv", columns, [[b[c] for c in columns] for b in bounds])
+        report["moment_bounds"] = [
+            dataclasses.asdict(analysis.moment_bound_check(traj, theta)) for theta in (0.0, 2.0, 4.0)
+        ]
 
     try:
-        fit = analysis.smoothing_fit(traj, p, m)
+        fit = analysis.smoothing_fit(traj)
         report["smoothing_fit"] = dataclasses.asdict(fit)
     except ValueError as exc:
         report["smoothing_fit"] = {"skipped": str(exc)}
@@ -423,12 +394,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         "signed": boltzmann_entropy(positive),
         "absolute": boltzmann_entropy(positive, absolute=True),
     }
-
-    _write_csv(
-        out / "envelope.csv",
-        ("time", "linf_h", "lp_p", "grad_energy"),
-        zip(traj.times, traj.linf_h, traj.lp_p, traj.grad_energy),
-    )
 
     _replace_text(out / "report.json", json.dumps(report, indent=2, default=float) + "\n")
     print(f"diagnostics written to {out}")
@@ -491,11 +456,7 @@ def _sweep_pool(workers: int) -> Iterator[concurrent.futures.ProcessPoolExecutor
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        base = parse_config(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    base = parse_config(args.config)
     amplitudes = [float(x) for x in args.amplitudes.split(",")] if args.amplitudes else [None]
     ns = [int(x) for x in args.ns.split(",")] if args.ns else [base.n]
     ps = [float(x) for x in args.ps.split(",")] if args.ps else [base.p]
@@ -574,7 +535,7 @@ def cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -506,9 +506,6 @@ class Trajectory:
     abort_reason: str | None = None
     level_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def equilibrium(self) -> Field:
-        return maxwellian(self.grid)
-
     def scalar_table(self) -> np.ndarray:
         """One row per recorded step, columns in SCALAR_COLUMNS order."""
         return np.column_stack([getattr(self, name) for name, _ in SCALAR_SCHEMA])

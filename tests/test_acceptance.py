@@ -218,15 +218,15 @@ def test_criterion_06_exponent_arithmetic():
 
 
 def test_criterion_07_level_iteration(perturbed_corpus):
-    t_mid, t_end, p, m = 0.25, 1.0, 2.0, 12.0
+    t_mid, t_end = 0.25, 1.0
     c0 = min(float(np.min(traj.c0)) for _, traj in perturbed_corpus)
-    calibrated = calibrate_degiorgi_constant([traj for _, traj in perturbed_corpus], t_mid, t_end, p, m, c0)
+    calibrated = calibrate_degiorgi_constant([traj for _, traj in perturbed_corpus], t_mid, t_end, c0)
     all_ok = DEGIORGI_C >= 2.0 * calibrated
     details = []
     for eps, traj in perturbed_corpus:
-        e0 = level_set_energy(traj, 0.0, (0.0, t_end), p, c0).total
-        ceiling = predict_K(e0, t_mid, t_end, p, m, DEGIORGI_C)
-        rep = degiorgi_iterate(traj, ceiling, t_mid, t_end, p, m, c0, calibration_c=DEGIORGI_C)
+        e0 = level_set_energy(traj, 0.0, (0.0, t_end), c0).total
+        ceiling = predict_K(e0, t_mid, t_end, traj.p, traj.m, DEGIORGI_C)
+        rep = degiorgi_iterate(traj, ceiling, t_mid, t_end, c0, calibration_c=DEGIORGI_C)
         ok = rep.verdict and rep.sup_measured <= ceiling
         all_ok = all_ok and ok
         details.append(f"eps={eps:.0e}: K={ceiling:.3f} sup={rep.sup_measured:.3e} verdict={rep.verdict}")
@@ -238,7 +238,7 @@ def test_criterion_07_level_iteration(perturbed_corpus):
 
 
 def test_criterion_08_smoothing_envelope(smoothing32):
-    fit = smoothing_fit(smoothing32, 2.0, 12.0)
+    fit = smoothing_fit(smoothing32)
     report(
         "criterion 8: smoothing envelope and decay slope",
         fit.holds and fit.samples >= 6 and math.isfinite(fit.envelope_c),
@@ -252,7 +252,7 @@ def test_criterion_09_ode_barrier(perturbed_corpus):
     details = []
     # the two smallest amplitudes of the sweep
     for eps, traj in perturbed_corpus[:2]:
-        rep = ode_barrier_check(traj, 2.0, 12.0, eps, c_tilde=DUHAMEL_C_TILDE)
+        rep = ode_barrier_check(traj, eps, c_tilde=DUHAMEL_C_TILDE)
         # no member exits, so the fitted exit horizon is unbounded and
         # the barrier must hold through t_end
         ok = rep.barrier_held and rep.duhamel_holds
@@ -299,7 +299,7 @@ def test_criterion_11_moment_envelopes(perturbed_corpus, twobump32, maxwellian32
     for name, traj in runs:
         c3s = []
         for theta in (0.0, 2.0, 4.0):
-            rep = moment_bound_check(traj, 12.0, theta)
+            rep = moment_bound_check(traj, theta)
             all_ok = all_ok and rep.holds and math.isfinite(rep.c3)
             c3s.append(rep.c3)
         details.append(f"{name}: C3={max(c3s):.2e}")

@@ -18,7 +18,7 @@ from landau.analysis import (
     q_ltheta,
     smoothing_fit,
 )
-from landau.fields import NormRequest, level_set_plus, lp_m_norm, weighted_gradient_energy
+from landau.fields import NormRequest, level_set_plus, lp_m_norm, maxwellian, weighted_gradient_energy
 
 
 class TestExponents:
@@ -112,32 +112,27 @@ class TestPredictK:
 
 class TestEnergyE0:
     def test_noise_floor_on_equilibrium_run(self, maxwellian32):
-        assert energy_E0(maxwellian32, 2.0, (0.0, 1.0)) <= 1e-4
+        assert energy_E0(maxwellian32, (0.0, 1.0)) <= 1e-4
 
     def test_monotone_in_window(self, twobump32):
-        e_small = energy_E0(twobump32, 2.0, (0.0, 0.5))
-        e_large = energy_E0(twobump32, 2.0, (0.0, 1.0))
+        e_small = energy_E0(twobump32, (0.0, 0.5))
+        e_large = energy_E0(twobump32, (0.0, 1.0))
         assert e_large >= e_small
 
     def test_amplitude_response(self, h1_sweep24):
-        windows = {amp: energy_E0(traj, 2.0, (0.0, 0.5)) for amp, traj in h1_sweep24}
+        windows = {amp: energy_E0(traj, (0.0, 0.5)) for amp, traj in h1_sweep24}
         ratio = windows[0.1] / windows[0.05]
         assert 2.0 <= ratio <= 8.0  # near-quadratic response at small amplitude
 
-    def test_other_exponent_rejected(self, twobump32):
-        # the scalar series hold ||h||_p^p at the run's own p only
-        with pytest.raises(ValueError, match="recorded with p=2.0, requested 3.0"):
-            energy_E0(twobump32, 3.0, (0.0, 1.0))
-
     def test_rejects_empty_window(self, twobump32):
         with pytest.raises(ValueError):
-            energy_E0(twobump32, 2.0, (5.0, 6.0))
+            energy_E0(twobump32, (5.0, 6.0))
 
 
 def direct_level_energy(traj, level, c0):
     """(sup term, dissipation term) at p = 2 over every snapshot, each cut differentiated afresh."""
     times = np.asarray(traj.snapshot_times)
-    mu = traj.equilibrium()
+    mu = maxwellian(traj.grid)
     req = NormRequest(2.0)
     sup = 0.0
     diss = []
@@ -150,17 +145,17 @@ def direct_level_energy(traj, level, c0):
 
 class TestLevelSetEnergy:
     def test_zero_level_matches_direct_computation(self, twobump32):
-        report = level_set_energy(twobump32, 0.0, (0.0, 1.0), 2.0, c0=0.0168)
+        report = level_set_energy(twobump32, 0.0, (0.0, 1.0), c0=0.0168)
         assert report.total == pytest.approx(sum(direct_level_energy(twobump32, 0.0, 0.0168)), rel=1e-12)
 
     def test_empty_cut_boundary_matches_direct_computation(self, twobump32):
         # at a snapshot's max h its cut is empty and skipped; one ulp below, its top node is in the cut
-        mu = twobump32.equilibrium()
+        mu = maxwellian(twobump32.grid)
         tops = sorted(float(np.max((snapshot - mu).values)) for snapshot in twobump32.snapshots)
         at = tops[len(tops) // 2]
         assert tops[0] < at < tops[-1]  # both the skipped and the computed path run
         for level in (at, float(np.nextafter(at, 0.0))):
-            report = level_set_energy(dataclasses.replace(twobump32), level, (0.0, 1.0), 2.0, c0=0.0168)
+            report = level_set_energy(dataclasses.replace(twobump32), level, (0.0, 1.0), c0=0.0168)
             sup, dissipation = direct_level_energy(twobump32, level, 0.0168)
             assert (report.sup_term, report.dissipation_term, report.total) == (sup, dissipation, sup + dissipation)
 
@@ -169,7 +164,7 @@ class TestLevelSetEnergy:
         probes = [(frac * top, window) for frac in (0.0, 0.25, 0.5, 0.9, 2.0) for window in ((0.0, 1.0), (0.3, 1.0))]
 
         def totals(traj, order):
-            return {probe: level_set_energy(traj, probe[0], probe[1], 2.0, c0=0.02).total for probe in order}
+            return {probe: level_set_energy(traj, probe[0], probe[1], c0=0.02).total for probe in order}
 
         forward = totals(dataclasses.replace(twobump32), probes)
         assert totals(dataclasses.replace(twobump32), probes[::-1]) == forward
@@ -177,41 +172,41 @@ class TestLevelSetEnergy:
     @pytest.mark.parametrize("level", [math.nan, -1.0, -math.inf])
     def test_rejects_bad_level(self, twobump32, level):
         top = float(np.max(twobump32.linf_h))
-        level_set_energy(twobump32, 2.0 * top, (0.0, 1.0), 2.0, c0=0.02)  # every cut is empty and memoized
+        level_set_energy(twobump32, 2.0 * top, (0.0, 1.0), c0=0.02)  # every cut is empty and memoized
         for window in ((0.0, 1.0), (0.31, 0.32)):  # the second holds no snapshot
             with pytest.raises(ValueError, match="level must be nonnegative"):
-                level_set_energy(twobump32, level, window, 2.0, c0=0.02)
+                level_set_energy(twobump32, level, window, c0=0.02)
         with pytest.raises(ValueError, match="level must be nonnegative"):
-            level_set_plus(twobump32.snapshots[0] - twobump32.equilibrium(), level)
+            level_set_plus(twobump32.snapshots[0] - maxwellian(twobump32.grid), level)
 
     def test_level_above_sup_vanishes(self, twobump32):
         top = float(np.max(twobump32.linf_h))
-        report = level_set_energy(twobump32, 2.0 * top, (0.0, 1.0), 2.0, c0=0.02)
+        report = level_set_energy(twobump32, 2.0 * top, (0.0, 1.0), c0=0.02)
         assert report.total == 0.0
 
     def test_monotone_in_level(self, twobump32):
         top = float(np.max(twobump32.linf_h))
         totals = [
-            level_set_energy(twobump32, lev, (0.0, 1.0), 2.0, c0=0.02).total
+            level_set_energy(twobump32, lev, (0.0, 1.0), c0=0.02).total
             for lev in (0.0, 0.25 * top, 0.5 * top, 0.9 * top)
         ]
         assert all(totals[i + 1] <= totals[i] for i in range(len(totals) - 1))
 
     def test_rejects_out_of_range_window(self, twobump32):
         with pytest.raises(ValueError):
-            level_set_energy(twobump32, 0.0, (0.0, 5.0), 2.0, c0=0.02)
+            level_set_energy(twobump32, 0.0, (0.0, 5.0), c0=0.02)
 
 
 class TestRecurrence:
     def test_rejects_degenerate_probes(self, twobump32):
         with pytest.raises(ValueError):
-            level_set_recurrence_check(twobump32, 0.1, 0.1, 0.0, 0.25, 1.0, 2.0, 12.0, 0.02)
+            level_set_recurrence_check(twobump32, 0.1, 0.1, 0.0, 0.25, 1.0, 0.02)
         with pytest.raises(ValueError):
-            level_set_recurrence_check(twobump32, 0.0, 0.1, 0.25, 0.25, 1.0, 2.0, 12.0, 0.02)
+            level_set_recurrence_check(twobump32, 0.0, 0.1, 0.25, 0.25, 1.0, 0.02)
 
     def test_empty_top_level(self, twobump32):
         top = float(np.max(twobump32.linf_h))
-        rep = level_set_recurrence_check(twobump32, 0.0, 2.0 * top, 0.0, 0.25, 1.0, 2.0, 12.0, 0.02)
+        rep = level_set_recurrence_check(twobump32, 0.0, 2.0 * top, 0.0, 0.25, 1.0, 0.02)
         assert rep.lhs == 0.0
         assert rep.ratio == 0.0
 
@@ -220,7 +215,7 @@ class TestRecurrence:
         top = float(np.max(twobump32.linf_h))
         ratios = []
         for k, frac in ((0.0, 0.5), (0.0, 0.25), (0.005, 0.5)):
-            rep = level_set_recurrence_check(twobump32, k, frac * top, 0.0, 0.25, 1.0, 2.0, 12.0, c0)
+            rep = level_set_recurrence_check(twobump32, k, frac * top, 0.0, 0.25, 1.0, c0)
             ratios.append(rep.ratio)
         assert max(ratios) <= 1e-4  # calibrated headroom; measured ~4.5e-5
 
@@ -228,8 +223,8 @@ class TestRecurrence:
         c0 = float(np.min(twobump32.c0))
         gamma = exponents(2.0, 12.0).gamma
         top = float(np.max(twobump32.linf_h))
-        narrow = level_set_recurrence_check(twobump32, 0.0, 0.25 * top, 0.0, 0.25, 1.0, 2.0, 12.0, c0)
-        wide = level_set_recurrence_check(twobump32, 0.0, 0.5 * top, 0.0, 0.25, 1.0, 2.0, 12.0, c0)
+        narrow = level_set_recurrence_check(twobump32, 0.0, 0.25 * top, 0.0, 0.25, 1.0, c0)
+        wide = level_set_recurrence_check(twobump32, 0.0, 0.5 * top, 0.0, 0.25, 1.0, c0)
         assert wide.rhs_unit <= narrow.rhs_unit / 2.0**gamma * (1.0 + 1e-12)
 
 
@@ -238,14 +233,14 @@ class TestDeGiorgi:
         _, traj = perturbed_corpus[1]
         c0 = float(np.min(traj.c0))
         K = 2.0 * float(np.max(traj.linf_h))
-        rep = degiorgi_iterate(traj, K, 0.25, 1.0, 2.0, 12.0, c0)
+        rep = degiorgi_iterate(traj, K, 0.25, 1.0, c0)
         assert rep.energies[-1] == 0.0
         assert len(rep.energies) <= 3
         assert rep.verdict
 
     def test_equilibrium_run_verifies_any_ceiling(self, maxwellian32):
         c0 = float(np.min(maxwellian32.c0))
-        rep = degiorgi_iterate(maxwellian32, 0.5, 0.25, 1.0, 2.0, 12.0, c0)
+        rep = degiorgi_iterate(maxwellian32, 0.5, 0.25, 1.0, c0)
         assert rep.verdict
         assert rep.energies[-1] < 1e-14
 
@@ -253,14 +248,14 @@ class TestDeGiorgi:
         _, traj = perturbed_corpus[2]
         c0 = float(np.min(traj.c0))
         K = 2.0 * float(np.max(traj.linf_h))
-        low = degiorgi_iterate(traj, K, 0.25, 1.0, 2.0, 12.0, c0)
-        high = degiorgi_iterate(traj, 2.0 * K, 0.25, 1.0, 2.0, 12.0, c0)
+        low = degiorgi_iterate(traj, K, 0.25, 1.0, c0)
+        high = degiorgi_iterate(traj, 2.0 * K, 0.25, 1.0, c0)
         assert low.verdict
         assert high.verdict
 
     def test_levels_and_times_increase_toward_limits(self, perturbed_corpus):
         _, traj = perturbed_corpus[0]
-        rep = degiorgi_iterate(traj, 0.05, 0.25, 1.0, 2.0, 12.0, float(np.min(traj.c0)))
+        rep = degiorgi_iterate(traj, 0.05, 0.25, 1.0, float(np.min(traj.c0)))
         levels = np.asarray(rep.levels)
         times = np.asarray(rep.level_times)
         assert np.all(np.diff(levels) > 0) and np.all(levels < 0.05)
@@ -268,9 +263,9 @@ class TestDeGiorgi:
 
     def test_rejects_bad_window(self, maxwellian32):
         with pytest.raises(ValueError):
-            degiorgi_iterate(maxwellian32, 0.5, 0.0, 1.0, 2.0, 12.0, 0.02)
+            degiorgi_iterate(maxwellian32, 0.5, 0.0, 1.0, 0.02)
         with pytest.raises(ValueError):
-            degiorgi_iterate(maxwellian32, -0.5, 0.25, 1.0, 2.0, 12.0, 0.02)
+            degiorgi_iterate(maxwellian32, -0.5, 0.25, 1.0, 0.02)
 
     def test_calibration_bisects_to_a_verifying_constant(self, perturbed_corpus):
         from landau.analysis import calibrate_degiorgi_constant, predict_K
@@ -278,34 +273,34 @@ class TestDeGiorgi:
 
         _, traj = perturbed_corpus[0]
         c0 = float(np.min(traj.c0))
-        c_cal = calibrate_degiorgi_constant([traj], 0.25, 1.0, 2.0, 12.0, c0)
+        c_cal = calibrate_degiorgi_constant([traj], 0.25, 1.0, c0)
         assert 0.0 < c_cal < 1.0
-        e0 = level_set_energy(traj, 0.0, (0.0, 1.0), 2.0, c0).total
+        e0 = level_set_energy(traj, 0.0, (0.0, 1.0), c0).total
         ceiling = predict_K(e0, 0.25, 1.0, 2.0, 12.0, c_cal)
-        rep = degiorgi_iterate(traj, ceiling, 0.25, 1.0, 2.0, 12.0, c0)
+        rep = degiorgi_iterate(traj, ceiling, 0.25, 1.0, c0)
         assert rep.verdict and rep.sup_measured <= ceiling
 
 
 class TestMomentBound:
     def test_equilibrium_noise_floor(self, maxwellian32):
-        rep = moment_bound_check(maxwellian32, 12.0, 2.0)
+        rep = moment_bound_check(maxwellian32, 2.0)
         assert rep.holds
         assert rep.c3 <= 1e-9
 
     @pytest.mark.parametrize("theta", [0.0, 2.0, 4.0])
     def test_envelope_holds_on_relaxing_run(self, twobump32, theta):
-        rep = moment_bound_check(twobump32, 12.0, theta)
+        rep = moment_bound_check(twobump32, theta)
         assert rep.holds
         assert math.isfinite(rep.c3) and rep.c3 > 0
 
     def test_rejects_weight_above_run_order(self, twobump32):
         with pytest.raises(ValueError):
-            moment_bound_check(twobump32, 12.0, 13.0)
+            moment_bound_check(twobump32, 13.0)
 
 
 class TestOdeBarrier:
     def test_equilibrium_run_never_exits(self, maxwellian32):
-        rep = ode_barrier_check(maxwellian32, 2.0, 12.0, eps=1e-6)
+        rep = ode_barrier_check(maxwellian32, eps=1e-6)
         assert rep.barrier_held
         assert rep.exit_time is None
         assert rep.duhamel_holds
@@ -313,18 +308,18 @@ class TestOdeBarrier:
     def test_rejects_large_initial_data(self, perturbed_corpus):
         eps, traj = perturbed_corpus[0]
         with pytest.raises(ValueError):
-            ode_barrier_check(traj, 2.0, 12.0, eps=float(traj.lp_p[0]))
+            ode_barrier_check(traj, eps=float(traj.lp_p[0]))
 
     def test_duhamel_constant_is_monotone(self, perturbed_corpus):
         eps, traj = perturbed_corpus[1]
-        rep = ode_barrier_check(traj, 2.0, 12.0, eps)
-        again = ode_barrier_check(traj, 2.0, 12.0, eps, c_tilde=rep.c_tilde_min + 1.0)
+        rep = ode_barrier_check(traj, eps)
+        again = ode_barrier_check(traj, eps, c_tilde=rep.c_tilde_min + 1.0)
         assert again.duhamel_holds
 
 
 class TestSmoothingFit:
     def test_rough_datum_fit(self, smoothing32):
-        fit = smoothing_fit(smoothing32, 2.0, 12.0)
+        fit = smoothing_fit(smoothing32)
         assert fit.samples >= 6
         assert fit.holds
         assert fit.envelope_c > 0
@@ -332,19 +327,19 @@ class TestSmoothingFit:
         assert -0.3 < fit.slope < 0.0
 
     def test_refinement_stability(self, smoothing32, smoothing48):
-        coarse = smoothing_fit(smoothing32, 2.0, 12.0)
-        fine = smoothing_fit(smoothing48, 2.0, 12.0)
+        coarse = smoothing_fit(smoothing32)
+        fine = smoothing_fit(smoothing48)
         assert abs(coarse.slope - fine.slope) <= 0.1
 
     def test_envelope_for_smooth_datum(self, maxwellian32):
         # a smooth datum keeps the sup bounded; the envelope holds with
         # the calibrated constant by construction
-        fit = smoothing_fit(maxwellian32, 2.0, 12.0, t_min=0.4, t_max=1.0)
+        fit = smoothing_fit(maxwellian32, t_min=0.4, t_max=1.0)
         assert fit.envelope_c <= float(np.max(maxwellian32.linf_h))
 
     def test_rejects_sparse_window(self, maxwellian32):
         with pytest.raises(ValueError):
-            smoothing_fit(maxwellian32, 2.0, 12.0, t_min=0.9, t_max=1.0)
+            smoothing_fit(maxwellian32, t_min=0.9, t_max=1.0)
 
 
 class TestH1Smallness:

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from landau import analysis, coefficients, io_cli, verify
 from landau.coefficients import CoefficientSet
+from landau.fields import maxwellian
 from landau.grid import Field, SymTensorField, make_grid
 from landau.io_cli import (
     ConfigError,
@@ -395,32 +396,28 @@ class TestCli:
         assert cli(["diagnose", "--traj", str(out), "--out", str(rep)]) == 0
         report = json.loads((rep / "report.json").read_text())
         assert "exponents" in report and "ode_barrier" in report
-        assert (rep / "envelope.csv").is_file()
-        assert (rep / "levels.csv").is_file()
-        levels = (rep / "levels.csv").read_text().splitlines()
-        totals = [float(line.split(",")[3]) for line in levels[1:]]
-        assert all(b <= a for a, b in zip(totals, totals[1:]))  # monotone in the level
-
-        traj = read_trajectory(out)
-        envelope = (rep / "envelope.csv").read_text().splitlines()
-        assert envelope[0] == "time,linf_h,lp_p,grad_energy"
-        cells = np.array([[float(x) for x in line.split(",")] for line in envelope[1:]])
-        expected = np.column_stack([traj.times, traj.linf_h, traj.lp_p, traj.grad_energy])
-        assert cells.tobytes() == expected.tobytes()
+        totals = [level["total"] for level in report["levels"]]
+        assert len(totals) == 6 and all(b <= a for a, b in zip(totals, totals[1:]))  # monotone in the level
         # the recorder and diagnose use the same entropy convention
         last_entropy = float((out / "scalars.csv").read_text().splitlines()[-1].split(",")[SCALAR_COLUMNS.index("entropy")])
         assert report["entropy_final"]["signed"] == last_entropy
 
-    def test_run_directory_holds_the_readme_output_files(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    def test_output_directory_holds_the_readme_files(self, tmp_path, command):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Output formats", 1)[1].split("\n## ", 1)[0]
-        run_part = section.split("`landau diagnose", 1)[0]
-        documented = re.findall(r"^\* `([\w.]+)`", run_part, flags=re.MULTILINE)
-        out = tmp_path / "out"
+        run_part, diagnose_part = section.split("`landau diagnose", 1)
+        part = run_part if command == "run" else diagnose_part
+        documented = sorted(re.findall(r"^\* `([\w.]+)`", part, flags=re.MULTILINE))
+        out, rep = tmp_path / "out", tmp_path / "rep"
         cfg = write_cfg(tmp_path, MINIMAL.replace("n = 32", "n = 16").replace("t_end = 0.5", "t_end = 0.2"))
         assert cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted(documented)
-        assert json.loads((out / "run_manifest.json").read_text())["outputs"] == sorted(documented)
+        if command == "run":
+            assert json.loads((out / "run_manifest.json").read_text())["outputs"] == documented
+        else:
+            assert cli(["diagnose", "--traj", str(out), "--out", str(rep)]) == 0
+            out = rep
+        assert sorted(p.name for p in out.iterdir()) == documented
 
     def test_diagnose_c0_override_reaches_the_ode_barrier(self, small_traj, tmp_path):
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
@@ -452,18 +449,16 @@ class TestCli:
 
         monkeypatch.setattr(analysis, "weighted_gradient_energy", counting)
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
-
-        def rows(name):
-            return [line.split(",") for line in (rep / name).read_text().splitlines()[1:]]
+        report = json.loads((rep / "report.json").read_text())
 
         # the (level, window start) pairs this diagnose evaluated: the ladder and the iteration
-        probes = [(float(row[0]), 0.0) for row in rows("levels.csv")]
-        probes += [(float(row[1]), float(row[2])) for row in rows("degiorgi.csv")]
+        probes = [(level["level"], level["window"][0]) for level in report["levels"]]
+        probes += list(zip(report["degiorgi"]["levels"], report["degiorgi"]["level_times"]))
         traj = read_trajectory(traj_dir)
         needed = set()
         for level, t_start in probes:
             for t, snap in zip(traj.snapshot_times, traj.snapshots):
-                cut = np.maximum((snap - traj.equilibrium()).values - level, 0.0)
+                cut = np.maximum((snap - maxwellian(traj.grid)).values - level, 0.0)
                 if t >= t_start - 1e-12 and np.any(cut > 0.0):
                     needed.add(hash(cut.tobytes()))
         assert len(probes) > 7 and len(needed) > 1
@@ -475,13 +470,11 @@ class TestCli:
         write_trajectory(small_traj, traj_dir)
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
         report = json.loads((rep / "report.json").read_text())
-        ladder = [float(line.split(",")[0]) for line in (rep / "levels.csv").read_text().splitlines()[1:]]
+        ladder = [level["level"] for level in report["levels"]]
         traj = read_trajectory(traj_dir)
         t_end, c0 = float(traj.times[-1]), report["c0"]
         direct = [
-            dataclasses.asdict(
-                analysis.level_set_recurrence_check(traj, k, level, 0.0, 0.25 * t_end, t_end, traj.p, traj.m, c0)
-            )
+            dataclasses.asdict(analysis.level_set_recurrence_check(traj, k, level, 0.0, 0.25 * t_end, t_end, c0))
             for k, level in zip(ladder, ladder[1:])
         ]
         assert len(direct) == 5
@@ -504,7 +497,7 @@ class TestCli:
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
         report = json.loads((rep / "report.json").read_text())
         assert "recurrence" not in report and "degiorgi" not in report
-        assert (rep / "levels.csv").is_file()
+        assert len(report["levels"]) == 6
 
     def test_diagnose_at_t0_writes_no_recurrence(self, small_traj, tmp_path):
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
@@ -517,10 +510,38 @@ class TestCli:
         write_trajectory(small_traj, traj_dir)
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
         assert "degiorgi" in json.loads((rep / "report.json").read_text())
-        assert (rep / "degiorgi.csv").is_file()
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--t", "0"]) == 0
         assert "degiorgi" not in json.loads((rep / "report.json").read_text())
-        assert sorted(p.name for p in rep.iterdir()) == ["envelope.csv", "levels.csv", "moments.csv", "report.json"]
+        assert sorted(p.name for p in rep.iterdir()) == ["report.json"]
+
+    def test_failed_diagnose_leaves_no_older_report(self, small_traj, tmp_path, capsys):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        eps = 2.0 * float(small_traj.lp_p[0])  # below 3 y(0): the ODE barrier check raises
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--eps", repr(eps)]) == 2
+        assert "error: barrier check needs y(0) < eps/3" in capsys.readouterr().err
+        assert list(rep.iterdir()) == []
+
+    def test_report_holds_every_section(self, small_traj, tmp_path):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        assert not analysis.exponents(small_traj.p, small_traj.m).degenerate
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        assert sorted(json.loads((rep / "report.json").read_text())) == [
+            "c0", "degiorgi", "e0", "entropy_final", "exponents", "h1_smallness", "levels", "m",
+            "moment_bounds", "ode_barrier", "p", "perturbation", "recurrence", "smoothing_fit",
+        ]
+
+    @pytest.mark.parametrize("name", ["snapshots.f64", "scalars.csv"])
+    def test_diagnose_reports_a_trajectory_file_that_is_a_directory(self, small_traj, tmp_path, capsys, name):
+        traj_dir = tmp_path / "out"
+        write_trajectory(small_traj, traj_dir)
+        (traj_dir / name).unlink()
+        (traj_dir / name).mkdir()
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(traj_dir / name) in err
 
     @pytest.mark.parametrize("flag", ["--t", "--K", "--c0", "--eps", "--calibration-c"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -565,7 +586,7 @@ class TestCli:
         section = json.loads((rep / "report.json").read_text())["perturbation"]
         traj = read_trajectory(out)
         assert section["linf_h_max"] == float(np.max(traj.linf_h))
-        assert section["relative_to_equilibrium"] == section["linf_h_max"] / traj.equilibrium().max_abs()
+        assert section["relative_to_equilibrium"] == section["linf_h_max"] / maxwellian(traj.grid).max_abs()
         assert section["at_roundoff"] is at_roundoff
 
     def test_determinism_bitwise(self, tmp_path):
