@@ -15,20 +15,33 @@ products on BLAS, not FFTs: at these sizes a 1-D DFT between the box's
 n points and the doubled grid is a small dense matrix, and BLAS
 multiplies by it faster than an FFT walks the strided lines.  The
 forward matrices fold in the zero padding, so no zero is ever
-transformed (Hockney-Eastwood; `_potential_spectrum`).  Their one
-batched product, in the forward pass, is the k2 one; the last stores
-the spectrum as (k2, k3, k1).  The inverse matrices, each one 2-D GEMM,
-crop to the box's n outputs and fold in k^p (`_matrix_inverse`): the
-axis-1 product (the largest) runs once per power b of the monomials
-k1^a k2^b k3^c, and each monomial takes its own axis-0 and axis-2
-products; the last maps the half spectrum straight to real values.  A
-set transforms only the six components of A, which the flux reads: 3
-forward and 15 inverse products.  grad a, which no step reads (the flux
-takes its drift from face differences of a), is transformed from the
-set's density on first read: 3 more forward and 22 inverse products.
-The results agree with full FFTs to roundoff (1.7e-15 relative at
-n = 48), not bit for bit, and do not depend on the number of BLAS
-threads.
+transformed (Hockney-Eastwood; `_potential_spectrum`).
+
+The kernel depends on |z| alone, so its sampled spectrum is real and
+even in each axis, and only its q >= 0 half is read
+(`_kernel_spectrum`).  The two full axes are therefore carried in
+parity form: each line's even part Se(q), q = 0..n, and odd part T(q),
+q = 1..n-1, 2n real rows where a complex spectrum has 2n complex
+entries, so every product, forward and inverse, is one real 2-D GEMM
+that acts on the half axis's re and im alike, and none is batched.  The
+spectrum is stored as (q2, c3, q1), c3 the half axis's re and im
+interleaved.  The Nyquist row q = n of a full axis has no partner, so
+under an odd power of k its term lacks the factor i of the others: it
+is one extra matrix column acting on a spare slab (or column) that holds
+-i Se(n), and the factor i of the odd powers goes into the scale of the
+half-axis matrix (`_parity_inverse_matrices`, `_matrix_inverse`).  The
+q2 product runs once per power b of the monomials k1^a k2^b k3^c, and
+each monomial takes its own q1 and c3 products; the last writes real
+values.  A set transforms only the six components of A, which the flux
+reads: 3 forward and 15 inverse products, 0.81 GFLOP at n = 48 (1.45
+with complex full axes).  grad a, which no step reads (the flux takes
+its drift from face differences of a), is transformed from the set's
+density on first read: 3 more forward and 22 inverse products.  The
+results agree with full irfftn of the same even kernel spectrum to
+roundoff (1.8e-15 relative at n = 48), not bit for bit, and do not
+depend on the number of BLAS threads.  The check routes
+(`biharmonic_potential`, `structural_residuals`) take the full spectrum
+from rfftn of the padded density instead (`_padded_spectrum`).
 
 The eigenvalues run only where they can matter: `lambda_max` on the
 nodes whose Gershgorin row bound reaches the largest diagonal entry,
@@ -83,24 +96,33 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
-    """rfftn of |z|/(8 pi) sampled on the doubled periodic lattice, real part (a (k2, k3, k1) view).
+    """The kernel's doubled-grid spectrum times the cell volume, in the
+    parity layout of `_potential_spectrum`: real, shape (2n+1, n+1, 2n+1),
+    indexed (q2, q3, q1), read-only.
 
+    It is rfftn of |z|/(8 pi) sampled on the doubled periodic lattice.
     Displacements wrap to (-2L, 2L] per axis; the kernel is truncated at
     radius 2*sqrt(3)*L, which covers every displacement reachable from
     sources and targets inside in the original box.  The sampled kernel
-    is even, so its spectrum is real: the imaginary part is rounding
-    (at most 1.4e-17 of the largest real part at n = 8 to 48) and is
-    not kept.
+    is even in each axis, so its spectrum is real and even: the
+    imaginary part (at most 1.4e-17 of the largest real part at n = 8 to
+    48) and the mirror q -> -q of the two full axes (equal to the kept
+    half to 2.7e-17) are rounding.  Only the q >= 0 half is read: each
+    parity row of a full axis takes it at its |q|, so
+    every reader sees one even spectrum by construction, the check
+    routes included (`_padded_spectrum`).
     """
     m = 2 * n
-    dv = 2.0 * extent / n
-    z = np.fft.fftfreq(m, d=1.0 / m) * dv
+    grid = make_grid(n, extent)
+    z = np.fft.fftfreq(m, d=1.0 / m) * grid.spacing
     r = np.sqrt(
         z[:, None, None] ** 2 + z[None, :, None] ** 2 + z[None, None, :] ** 2
     )
     kernel = r / (8.0 * np.pi)
     kernel[r > 2.0 * np.sqrt(3.0) * extent + 1e-12] = 0.0
-    return _read_only(np.fft.rfftn(kernel).real.transpose(1, 2, 0).copy()).transpose(2, 0, 1)
+    half = np.fft.rfftn(kernel).real[: n + 1, : n + 1] * grid.cell_volume
+    q = np.r_[0 : n + 1, 1:n, n]  # |q| of each parity row (`_forward_matrices`)
+    return _read_only(np.ascontiguousarray(half.transpose(1, 2, 0)[np.ix_(q, np.arange(n + 1), q)]))
 
 
 @lru_cache(maxsize=8)
@@ -157,47 +179,95 @@ def _reduced_twiddles(rows: int, columns: int, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _forward_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, G): the padded forward DFT of the box's n points to m = 2n.
+    """(R, P): the padded forward DFT of the box's n points to m = 2n.
 
     R is real of shape (n, 2(n+1)): a line of n values times R is its
     rfft of length m, re and im interleaved as `view(float64)` lays
-    them out.  G is complex of shape (m, n): G times n values is their
-    fft of length m.  The padding is folded in, so no zero is ever
-    transformed.
+    them out.  P is real of shape (2n+1, n): P times a line g is its
+    full DFT of length m in parity form, the even part
+    Se(q) = sum_x cos(2 pi q x / m) g(x) for q = 0..n, then the odd part
+    T(q) = sum_x sin(2 pi q x / m) g(x) for q = 1..n-1 (the DFT at +-q is
+    Se(q) -+ i T(q)), then Se(n) once more, the spare row that
+    `_potential_spectrum` turns into -i Se(n).  The padding is folded in,
+    so no zero is ever transformed.
     """
     m = 2 * n
     half = _reduced_twiddles(n, n + 1, m).conj()
-    full = _reduced_twiddles(m, n, m).conj()
-    return _read_only(half.view(np.float64).copy()), _read_only(full)
+    twiddle = _reduced_twiddles(n + 1, n, m)
+    parity = np.concatenate((twiddle.real, twiddle.imag[1:n], twiddle.real[n:]))
+    return _read_only(half.view(np.float64).copy()), _read_only(parity)
+
+
+def _times_minus_i(re: np.ndarray, im: np.ndarray) -> None:
+    """(re, im) <- (im, -re) in place: the complex values times -i, exactly."""
+    old = re.copy()
+    re[...] = im
+    np.negative(old, out=im)
 
 
 def _potential_spectrum(f: Field) -> np.ndarray:
-    """rfftn of f zero-padded to the doubled grid, times the kernel spectrum
-    and the cell volume, one product per axis: a (k1, k2, k3) view of (k2, k3, k1)
-    storage.  The spectrum is allocated first, then the k3 and k2 buffers."""
+    """The rfftn of f zero-padded to the doubled grid, times the kernel
+    spectrum, in parity form on both full axes: real, shape
+    (2n+1, 2(n+1), 2n+1), indexed (q2, c3, q1).
+
+    q1 and q2 hold the 2n+1 parity rows of `_forward_matrices`, c3 the
+    half axis's re and im interleaved.  The kernel spectrum is even, so
+    each parity row is multiplied by the kernel at its |q|
+    (`_kernel_spectrum`).  The spare slab q2 = 2n and the spare column
+    q1 = 2n then hold -i times the Nyquist slab q2 = n and column q1 = n,
+    which an odd power of k reads without the factor i of its other
+    terms (`_parity_inverse_matrices`).  Three 2-D products, one per
+    axis; the spectrum is allocated first, then the k3 and k1 buffers.
+    The mean mode, the largest entry, is sum(f) times the kernel's
+    largest entry; on data of both signs the sum cancels, and the three
+    nested n-term sums of the products lose up to 3.7e-15 of it at
+    n = 48, where one pairwise `np.sum` keeps it within 6e-16 of rfftn.
+    No output of a set reads it: every monomial has a zero there.
+    """
     grid = f.grid
-    n, m, h = grid.n, 2 * grid.n, grid.n + 1
-    half, full = _forward_matrices(n)
-    spectrum = np.empty((m, h, m), dtype=complex)
-    g2 = np.empty((n, n, h), dtype=complex)
-    g1 = np.empty((n, m, h), dtype=complex)
-    np.matmul(f.values.reshape(n * n, n), half, out=g2.view(np.float64).reshape(n * n, 2 * h))
-    np.matmul(full, g2, out=g1)
-    np.matmul(g1.reshape(n, m * h).T, full.T, out=spectrum.reshape(m * h, m))
-    spectrum *= _kernel_spectrum(n, grid.extent).transpose(1, 2, 0)
-    spectrum *= grid.cell_volume
-    return spectrum.transpose(2, 0, 1)
+    n, c, p = grid.n, 2 * (grid.n + 1), 2 * grid.n + 1
+    half, parity = _forward_matrices(n)
+    spectrum = np.empty((p, c, p))
+    g3 = np.empty((n, n, c))
+    g1 = np.empty((n, c, p))
+    np.matmul(f.values.reshape(n * n, n), half, out=g3.reshape(n * n, c))
+    np.matmul(g3.reshape(n, n * c).T, parity.T, out=g1.reshape(n * c, p))
+    np.matmul(parity, g1.reshape(n, c * p), out=spectrum.reshape(p, c * p))
+    spectrum[0, 0, 0] = np.sum(f.values)
+    parts = spectrum.reshape(p, n + 1, 2, p)
+    parts *= _kernel_spectrum(n, grid.extent)[:, :, None]
+    _times_minus_i(parts[-1, :, 0], parts[-1, :, 1])
+    _times_minus_i(parts[:, :, 0, -1], parts[:, :, 1, -1])
+    return spectrum
 
 
 @lru_cache(maxsize=8)
-def _full_axis_matrices(n: int, extent: float) -> tuple[np.ndarray, ...]:
-    """F[p] = exp(2 pi i j k / m) / m diag(k^p), p = 0..3, of shape (n, 2n):
-    a full axis's spectrum times k^p, inverse-transformed and cropped to
-    the box's n points."""
+def _parity_inverse_matrices(n: int, extent: float) -> tuple[np.ndarray, ...]:
+    """M[p], p = 0..3, real of shape (n, 2n+1): a full axis's spectrum in
+    the parity form of `_potential_spectrum` times k^p, inverse-transformed,
+    cropped to the box's n points and divided by i^(p mod 2).
+
+    The spectrum at +-q is Se(q) -+ i T(q) with the kernel's evenness
+    folded in, so the pair (q, -q) gives 2 k^p (Se cos + T sin) for even
+    p and 2i k^p (Se sin - T cos) for odd p: real columns, with the
+    weights (1, 2, ..., 2, 1)/m over Se.  At the Nyquist row q = n
+    fftfreq puts k = -pi/dv with no partner, so an odd p gives the real
+    term k^p Se(n) (-1)^x / m, without the factor i of the others: its
+    column acts on the spare row, -i Se(n), and the column of Se(n)
+    itself is zero.  For even p the spare column is zero.
+    """
     m = 2 * n
-    twiddle = _reduced_twiddles(n, m, m) / m
-    k = 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * extent / n)
-    return tuple(_read_only(twiddle * k**p) for p in range(4))
+    twiddle = _reduced_twiddles(n, n + 1, m)
+    weight = np.full(n + 1, 2.0 / m)
+    weight[[0, -1]] = 1.0 / m
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * extent / n)[: n + 1]
+    matrices = []
+    for p in range(4):
+        scaled = weight * k**p
+        even, odd = (twiddle.imag, -twiddle.real) if p % 2 else (twiddle.real, twiddle.imag)
+        spare = scaled[n] * twiddle.real[:, n:] if p % 2 else np.zeros((n, 1))
+        matrices.append(_read_only(np.hstack((scaled * even, (scaled * odd)[:, 1:n], spare))))
+    return tuple(matrices)
 
 
 @lru_cache(maxsize=16)
@@ -240,33 +310,38 @@ def _matrix_inverse(f: Field, scale: complex, terms: tuple) -> np.ndarray:
     inverse-transformed and cropped to the box, summed per output: shape
     (outputs, n, n, n).
 
-    Each axis is one 2-D product with a cropped inverse-DFT matrix, none
-    batched.  On the (k2, k3, k1) spectrum the axis-1 product, to (j, k3, k1),
-    runs once per power b; each monomial with that b takes its own axis-0
-    product, to (i, j, k3) lines, and axis-2 product, which writes real values
-    straight into the output.  The output is allocated first, then the spectrum
-    and one buffer per axis that every monomial reuses: in that order glibc's
-    heap does not grow over a run.
+    Each axis is one 2-D real product, none batched, that acts on re and
+    im alike.  On the (q2, c3, q1) parity spectrum the q2 product, to
+    (j, c3, q1), runs once per power b; each monomial with that b takes
+    its own q1 product, to (i, j, c3) lines, and c3 product, which writes
+    real values straight into the output.  Even powers skip the spare
+    slab or column (`_parity_inverse_matrices`), and the factor
+    i^(a mod 2 + b mod 2) that the full axes leave goes into the scale
+    of the half-axis matrix.  The output is allocated first, then the
+    spectrum and one buffer per axis that every monomial reuses: in that
+    order glibc's heap does not grow over a run.
     """
     grid = f.grid
-    n, m, h = grid.n, 2 * grid.n, grid.n + 1
-    full = _full_axis_matrices(n, grid.extent)
-    half = _half_axis_matrices(n, grid.extent, scale)
+    n, c, p = grid.n, 2 * (grid.n + 1), 2 * grid.n + 1
+    full = _parity_inverse_matrices(n, grid.extent)
     outputs = 1 + max(o for *_, o in terms)
     out = np.empty((outputs, n * n, n))
-    spectrum = _potential_spectrum(f).transpose(1, 2, 0).reshape(m, h * m)
-    y1 = np.empty((n, h, m), dtype=complex)
-    g0 = np.empty((n, n, h), dtype=complex)
-    lines = g0.view(np.float64).reshape(n * n, 2 * h)
+    spectrum = _potential_spectrum(f).reshape(p, c * p)
+    y2 = np.empty((n, c, p))
+    g1 = np.empty((n, n, c))
+    lines = g1.reshape(n * n, c)
     written = set()
     for b, monomials in groupby(sorted(terms, key=itemgetter(1)), key=itemgetter(1)):
-        np.matmul(full[b], spectrum, out=y1.reshape(n, h * m))
-        for a, _, c, o in monomials:
-            np.matmul(full[a], y1.reshape(n * h, m).T, out=g0.reshape(n, n * h))
+        rows = p - 1 + b % 2
+        np.matmul(full[b][:, :rows], spectrum[:rows], out=y2.reshape(n, c * p))
+        for a, _, k3, o in monomials:
+            cols = p - 1 + a % 2
+            np.matmul(full[a][:, :cols], y2.reshape(n * c, p)[:, :cols].T, out=g1.reshape(n, n * c))
+            half = _half_axis_matrices(n, grid.extent, scale * (1, 1j, -1)[a % 2 + b % 2])[k3]
             if o in written:
-                out[o] += np.matmul(lines, half[c])
+                out[o] += np.matmul(lines, half)
             else:
-                np.matmul(lines, half[c], out=out[o])
+                np.matmul(lines, half, out=out[o])
                 written.add(o)
     return out.reshape(outputs, n, n, n)
 
@@ -339,6 +414,15 @@ class CoefficientSet:
         return top / self.a.grid.spacing
 
 
+def _padded_spectrum(f: Field) -> np.ndarray:
+    """rfftn of f zero-padded to the doubled grid, times the kernel spectrum
+    mirrored to the full axes: the (k1, k2, k3) spectrum of the check routes."""
+    n = f.grid.n
+    half = _kernel_spectrum(n, f.grid.extent)[: n + 1, :, : n + 1].transpose(2, 0, 1)
+    mirror = np.r_[0 : n + 1, n - 1 : 0 : -1]
+    return np.fft.rfftn(f.values, s=(2 * n,) * 3, axes=(0, 1, 2)) * half[np.ix_(mirror, mirror)]
+
+
 def _cropped_irfftn(spectrum: np.ndarray, n: int) -> np.ndarray:
     """Full irfftn of a doubled-grid spectrum, cropped to the box's n^3 corner (a view)."""
     m = 2 * n
@@ -346,9 +430,9 @@ def _cropped_irfftn(spectrum: np.ndarray, n: int) -> np.ndarray:
 
 
 def biharmonic_potential(f: Field) -> Field:
-    """Free-space convolution of f with |z|/(8 pi) on the original box."""
+    """Free-space convolution of f with |z|/(8 pi) on the original box (full FFTs: a check route)."""
     _check_boundary_decay(f)
-    return Field(f.grid, _cropped_irfftn(_potential_spectrum(f), f.grid.n).copy())
+    return Field(f.grid, _cropped_irfftn(_padded_spectrum(f), f.grid.n).copy())
 
 
 def compute_coefficients(f: Field) -> CoefficientSet:
@@ -377,7 +461,7 @@ def structural_residuals(coeffs: CoefficientSet) -> tuple[float, float]:
     """
     grid = coeffs.density.grid
     n = grid.n
-    phat = _potential_spectrum(coeffs.density)
+    phat = _padded_spectrum(coeffs.density)
     k = _doubled_wavenumbers(n, grid.extent)
 
     lap = _cropped_irfftn(-(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * phat, n)

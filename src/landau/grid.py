@@ -267,8 +267,8 @@ def integrate(field: Field) -> float:
 
 
 def face_pairs(ufunc: np.ufunc, x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """out = ufunc(np.roll(x, -1, axis=k), x) bit for bit, without the
-    rolled copy, for (n, n, n) arrays (out C-contiguous): one ufunc over
+    """out(i) = ufunc(x(i + e_k), x(i)), periodic in axis k, for (n, n, n)
+    arrays (out C-contiguous), with no shifted copy of x: one ufunc over
     the flat arrays shifted by n^(2-k), then the wrap plane i_k = n - 1."""
     shift = x.shape[0] ** (2 - k)
     ufunc(x.reshape(-1)[shift:], x.reshape(-1)[:-shift], out=out.reshape(-1)[:-shift])

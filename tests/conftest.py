@@ -37,14 +37,15 @@ def fft_calls(monkeypatch):
 
 @pytest.fixture
 def matmul_shapes(monkeypatch):
-    """Operand shapes of each numpy.matmul call during the test, in order; clear it to restart the count.
+    """Operand shapes and dtypes, (shape x, shape y, dtype x, dtype y), of each
+    numpy.matmul call during the test, in order; clear it to restart the count.
 
     Products written with the `@` operator do not pass through it.
     """
     shapes = []
 
     def recording(x, y, *args, _real=np.matmul, **kwargs):
-        shapes.append((np.shape(x), np.shape(y)))
+        shapes.append((np.shape(x), np.shape(y), np.asarray(x).dtype, np.asarray(y).dtype))
         return _real(x, y, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording)
