@@ -280,12 +280,9 @@ class DeGiorgiReport:
     q_factor: float
     verdict: bool
     sup_measured: float
-    K_predicted: float
 
 
-def degiorgi_iterate(
-    traj: Trajectory, K: float, t: float, t_end: float, c0: float, calibration_c: float = 1.0
-) -> DeGiorgiReport:
+def degiorgi_iterate(traj: Trajectory, K: float, t: float, t_end: float, c0: float) -> DeGiorgiReport:
     """Nested level-set energies E_n at levels K(1 - 2^-n), times t(1 - 2^-n).
 
     The verdict is whether every computed E_n stays below the geometric
@@ -328,7 +325,6 @@ def degiorgi_iterate(
         q_factor=q_factor,
         verdict=verdict,
         sup_measured=sup_measured,
-        K_predicted=predict_K(e0, t, t_end, p, m, calibration_c),
     )
 
 
@@ -346,7 +342,7 @@ def calibrate_degiorgi_constant(trajs: list[Trajectory], t: float, t_end: float,
             K = predict_K(e0, t, t_end, traj.p, traj.m, c)
             if K <= 0.0:
                 return False
-            rep = degiorgi_iterate(traj, K, t, t_end, c0, calibration_c=c)
+            rep = degiorgi_iterate(traj, K, t, t_end, c0)
             if not rep.verdict or rep.sup_measured > K:
                 return False
         return True

@@ -92,9 +92,6 @@ class Grid:
             self._bracket_powers[exponent] = weight
         return weight
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
 
 def _same_grid(a: Grid, b: Grid) -> None:
     if a != b:
@@ -176,16 +173,6 @@ class SymTensorField:
 
     def trace_values(self) -> np.ndarray:
         return self.values[0] + self.values[1] + self.values[2]
-
-    def matrices(self) -> np.ndarray:
-        """Stack the per-node matrices as (N, 3, 3) for batched linear algebra."""
-        comps = self.values.reshape(6, -1)
-        out = np.empty((comps.shape[1], 3, 3))
-        for idx, (i, j) in enumerate(SYM_COMPONENTS):
-            out[:, i, j] = comps[idx]
-            if i != j:
-                out[:, j, i] = comps[idx]
-        return out
 
     def eigenvalues(self) -> np.ndarray:
         """Per-node eigenvalues, ascending, shape (N, 3).

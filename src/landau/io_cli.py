@@ -7,9 +7,11 @@ A trajectory persists as three files: a scalar CSV (full-precision
 reprs, so the round trip is bit-exact), one raw little-endian float64
 file holding every snapshot back to back (row-major, first velocity
 axis slowest), and a JSON index of the grid, the exponents, the
-snapshot times and the abort state, removed first and written last,
-atomically.  A run manifest is written atomically at the end of every
-run, the fourth file of a run directory.
+snapshot times, the clipped mass and the abort time and reason, removed
+first and written last, atomically.  A run manifest is written
+atomically at the end of every run, the fourth file of a run directory.
+A diagnose removes the older report before it reads anything and writes
+the one `report.json` last, atomically.
 """
 
 from __future__ import annotations
@@ -184,8 +186,7 @@ def _replace_text(target: Path, text: str) -> None:
 # The keys of `traj.json` and the exact JSON types each takes (so true is no number)
 _NUMBER = (int, float)
 _INDEX_TYPES = {"n": (int,), "L": _NUMBER, "p": _NUMBER, "m": _NUMBER, "snapshot_times": (list,),
-                "clipped_mass": _NUMBER, "aborted": (bool,), "abort_time": (*_NUMBER, type(None)),
-                "abort_reason": (str, type(None))}
+                "clipped_mass": _NUMBER, "abort_time": (*_NUMBER, type(None)), "abort_reason": (str, type(None))}
 
 
 def write_trajectory(traj: Trajectory, directory: str | Path) -> None:
@@ -263,7 +264,6 @@ class RunManifest:
     started: float
     finished: float
     outputs: list[str]
-    abort_reason: str | None = None
 
 
 def _library_versions() -> dict[str, str]:
@@ -291,7 +291,6 @@ def execute_run(config: SimConfig, out: Path) -> Trajectory:
             started=started,
             finished=time.time(),
             outputs=sorted({p.name for p in out.iterdir()} | {"run_manifest.json"}),
-            abort_reason=traj.abort_reason,
         ),
         out,
     )
@@ -320,15 +319,14 @@ def _cmd_exponents(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    directory = Path(args.traj)
+    directory, out = Path(args.traj), Path(args.out)
+    # an older report must not survive a diagnose that fails, however early
+    (out / "report.json").unlink(missing_ok=True)
     if not (directory / "traj.json").is_file():
         print(f"error: no trajectory at {directory}", file=sys.stderr)
         return 2
     traj = read_trajectory(directory)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # an older report must not survive a diagnose that fails
-    (out / "report.json").unlink(missing_ok=True)
     p, m = traj.p, traj.m
     t_end = float(traj.times[-1])
     t_mid = args.t if args.t is not None else 0.25 * t_end
@@ -366,10 +364,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             for k, level in zip(ladder, ladder[1:])
         ]
         e0 = analysis.level_set_energy(traj, 0.0, (0.0, t_end), c0).total
-        K = args.K if args.K is not None else analysis.predict_K(e0, t_mid, t_end, p, m, args.calibration_c)
+        K = analysis.predict_K(e0, t_mid, t_end, p, m, args.calibration)
         if K > 0:
-            dg = analysis.degiorgi_iterate(traj, K, t_mid, t_end, c0, calibration_c=args.calibration_c)
-            report["degiorgi"] = dataclasses.asdict(dg)
+            report["degiorgi"] = dataclasses.asdict(analysis.degiorgi_iterate(traj, K, t_mid, t_end, c0))
 
     if m > 9.5:
         report["moment_bounds"] = [
@@ -507,10 +504,11 @@ def cli(argv: list[str] | None = None) -> int:
     p_diag.add_argument("--traj", required=True)
     p_diag.add_argument("--out", required=True)
     p_diag.add_argument("--t", type=_finite_float, default=None, help="iteration window start (default t_end/4)")
-    p_diag.add_argument("--K", type=_finite_float, default=None, help="override the level ceiling")
     p_diag.add_argument("--c0", type=_finite_float, default=None, help="override the coercivity constant")
     p_diag.add_argument("--eps", type=_finite_float, default=None, help="barrier level for the ODE check")
-    p_diag.add_argument("--calibration-c", type=_finite_float, default=1.0)
+    p_diag.add_argument(
+        "--calibration-c", dest="calibration", type=_finite_float, default=1.0, help="constant c of the level ceiling K"
+    )
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")

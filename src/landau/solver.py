@@ -426,7 +426,8 @@ def _clip_negative(values: np.ndarray) -> tuple[np.ndarray, float]:
     clipped_mass = -float(np.sum(values[negative]))
     out = np.where(negative, 0.0, values)
     total = float(np.sum(out))
-    before = total - clipped_mass
+    # a sum that rounds below zero leaves no mass to restore
+    before = max(total - clipped_mass, 0.0)
     if total > 0.0:
         out *= before / total
     return out, clipped_mass
@@ -464,14 +465,14 @@ def _ssp_step(
     return Field(grid, new_vals), clipped
 
 
-def step(f: Field, dt: float, coeffs: CoefficientSet | None = None, clip_negatives: bool = False) -> Field:
-    """One SSP-RK2 update of the state; coefficients built from f when not given."""
+def step(f: Field, dt: float, coeffs: CoefficientSet | None = None) -> Field:
+    """One SSP-RK2 update of the state, unclipped; coefficients built from f when not given."""
     # the residual first, so that its coefficient set is not built beside the weights
     base = _equilibrium_residual(f.grid.n, f.grid.extent)
     weights = _face_weights(compute_coefficients(f) if coeffs is None else coeffs)
     # the stages read the weights alone, so the statistics are left unmeasured
     frozen = FrozenCoefficients(weights, math.nan, math.nan, math.nan)
-    new_f, _ = _ssp_step(f, dt, frozen, rhs(f, frozen).values, base, clip_negatives)
+    new_f, _ = _ssp_step(f, dt, frozen, rhs(f, frozen).values, base, clip_negatives=False)
     return new_f
 
 
@@ -497,6 +498,7 @@ class Trajectory:
 
     Not to be mutated after construction: `level_terms` memoizes the
     per-snapshot level-set terms that `analysis.level_set_energy` computes.
+    A run that stopped early holds the time and the reason of its abort.
     """
 
     grid: Grid
@@ -514,12 +516,14 @@ class Trajectory:
     c0: np.ndarray
     snapshot_times: list[float]
     snapshots: list[Field]
-    config: SimConfig | None = None
     clipped_mass: float = 0.0
-    aborted: bool = False
     abort_time: float | None = None
     abort_reason: str | None = None
     level_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     def scalar_table(self) -> np.ndarray:
         """One row per recorded step, columns in SCALAR_COLUMNS order."""
@@ -587,7 +591,6 @@ class _Recorder:
             m=self.config.m,
             snapshot_times=self.snapshot_times,
             snapshots=self.snapshots,
-            config=self.config,
             **rest,
         )
 
@@ -628,7 +631,7 @@ def run(config: SimConfig) -> Trajectory:
         try:
             f_new, clipped = _ssp_step(f, dt, coeffs, slope, base, config.clip_negatives)
         except BlowUpError as exc:
-            abort = {"aborted": True, "abort_time": t, "abort_reason": str(exc)}
+            abort = {"abort_time": t, "abort_reason": str(exc)}
             break
         since_rebuild += 1
         slope = rhs(f_new, coeffs).values
@@ -645,7 +648,7 @@ def run(config: SimConfig) -> Trajectory:
                 # retry from the old state on its own coefficients, rebuilt
                 dt_control = dt * ratio
                 if dt_control < 1e-12 * config.t_end:
-                    abort = {"aborted": True, "abort_time": t, "abort_reason": f"step size underflow at dt {dt:.1e}"}
+                    abort = {"abort_time": t, "abort_reason": f"step size underflow at dt {dt:.1e}"}
                     break
                 coeffs = None
                 coeffs = FrozenCoefficients.of(compute_coefficients(f))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from landau.fields import NormRequest, lp_m_norm, maxwellian
-from landau.grid import make_grid
+from landau.grid import SymTensorField, make_grid
 from landau.solver import (
     AnisotropicGaussian,
     Maxwellian,
@@ -50,6 +50,12 @@ def matmul_shapes(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", recording)
     return shapes
+
+
+def stacked_matrices(tensor: SymTensorField) -> np.ndarray:
+    """The node matrices of `tensor` as one (N, 3, 3) stack, for `np.linalg.eigvalsh`."""
+    rows = [[tensor.component(i, j).reshape(-1) for j in range(3)] for i in range(3)]
+    return np.moveaxis(np.array(rows), -1, 0)
 
 
 def timed_run(config: SimConfig):
@@ -132,11 +138,14 @@ def smoothing48():
 
 
 @pytest.fixture(scope="session")
-def relaxation32():
+def relaxation32_config():
     """The stated relaxation configuration (anisotropic datum, t_end = 2)."""
-    traj, _ = timed_run(
-        SimConfig(n=32, t_end=2.0, cfl=0.25, initial=AnisotropicGaussian((0.8, 1.0, 1.2)), snapshot_every=2)
-    )
+    return SimConfig(n=32, t_end=2.0, cfl=0.25, initial=AnisotropicGaussian((0.8, 1.0, 1.2)), snapshot_every=2)
+
+
+@pytest.fixture(scope="session")
+def relaxation32(relaxation32_config):
+    traj, _ = timed_run(relaxation32_config)
     return traj
 
 

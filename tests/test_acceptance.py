@@ -152,7 +152,7 @@ def _anisotropy_efold(traj, t0: float, t1: float) -> float:
     return (t1 - t0) / math.log(anisotropy(t0) / anisotropy(t1))
 
 
-def test_criterion_05_relaxation_halving_at_stated_horizon(relaxation32, trio48):
+def test_criterion_05_relaxation_halving_at_stated_horizon(relaxation32_config, relaxation32, trio48):
     # The equation promises no halving by t = 2: its anisotropy relaxes
     # with an e-fold near 55 (halving time near 38).  The stated run is
     # held to that clock instead.  The e-fold of T3 - T1 from the stored
@@ -165,10 +165,10 @@ def test_criterion_05_relaxation_halving_at_stated_horizon(relaxation32, trio48)
     # bounds of 10% are twice the measured n = 32 error; the order bound
     # of 1.5 rejects first-order convergence and a clock off by a constant
     # factor, which leaves the error nearly unchanged under refinement.
-    theta = relaxation32.config.initial.temperatures
+    theta = relaxation32_config.initial.temperatures
     rates = _gaussian_temperature_rates(theta)
     tau_exact = (theta[2] - theta[0]) / (rates[0] - rates[2])
-    t_end = relaxation32.config.t_end
+    t_end = relaxation32_config.t_end
     tau = {
         "32 [0, 2]": _anisotropy_efold(relaxation32, 0.0, t_end),
         "32 [0, 1]": _anisotropy_efold(relaxation32, 0.0, 1.0),
@@ -226,7 +226,7 @@ def test_criterion_07_level_iteration(perturbed_corpus):
     for eps, traj in perturbed_corpus:
         e0 = level_set_energy(traj, 0.0, (0.0, t_end), c0).total
         ceiling = predict_K(e0, t_mid, t_end, traj.p, traj.m, DEGIORGI_C)
-        rep = degiorgi_iterate(traj, ceiling, t_mid, t_end, c0, calibration_c=DEGIORGI_C)
+        rep = degiorgi_iterate(traj, ceiling, t_mid, t_end, c0)
         ok = rep.verdict and rep.sup_measured <= ceiling
         all_ok = all_ok and ok
         details.append(f"eps={eps:.0e}: K={ceiling:.3f} sup={rep.sup_measured:.3e} verdict={rep.verdict}")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import stacked_matrices
 from landau import coefficients
 from landau.coefficients import (
     CoefficientSet,
@@ -288,7 +289,7 @@ class TestTransformOnRead:
         grid = make_grid(8, 8.0)
         a = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
         coeffs = CoefficientSet(
-            A=SymTensorField(grid, np.zeros((6, *grid.shape))), a=Field(grid, a), density=Field(grid, grid.zeros())
+            A=SymTensorField(grid, np.zeros((6, *grid.shape))), a=Field(grid, a), density=Field(grid, np.zeros(grid.shape))
         )
         faces = []
         for node in np.ndindex(grid.shape):
@@ -311,7 +312,7 @@ def full_pass(tensor: SymTensorField) -> tuple[float, float]:
 def screened(values: np.ndarray) -> CoefficientSet:
     grid = make_grid(values.shape[1], 4.0)
     return CoefficientSet(
-        A=SymTensorField(grid, values), a=Field(grid, grid.zeros()), density=Field(grid, grid.zeros())
+        A=SymTensorField(grid, values), a=Field(grid, np.zeros(grid.shape)), density=Field(grid, np.zeros(grid.shape))
     )
 
 
@@ -436,7 +437,7 @@ class TestComputeCoefficients:
         # c0 is min over |v| <= L/2 of <v>^3 lambda_min(A).  The closed form agrees with LAPACK to a few
         # ulps of each node's largest eigenvalue (4.5 at most here, ~1.6e-15 over the grid), not bit for bit
         ball = (grid48.radius2 <= (0.5 * grid48.extent) ** 2).reshape(-1)
-        lam = np.linalg.eigvalsh(coeffs48.A.matrices()[ball])
+        lam = np.linalg.eigvalsh(stacked_matrices(coeffs48.A)[ball])
         weight = (1.0 + grid48.radius2.reshape(-1)[ball]) ** 1.5
         slack = 8.0 * np.finfo(float).eps * weight * lam[:, 2]
         assert np.min(weight * lam[:, 0] - slack) <= coeffs48.c0_empirical <= np.min(weight * lam[:, 0] + slack)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import stacked_matrices
 from landau.fields import maxwellian
 from landau.grid import (
     SYM_COMPONENTS,
@@ -83,7 +84,7 @@ class TestFieldContainers:
         tensor = SymTensorField(grid, vals)
         assert np.all(tensor.component(0, 1) == tensor.component(1, 0))
         assert np.all(tensor.trace_values() == vals[0] + vals[1] + vals[2])
-        mats = tensor.matrices()
+        mats = stacked_matrices(tensor)
         np.testing.assert_array_equal(mats[:, 0, 2], mats[:, 2, 0])
 
 
@@ -99,7 +100,7 @@ def tensor_with_eigenvalues(eigenvalues, rotations) -> SymTensorField:
 
 def assert_matches_eigvalsh(tensor: SymTensorField, reference=None) -> None:
     got = tensor.eigenvalues()
-    ref = np.linalg.eigvalsh(tensor.matrices()) if reference is None else reference
+    ref = np.linalg.eigvalsh(stacked_matrices(tensor)) if reference is None else reference
     assert got.shape == ref.shape
     assert np.all(np.diff(got, axis=1) >= 0.0)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref), axis=1, keepdims=True))
@@ -146,7 +147,7 @@ class TestSymTensorEigenvalues:
         # scaling by a power of two is exact, so the eigenvalues scale exactly
         base = tensor_with_eigenvalues(np.random.default_rng(5).standard_normal((512, 3)), self.rotations(6))
         scaled = SymTensorField(base.grid, np.ldexp(base.values, exponent))
-        assert_matches_eigvalsh(scaled, np.ldexp(np.linalg.eigvalsh(base.matrices()), exponent))
+        assert_matches_eigvalsh(scaled, np.ldexp(np.linalg.eigvalsh(stacked_matrices(base)), exponent))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -157,7 +158,7 @@ class TestSymTensorEigenvalues:
     def test_property_matches_eigvalsh(self, eigenvalues, rotation, exponent):
         base = tensor_with_eigenvalues(eigenvalues, rotation)
         scaled = SymTensorField(base.grid, np.ldexp(base.values, exponent))
-        assert_matches_eigvalsh(scaled, np.ldexp(np.linalg.eigvalsh(base.matrices()), exponent))
+        assert_matches_eigvalsh(scaled, np.ldexp(np.linalg.eigvalsh(stacked_matrices(base)), exponent))
 
 
 class TestIntegrate:

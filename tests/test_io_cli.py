@@ -190,7 +190,6 @@ def _trajectories(draw):
         snapshot_times=draw(st.lists(_FINITE, min_size=count, max_size=count)),
         snapshots=[Field(grid, draw(hnp.arrays(np.float64, grid.shape, elements=_FINITE))) for _ in range(count)],
         clipped_mass=draw(_FINITE),
-        aborted=draw(st.booleans()),
         abort_time=draw(st.none() | _FINITE),
         abort_reason=draw(st.none() | st.text()),
     )
@@ -280,8 +279,7 @@ class TestTrajectoryPersistence:
     @pytest.mark.parametrize(
         "key, value",
         [("n", 16.0), ("n", True), ("L", "8.0"), ("p", None), ("m", [12.0]), ("snapshot_times", 0.0),
-         ("snapshot_times", [0.0, "0.1"]), ("clipped_mass", False), ("aborted", 0), ("abort_time", "1.0"),
-         ("abort_reason", 3)],
+         ("snapshot_times", [0.0, "0.1"]), ("clipped_mass", False), ("abort_time", "1.0"), ("abort_reason", 3)],
     )
     def test_index_mistyped_key_rejected(self, small_traj, tmp_path, capsys, key, value):
         out = tmp_path / "out"
@@ -377,6 +375,7 @@ class TestCli:
 
     def test_diagnose_missing_directory(self, tmp_path, capsys):
         assert cli(["diagnose", "--traj", str(tmp_path / "nope"), "--out", str(tmp_path / "rep")]) == 2
+        assert not (tmp_path / "rep").exists()
 
     def test_run_missing_config(self, tmp_path):
         assert cli(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "out")]) == 2
@@ -386,7 +385,6 @@ class TestCli:
         out = tmp_path / "out"
         assert cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["abort_reason"] is None
         assert "scalars.csv" in manifest["outputs"]
         # run time depends on the BLAS behind the coefficient transforms
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -523,6 +521,21 @@ class TestCli:
         assert "error: barrier check needs y(0) < eps/3" in capsys.readouterr().err
         assert list(rep.iterdir()) == []
 
+    @pytest.mark.parametrize("damage", ["torn_snapshots", "no_index"])
+    def test_unreadable_trajectory_leaves_no_older_report(self, small_traj, tmp_path, capsys, damage):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        if damage == "torn_snapshots":
+            snapshots = traj_dir / "snapshots.f64"
+            snapshots.write_bytes(snapshots.read_bytes()[:-8])
+        else:
+            (traj_dir / "traj.json").unlink()
+        capsys.readouterr()
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (rep / "report.json").exists()
+
     def test_report_holds_every_section(self, small_traj, tmp_path):
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
         write_trajectory(small_traj, traj_dir)
@@ -543,7 +556,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(traj_dir / name) in err
 
-    @pytest.mark.parametrize("flag", ["--t", "--K", "--c0", "--eps", "--calibration-c"])
+    @pytest.mark.parametrize("flag", ["--t", "--c0", "--eps", "--calibration-c"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_diagnose_rejects_non_finite_overrides(self, small_traj, tmp_path, capsys, flag, value):
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"

@@ -1,0 +1,24 @@
+"""The import layering of the README's module table, each module loaded in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CORE = ("grid", "fields", "coefficients", "solver", "analysis")
+# each core module loads the ones before it; the two front ends load all of them but not each other
+LOADED = {name: set(CORE[: i + 1]) for i, name in enumerate(CORE)} | {
+    "verify": {*CORE, "verify"},
+    "io_cli": {*CORE, "io_cli"},
+}
+
+
+@pytest.mark.parametrize("module", list(LOADED))
+def test_a_module_loads_only_the_layers_below_it(module):
+    probe = f"import sys, landau.{module}; print(*(m[7:] for m in sys.modules if m.startswith('landau.')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert set(out.stdout.split()) == LOADED[module]

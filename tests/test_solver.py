@@ -3,7 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import landau.solver as solver_mod
 from landau.coefficients import CoefficientSet, compute_coefficients
@@ -199,7 +200,7 @@ class TestRhs:
         f = Field(grid, rng.uniform(0.5, 1.5, grid.shape))
         A = SymTensorField(grid, rng.uniform(-1.0, 1.0, (6, *grid.shape)))
         a = Field(grid, rng.uniform(-1.0, 1.0, grid.shape))
-        coeffs = CoefficientSet(A=A, a=a, density=Field(grid, grid.zeros()))
+        coeffs = CoefficientSet(A=A, a=a, density=Field(grid, np.zeros(grid.shape)))
         out = rhs(f, coeffs).values
         reference = _two_point_rhs(f.values, A, a.values, grid.spacing)
         assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(reference))
@@ -252,7 +253,7 @@ def _synthetic_coeffs(grid, diag: float) -> CoefficientSet:
     return CoefficientSet(
         A=SymTensorField(grid, tensor),
         a=Field(grid, np.full(grid.shape, 3.0 * diag)),
-        density=Field(grid, grid.zeros()),
+        density=Field(grid, np.zeros(grid.shape)),
     )
 
 
@@ -298,7 +299,7 @@ class TestStableDt:
         rng = np.random.default_rng(8)
         A = SymTensorField(grid, rng.uniform(-1.0, 1.0, (6, *grid.shape)))
         a = rng.uniform(-1.0, 1.0, grid.shape)
-        coeffs = CoefficientSet(A=A, a=Field(grid, a), density=Field(grid, grid.zeros()))
+        coeffs = CoefficientSet(A=A, a=Field(grid, a), density=Field(grid, np.zeros(grid.shape)))
         inv_dv2 = 1.0 / grid.spacing**2
         expected = np.empty((3, 4, *grid.shape))
         for k, (j1, j2) in enumerate(((1, 2), (0, 2), (0, 1))):
@@ -406,6 +407,22 @@ class TestRun:
         traj = run(SimConfig(n=16, t_end=0.3, cfl=0.25, clip_negatives=True, initial=TwoBump(2.0)))
         assert traj.clipped_mass >= 0.0
         assert np.max(np.abs(traj.mass - traj.mass[0])) <= 1e-12
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(values=hnp.arrays(np.float64, st.integers(1, 200), elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    @example(values=np.array([0.92, -0.06, -0.78, -0.08000000000000006]))  # sum 1.4e-17, the clipped sum rounds to -1.1e-16
+    def test_property_clip_accounting(self, values):
+        assume(np.sum(values) > 0.0)
+        out, clipped = solver_mod._clip_negative(values.copy())
+        assert np.all(out >= 0.0)
+        assert clipped == -float(np.sum(values[values < 0.0]))
+        assert abs(float(np.sum(out)) - float(np.sum(values))) <= 4.0 * np.finfo(float).eps * float(np.sum(np.abs(values)))
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(values=hnp.arrays(np.float64, st.integers(1, 200), elements=st.floats(0.0, 1e3)))
+    def test_property_clip_leaves_nonnegative_values_alone(self, values):
+        out, clipped = solver_mod._clip_negative(values)
+        assert out is values and clipped == 0.0
 
     def test_eigenvalues_only_at_ball_and_screened_nodes(self, monkeypatch):
         cfg = SimConfig(n=16, t_end=0.3, cfl=0.25, initial=TwoBump(2.0))
