@@ -79,7 +79,7 @@ class ExponentSet:
 
 
 def exponents(p: float, m: float) -> ExponentSet:
-    """All exponents for given (p, m); the two gamma routes must agree.
+    """All exponents for given (p, m).
 
     gamma > 0 iff m > (9/2)(p-1)/(p-3/2); that case is flagged via
     ``degenerate`` rather than rejected.
@@ -90,9 +90,6 @@ def exponents(p: float, m: float) -> ExponentSet:
         raise ValueError(f"exponents require m > 0, got {m}")
     gamma = (2.0 * (p - 1.5) / (3.0 * m)) * (m - 4.5 * (p - 1.0) / (p - 1.5))
     q = (5.0 / 3.0) * p - 3.0 * (p - 1.0) / m
-    gamma_from_q = q - (p + 1.0)
-    if abs(gamma - gamma_from_q) > 1e-12 * max(1.0, abs(gamma)):
-        raise AssertionError(f"gamma routes disagree: {gamma} vs {gamma_from_q}")
     inner = max(1.0, p * (p - 1.5) / (p * p - 2.0 * p + 1.5))
     return ExponentSet(
         p=p,

@@ -29,19 +29,21 @@ interleaved.  The Nyquist row q = n of a full axis has no partner, so
 under an odd power of k its term lacks the factor i of the others: it
 is one extra matrix column acting on a spare slab (or column) that holds
 -i Se(n), and the factor i of the odd powers goes into the scale of the
-half-axis matrix (`_parity_inverse_matrices`, `_matrix_inverse`).  The
-q2 product runs once per power b of the monomials k1^a k2^b k3^c, and
-each monomial takes its own q1 and c3 products; the last writes real
-values.  A set transforms only the six components of A, which the flux
-reads: 3 forward and 15 inverse products, 0.81 GFLOP at n = 48 (1.45
-with complex full axes).  grad a, which no step reads (the flux takes
-its drift from face differences of a), is transformed from the set's
-density on first read: 3 more forward and 22 inverse products.  The
-results agree with full irfftn of the same even kernel spectrum to
-roundoff (1.8e-15 relative at n = 48), not bit for bit, and do not
-depend on the number of BLAS threads.  The check routes
-(`biharmonic_potential`, `structural_residuals`) take the full spectrum
-from rfftn of the padded density instead (`_padded_spectrum`).
+half-axis matrix (`_parity_inverse_matrices`, `_matrix_inverse`).  Each
+output is one monomial k1^a k2^b k3^c times a scale: the q2 product
+runs once per power b, and each output takes its own q1 and c3
+products; the last writes real values.  A set transforms only the six
+components of A, which the flux reads: 3 forward and 15 inverse
+products, 0.81 GFLOP at n = 48 (1.45 with complex full axes).  grad a,
+which no step reads (the flux takes its drift from face differences of
+a), is transformed from the set's density on first read, as the
+monomials -i k_i on the kernel spectrum times |k|^2: 3 more forward and
+8 inverse products, 0.53 GFLOP at n = 48.  The results agree with full
+irfftn of the same even kernel spectrum to roundoff (1.9e-15 relative at
+n = 48), not bit for bit, and do not depend on the number of BLAS
+threads.  The check routes (`biharmonic_potential`,
+`structural_residuals`) take the full spectrum from rfftn of the padded
+density instead (`_padded_spectrum`).
 
 The eigenvalues run only where they can matter: `lambda_max` on the
 nodes whose Gershgorin row bound reaches the largest diagonal entry,
@@ -63,8 +65,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -205,21 +205,22 @@ def _times_minus_i(re: np.ndarray, im: np.ndarray) -> None:
     np.negative(old, out=im)
 
 
-def _potential_spectrum(f: Field) -> np.ndarray:
-    """The rfftn of f zero-padded to the doubled grid, times the kernel
-    spectrum, in parity form on both full axes: real, shape
-    (2n+1, 2(n+1), 2n+1), indexed (q2, c3, q1).
+def _potential_spectrum(f: Field, kernel: np.ndarray) -> np.ndarray:
+    """The rfftn of f zero-padded to the doubled grid, times `kernel`, in
+    parity form on both full axes: real, shape (2n+1, 2(n+1), 2n+1),
+    indexed (q2, c3, q1).
 
     q1 and q2 hold the 2n+1 parity rows of `_forward_matrices`, c3 the
-    half axis's re and im interleaved.  The kernel spectrum is even, so
-    each parity row is multiplied by the kernel at its |q|
-    (`_kernel_spectrum`).  The spare slab q2 = 2n and the spare column
-    q1 = 2n then hold -i times the Nyquist slab q2 = n and column q1 = n,
-    which an odd power of k reads without the factor i of its other
-    terms (`_parity_inverse_matrices`).  Three 2-D products, one per
-    axis; the spectrum is allocated first, then the k3 and k1 buffers.
-    The mean mode, the largest entry, is sum(f) times the kernel's
-    largest entry; on data of both signs the sum cancels, and the three
+    half axis's re and im interleaved.  `kernel` is an even spectrum in
+    the layout of `_kernel_spectrum`, each parity row at its |q|: that
+    spectrum itself, or it times |k|^2 (`CoefficientSet.grad_a`).  The
+    spare slab q2 = 2n and the spare column q1 = 2n then hold -i times
+    the Nyquist slab q2 = n and column q1 = n, which an odd power of k
+    reads without the factor i of its other terms
+    (`_parity_inverse_matrices`).  Three 2-D products, one per axis; the
+    spectrum is allocated first, then the k3 and k1 buffers.  The mean
+    mode is sum(f) times the kernel at q = 0, the largest entry of the
+    kernel spectrum; on data of both signs the sum cancels, and the three
     nested n-term sums of the products lose up to 3.7e-15 of it at
     n = 48, where one pairwise `np.sum` keeps it within 6e-16 of rfftn.
     No output of a set reads it: every monomial has a zero there.
@@ -235,7 +236,7 @@ def _potential_spectrum(f: Field) -> np.ndarray:
     np.matmul(parity, g1.reshape(n, c * p), out=spectrum.reshape(p, c * p))
     spectrum[0, 0, 0] = np.sum(f.values)
     parts = spectrum.reshape(p, n + 1, 2, p)
-    parts *= _kernel_spectrum(n, grid.extent)[:, :, None]
+    parts *= kernel[:, :, None]
     _times_minus_i(parts[-1, :, 0], parts[-1, :, 1])
     _times_minus_i(parts[:, :, 0, -1], parts[:, :, 1, -1])
     return spectrum
@@ -243,7 +244,7 @@ def _potential_spectrum(f: Field) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _parity_inverse_matrices(n: int, extent: float) -> tuple[np.ndarray, ...]:
-    """M[p], p = 0..3, real of shape (n, 2n+1): a full axis's spectrum in
+    """M[p], p = 0..2, real of shape (n, 2n+1): a full axis's spectrum in
     the parity form of `_potential_spectrum` times k^p, inverse-transformed,
     cropped to the box's n points and divided by i^(p mod 2).
 
@@ -262,7 +263,7 @@ def _parity_inverse_matrices(n: int, extent: float) -> tuple[np.ndarray, ...]:
     weight[[0, -1]] = 1.0 / m
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=2.0 * extent / n)[: n + 1]
     matrices = []
-    for p in range(4):
+    for p in range(3):
         scaled = weight * k**p
         even, odd = (twiddle.imag, -twiddle.real) if p % 2 else (twiddle.real, twiddle.imag)
         spare = scaled[n] * twiddle.real[:, n:] if p % 2 else np.zeros((n, 1))
@@ -272,7 +273,7 @@ def _parity_inverse_matrices(n: int, extent: float) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=16)
 def _half_axis_matrices(n: int, extent: float, scale: complex) -> tuple[np.ndarray, ...]:
-    """W[c], c = 0..3, real of shape (2(n+1), n): irfft of the half
+    """W[c], c = 0..2, real of shape (2(n+1), n): irfft of the half
     spectrum times scale k3^c, cropped to the box's n points.
 
     The rows take the spectrum's re and im interleaved, as
@@ -288,7 +289,7 @@ def _half_axis_matrices(n: int, extent: float, scale: complex) -> tuple[np.ndarr
     weight[[0, -1]] = 1.0 / m
     k = 2.0 * np.pi * np.fft.rfftfreq(m, d=2.0 * extent / n)
     matrices = []
-    for c in range(4):
+    for c in range(3):
         rotated = (scale * weight * k**c)[:, None] * rows
         matrices.append(_read_only(np.stack((rotated.real, -rotated.imag), axis=1).reshape(2 * (n + 1), n)))
     return tuple(matrices)
@@ -299,22 +300,22 @@ def _monomial(*factors: int) -> tuple[int, int, int]:
     return tuple(factors.count(axis) for axis in range(3))
 
 
-# A_ij is -k_i k_j (SYM_COMPONENTS order) and grad_i a is -1j k_i |k|^2:
-# a scale times a sum of monomials, listed as (a, b, c, output).
-_TENSOR_TERMS = tuple((*_monomial(i, j), o) for o, (i, j) in enumerate(SYM_COMPONENTS))
-_DRIFT_TERMS = tuple((*_monomial(i, j, j), i) for i in range(3) for j in range(3))
+# A_ij is -k_i k_j on the kernel spectrum (SYM_COMPONENTS order), and
+# grad_i a is -1j k_i on the kernel spectrum times |k|^2: one monomial per output.
+_TENSOR_TERMS = tuple(_monomial(i, j) for i, j in SYM_COMPONENTS)
+_DRIFT_TERMS = tuple(_monomial(i) for i in range(3))
 
 
-def _matrix_inverse(f: Field, scale: complex, terms: tuple) -> np.ndarray:
-    """scale times the listed monomials times the potential spectrum of f,
-    inverse-transformed and cropped to the box, summed per output: shape
-    (outputs, n, n, n).
+def _matrix_inverse(f: Field, kernel: np.ndarray, scale: complex, terms: tuple) -> np.ndarray:
+    """scale times each listed monomial times the spectrum of f under
+    `kernel` (`_potential_spectrum`), inverse-transformed and cropped to
+    the box: one output per monomial, shape (len(terms), n, n, n).
 
     Each axis is one 2-D real product, none batched, that acts on re and
     im alike.  On the (q2, c3, q1) parity spectrum the q2 product, to
     (j, c3, q1), runs once per power b; each monomial with that b takes
     its own q1 product, to (i, j, c3) lines, and c3 product, which writes
-    real values straight into the output.  Even powers skip the spare
+    real values straight into its output.  Even powers skip the spare
     slab or column (`_parity_inverse_matrices`), and the factor
     i^(a mod 2 + b mod 2) that the full axes leave goes into the scale
     of the half-axis matrix.  The output is allocated first, then the
@@ -324,26 +325,20 @@ def _matrix_inverse(f: Field, scale: complex, terms: tuple) -> np.ndarray:
     grid = f.grid
     n, c, p = grid.n, 2 * (grid.n + 1), 2 * grid.n + 1
     full = _parity_inverse_matrices(n, grid.extent)
-    outputs = 1 + max(o for *_, o in terms)
-    out = np.empty((outputs, n * n, n))
-    spectrum = _potential_spectrum(f).reshape(p, c * p)
+    out = np.empty((len(terms), n * n, n))
+    spectrum = _potential_spectrum(f, kernel).reshape(p, c * p)
     y2 = np.empty((n, c, p))
     g1 = np.empty((n, n, c))
-    lines = g1.reshape(n * n, c)
-    written = set()
-    for b, monomials in groupby(sorted(terms, key=itemgetter(1)), key=itemgetter(1)):
+    for b in sorted({b for _, b, _ in terms}):
         rows = p - 1 + b % 2
         np.matmul(full[b][:, :rows], spectrum[:rows], out=y2.reshape(n, c * p))
-        for a, _, k3, o in monomials:
-            cols = p - 1 + a % 2
-            np.matmul(full[a][:, :cols], y2.reshape(n * c, p)[:, :cols].T, out=g1.reshape(n, n * c))
-            half = _half_axis_matrices(n, grid.extent, scale * (1, 1j, -1)[a % 2 + b % 2])[k3]
-            if o in written:
-                out[o] += np.matmul(lines, half)
-            else:
-                np.matmul(lines, half, out=out[o])
-                written.add(o)
-    return out.reshape(outputs, n, n, n)
+        for o, (a, power, k3) in enumerate(terms):
+            if power == b:
+                cols = p - 1 + a % 2
+                np.matmul(full[a][:, :cols], y2.reshape(n * c, p)[:, :cols].T, out=g1.reshape(n, n * c))
+                half = _half_axis_matrices(n, grid.extent, scale * (1, 1j, -1)[a % 2 + b % 2])[k3]
+                np.matmul(g1.reshape(n * n, c), half, out=out[o])
+    return out.reshape(len(terms), n, n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,11 +357,19 @@ class CoefficientSet:
     def grad_a(self) -> VecField:
         """grad a[f], transformed from `density` on first read.
 
+        a has the symbol -|k|^2 on the kernel spectrum, so grad_i a is the
+        monomial k_i, scale -1j, on the kernel spectrum times the k^2 of
+        each parity row's |q| (the row map of `_kernel_spectrum`).
         No step of a run reads it: the flux takes its drift from face
         differences of a (`drift_max`).  Verification and the bound
         checks do, and get the values an eager transform would give.
         """
-        return VecField(self.density.grid, _matrix_inverse(self.density, -1j, _DRIFT_TERMS))
+        grid = self.density.grid
+        n = grid.n
+        full, _, half = _doubled_wavenumbers(n, grid.extent)
+        k2 = full.ravel()[np.r_[0 : n + 1, 1:n, n]] ** 2
+        laplacian = _kernel_spectrum(n, grid.extent) * (k2[:, None, None] + half.reshape(-1, 1) ** 2 + k2)
+        return VecField(grid, _matrix_inverse(self.density, laplacian, -1j, _DRIFT_TERMS))
 
     @cached_property
     def lambda_max(self) -> float:
@@ -444,7 +447,7 @@ def compute_coefficients(f: Field) -> CoefficientSet:
     """
     _check_boundary_decay(f)
     grid = f.grid
-    A = SymTensorField(grid, _matrix_inverse(f, -1.0, _TENSOR_TERMS))
+    A = SymTensorField(grid, _matrix_inverse(f, _kernel_spectrum(grid.n, grid.extent), -1.0, _TENSOR_TERMS))
     return CoefficientSet(A=A, a=Field(grid, A.trace_values()), density=f)
 
 

@@ -7,8 +7,8 @@ A trajectory persists as three files: a scalar CSV (full-precision
 reprs, so the round trip is bit-exact), one raw little-endian float64
 file holding every snapshot back to back (row-major, first velocity
 axis slowest), and a JSON index of the grid, the exponents, the
-snapshot times, the clipped mass and the abort time and reason, removed
-first and written last, atomically.  A run manifest is written
+snapshot times, the clipped mass and the abort reason, removed first
+and written last, atomically.  A run manifest is written
 atomically at the end of every run, the fourth file of a run directory.
 A diagnose removes the older report before it reads anything and writes
 the one `report.json` last, atomically.
@@ -186,7 +186,7 @@ def _replace_text(target: Path, text: str) -> None:
 # The keys of `traj.json` and the exact JSON types each takes (so true is no number)
 _NUMBER = (int, float)
 _INDEX_TYPES = {"n": (int,), "L": _NUMBER, "p": _NUMBER, "m": _NUMBER, "snapshot_times": (list,),
-                "clipped_mass": _NUMBER, "abort_time": (*_NUMBER, type(None)), "abort_reason": (str, type(None))}
+                "clipped_mass": _NUMBER, "abort_reason": (str, type(None))}
 
 
 def write_trajectory(traj: Trajectory, directory: str | Path) -> None:
@@ -472,10 +472,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     failures = 0
     with _sweep_pool(min(args.workers if args.workers is not None else os.cpu_count() or 1, len(jobs))) as pool:
-        for line, ok in pool.map(_sweep_worker, jobs):
+        for job, future in [(job, pool.submit(_sweep_worker, job)) for job in jobs]:
+            try:
+                line, ok = future.result()
+            except concurrent.futures.BrokenExecutor:
+                line, ok = _sweep_alone(job)
             print(line, flush=True)
             failures += 0 if ok else 1
     return 0 if failures == 0 else 1
+
+
+def _sweep_alone(job: tuple[SimConfig, str]) -> tuple[str, bool]:
+    """Rerun a member that a dead worker took down with the pool, in a pool
+    of its own, so that only the member whose worker dies is reported."""
+    with _sweep_pool(1) as pool:
+        try:
+            return pool.submit(_sweep_worker, job).result()
+        except concurrent.futures.BrokenExecutor:
+            return f"[FAILED] {job[1]}: worker process died", False
 
 
 def _finite_float(raw: str) -> float:

@@ -73,6 +73,7 @@ __all__ = [
     "initial_datum",
     "rhs",
     "stable_dt",
+    "equilibrium_residual",
     "step",
     "run",
 ]
@@ -403,8 +404,8 @@ def stable_dt(f: Field, coeffs: CoefficientSet | FrozenCoefficients, cfl: float)
 
 
 @lru_cache(maxsize=8)
-def _equilibrium_residual(n: int, extent: float) -> np.ndarray:
-    """Raw flux-divergence residual at the sampled equilibrium (per grid)."""
+def equilibrium_residual(n: int, extent: float) -> np.ndarray:
+    """Raw flux-divergence residual at the sampled equilibrium (cached per grid; read-only use)."""
     grid = make_grid(n, extent)
     mu = maxwellian(grid)
     return rhs(mu, compute_coefficients(mu)).values
@@ -441,7 +442,7 @@ def _ssp_step(
     `slope` is rhs(f, coeffs).values, the raw first-stage divergence; it
     is consumed, as the first stage's buffer.  Stage derivatives are the
     equilibrium-balanced flux divergence, the raw one less `base`, the
-    grid's `_equilibrium_residual`.  Returns the new field and the
+    grid's `equilibrium_residual`.  Returns the new field and the
     (quadrature-weighted) mass removed by negative clipping, zero when
     clipping is disabled or inactive.
     """
@@ -468,7 +469,7 @@ def _ssp_step(
 def step(f: Field, dt: float, coeffs: CoefficientSet | None = None) -> Field:
     """One SSP-RK2 update of the state, unclipped; coefficients built from f when not given."""
     # the residual first, so that its coefficient set is not built beside the weights
-    base = _equilibrium_residual(f.grid.n, f.grid.extent)
+    base = equilibrium_residual(f.grid.n, f.grid.extent)
     weights = _face_weights(compute_coefficients(f) if coeffs is None else coeffs)
     # the stages read the weights alone, so the statistics are left unmeasured
     frozen = FrozenCoefficients(weights, math.nan, math.nan, math.nan)
@@ -498,7 +499,7 @@ class Trajectory:
 
     Not to be mutated after construction: `level_terms` memoizes the
     per-snapshot level-set terms that `analysis.level_set_energy` computes.
-    A run that stopped early holds the time and the reason of its abort.
+    A run that stopped early holds the reason of its abort, at its last row.
     """
 
     grid: Grid
@@ -517,13 +518,17 @@ class Trajectory:
     snapshot_times: list[float]
     snapshots: list[Field]
     clipped_mass: float = 0.0
-    abort_time: float | None = None
     abort_reason: str | None = None
     level_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def aborted(self) -> bool:
         return self.abort_reason is not None
+
+    @property
+    def abort_time(self) -> float | None:
+        """The last recorded time of an aborted run, else None: an abort records no row."""
+        return float(self.times[-1]) if self.aborted else None
 
     def scalar_table(self) -> np.ndarray:
         """One row per recorded step, columns in SCALAR_COLUMNS order."""
@@ -612,7 +617,7 @@ def run(config: SimConfig) -> Trajectory:
     """
     f = initial_datum(config)
     grid = f.grid
-    base = _equilibrium_residual(grid.n, grid.extent)  # before the run's first set, not beside it
+    base = equilibrium_residual(grid.n, grid.extent)  # before the run's first set, not beside it
     recorder = _Recorder(grid, config)
     # each set lives only until its weights and statistics exist
     coeffs = FrozenCoefficients.of(compute_coefficients(f))
@@ -624,14 +629,14 @@ def run(config: SimConfig) -> Trajectory:
     since_rebuild = 0
     dt_control = math.inf
     clipped_total = 0.0
-    abort: dict = {}
+    abort_reason = None
     while t < config.t_end * (1.0 - 1e-12):
         target = min(snapshots * config.snapshot_every * DT_CAP, config.t_end)
         dt = _next_dt(min(dt_control, stable_dt(f, coeffs, config.cfl)), target - t)
         try:
             f_new, clipped = _ssp_step(f, dt, coeffs, slope, base, config.clip_negatives)
         except BlowUpError as exc:
-            abort = {"abort_time": t, "abort_reason": str(exc)}
+            abort_reason = str(exc)
             break
         since_rebuild += 1
         slope = rhs(f_new, coeffs).values
@@ -648,7 +653,7 @@ def run(config: SimConfig) -> Trajectory:
                 # retry from the old state on its own coefficients, rebuilt
                 dt_control = dt * ratio
                 if dt_control < 1e-12 * config.t_end:
-                    abort = {"abort_time": t, "abort_reason": f"step size underflow at dt {dt:.1e}"}
+                    abort_reason = f"step size underflow at dt {dt:.1e}"
                     break
                 coeffs = None
                 coeffs = FrozenCoefficients.of(compute_coefficients(f))
@@ -664,4 +669,4 @@ def run(config: SimConfig) -> Trajectory:
         snapshots += landed
         recorder.record(t, dt, f, coeffs, snapshot=landed)
 
-    return recorder.build(clipped_mass=clipped_total, **abort)
+    return recorder.build(clipped_mass=clipped_total, abort_reason=abort_reason)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
+from landau import io_cli
 from landau.fields import NormRequest, lp_m_norm, maxwellian
 from landau.grid import SymTensorField, make_grid
 from landau.solver import (
@@ -50,6 +52,14 @@ def matmul_shapes(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", recording)
     return shapes
+
+
+def dying_sweep_worker(job):
+    """`io_cli._sweep_worker`, except that the worker given an n = 16 member
+    dies at once; at module level, so spawned sweep workers can import it."""
+    if job[0].n == 16:
+        os._exit(3)
+    return io_cli._sweep_worker(job)
 
 
 def stacked_matrices(tensor: SymTensorField) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import dying_sweep_worker
 from landau import analysis, coefficients, io_cli, verify
 from landau.coefficients import CoefficientSet
 from landau.fields import maxwellian
@@ -190,7 +191,6 @@ def _trajectories(draw):
         snapshot_times=draw(st.lists(_FINITE, min_size=count, max_size=count)),
         snapshots=[Field(grid, draw(hnp.arrays(np.float64, grid.shape, elements=_FINITE))) for _ in range(count)],
         clipped_mass=draw(_FINITE),
-        abort_time=draw(st.none() | _FINITE),
         abort_reason=draw(st.none() | st.text()),
     )
 
@@ -211,9 +211,6 @@ def test_property_trajectory_round_trip_bitwise(traj, tmp_path_factory):
     assert [_bits(s.values) for s in loaded.snapshots] == [_bits(s.values) for s in traj.snapshots]
     assert _bits(loaded.clipped_mass) == _bits(traj.clipped_mass)
     assert loaded.aborted is traj.aborted
-    assert (loaded.abort_time is None) == (traj.abort_time is None)
-    if traj.abort_time is not None:
-        assert _bits(loaded.abort_time) == _bits(traj.abort_time)
     assert loaded.abort_reason == traj.abort_reason
 
 
@@ -279,7 +276,7 @@ class TestTrajectoryPersistence:
     @pytest.mark.parametrize(
         "key, value",
         [("n", 16.0), ("n", True), ("L", "8.0"), ("p", None), ("m", [12.0]), ("snapshot_times", 0.0),
-         ("snapshot_times", [0.0, "0.1"]), ("clipped_mass", False), ("abort_time", "1.0"), ("abort_reason", 3)],
+         ("snapshot_times", [0.0, "0.1"]), ("clipped_mass", False), ("abort_reason", 3)],
     )
     def test_index_mistyped_key_rejected(self, small_traj, tmp_path, capsys, key, value):
         out = tmp_path / "out"
@@ -351,8 +348,12 @@ class TestTrajectoryPersistence:
         write_trajectory(traj, tmp_path / "out")
         loaded = read_trajectory(tmp_path / "out")
         assert loaded.aborted
-        assert loaded.abort_time == traj.abort_time
+        assert loaded.abort_time == traj.abort_time == traj.times[-1]
         assert loaded.abort_reason == traj.abort_reason
+        # an older index still holds the abort time; the key is ignored
+        index = tmp_path / "out" / "traj.json"
+        index.write_text(json.dumps({**json.loads(index.read_text()), "abort_time": 99.0}))
+        assert read_trajectory(tmp_path / "out").abort_time == traj.times[-1]
 
 
 class TestCli:
@@ -657,6 +658,21 @@ class TestCli:
         assert parse_config(out / "ampbase_n16_p2.0" / "config.cfg").n == 16
         assert (out / "ampbase_n16_p2.0" / "run_manifest.json").is_file()
 
+    def test_sweep_survives_a_dead_worker(self, tmp_path, capsys, monkeypatch):
+        # the n = 16 member's worker dies and breaks the pool; the members it took down are rerun alone
+        monkeypatch.setattr(io_cli, "_sweep_worker", dying_sweep_worker)
+        base = write_cfg(tmp_path, MINIMAL.replace("t_end = 0.5", "t_end = 0.2"), name="base.cfg")
+        out = tmp_path / "sweep"
+        rc = cli(["sweep", "--config", str(base), "--out", str(out), "--ns", "8,16,12", "--workers", "2"])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"[ok] {out / 'ampbase_n8_p2.0'}",
+            f"[FAILED] {out / 'ampbase_n16_p2.0'}: worker process died",
+            f"[ok] {out / 'ampbase_n12_p2.0'}",
+        ]
+        for n in (8, 12):
+            assert (out / f"ampbase_n{n}_p2.0" / "run_manifest.json").is_file()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_workers_share_the_cores_blas_threads(self, monkeypatch, workers):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
@@ -718,8 +734,8 @@ class TestCli:
         else:
             real = coefficients._matrix_inverse
 
-            def inflated(f, scale, terms):
-                return (3.0 if terms is coefficients._DRIFT_TERMS else 1.0) * real(f, scale, terms)
+            def inflated(f, kernel, scale, terms):
+                return (3.0 if terms is coefficients._DRIFT_TERMS else 1.0) * real(f, kernel, scale, terms)
 
             monkeypatch.setattr(coefficients, "_matrix_inverse", inflated)
         assert cli(["verify", "--n", "24"]) == 1
@@ -730,10 +746,10 @@ class TestCli:
         builds = []
         real = coefficients._matrix_inverse
 
-        def counting(f, scale, terms):
+        def counting(f, kernel, scale, terms):
             if terms is coefficients._DRIFT_TERMS:
                 builds.append(f)
-            return real(f, scale, terms)
+            return real(f, kernel, scale, terms)
 
         monkeypatch.setattr(coefficients, "_matrix_inverse", counting)
         verify.run_verification(n=24)

@@ -270,7 +270,7 @@ class TestStableDt:
         assert stable_dt(Field(grid, np.zeros(grid.shape)), _synthetic_coeffs(grid, 0.0), 0.5) > 1e20
         # a run on vanishing coefficients steps from snapshot time to snapshot time, then to t_end;
         # the grid's equilibrium residual is cached first, so that it is not cached as zero
-        solver_mod._equilibrium_residual(grid.n, grid.extent)
+        solver_mod.equilibrium_residual(grid.n, grid.extent)
         monkeypatch.setattr(solver_mod, "compute_coefficients", lambda f: _synthetic_coeffs(f.grid, 0.0))
         traj = run(SimConfig(n=16, t_end=0.5, snapshot_every=2, initial=TwoBump(2.0)))
         np.testing.assert_allclose(traj.times, [0.0, 0.2, 0.4, 0.5], rtol=0.0, atol=1e-15)
@@ -426,7 +426,7 @@ class TestRun:
 
     def test_eigenvalues_only_at_ball_and_screened_nodes(self, monkeypatch):
         cfg = SimConfig(n=16, t_end=0.3, cfl=0.25, initial=TwoBump(2.0))
-        solver_mod._equilibrium_residual(cfg.n, cfg.extent)  # its set never needs eigenvalues
+        solver_mod.equilibrium_residual(cfg.n, cfg.extent)  # its set never needs eigenvalues
         sets, full_passes, nodes = [], [], {}
         build, eigenvalues, eigenvalues_at = (
             solver_mod.compute_coefficients, SymTensorField.eigenvalues, SymTensorField.eigenvalues_at
@@ -471,7 +471,7 @@ class TestRun:
         # is rejected and retried; with one rebuild per three steps each set serves several
         cfg = SimConfig(n=16, t_end=0.6, cfl=1.0, snapshot_every=snapshot_every, coefficient_refresh=refresh,
                         initial=TwoBump(2.0))
-        solver_mod._equilibrium_residual(cfg.n, cfg.extent)  # its set is built outside the run
+        solver_mod.equilibrium_residual(cfg.n, cfg.extent)  # its set is built outside the run
         sets, builds = [], []
         build, weights = solver_mod.compute_coefficients, solver_mod._face_weights
 
