@@ -1,7 +1,8 @@
 """Invariant measurements and the suite behind the ``verify`` subcommand.
 
 Each function below measures one invariant and returns plain numbers:
-coefficient-oracle gaps, structural residuals over a probe corpus,
+coefficient-oracle gaps, the gap of A to the Maxwellian's closed form,
+structural residuals over a probe corpus,
 conservation drifts along trajectories, the refinement order of the
 equilibrium residual, and the exponent-identity residual.  They are the
 single implementation of these checks: ``run_verification`` applies its
@@ -12,6 +13,7 @@ their own fixtures and bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,6 +36,7 @@ __all__ = [
     "conservation_drifts",
     "corpus_fields",
     "exponent_residual",
+    "maxwellian_closed_form_gap",
     "oracle_gaps",
     "residual_order",
     "run_verification",
@@ -71,16 +74,16 @@ def structural_worst(sets: Iterable[CoefficientSet]) -> tuple[float, float]:
     return max(r[0] for r in residuals), max(r[1] for r in residuals)
 
 
-def oracle_gaps(grid: Grid) -> tuple[float, float, float]:
+def oracle_gaps(coeffs: CoefficientSet) -> tuple[float, float, float]:
     """Gaps between the spectral coefficients of the Maxwellian and independent values.
 
-    Returns the worst relative gap of A and a against the direct-quadrature
-    oracle (each entry scaled by max(|a|, |A_ij|)), the worst relative gap
-    of grad a (scaled by |grad a|), both at 10 nodes drawn uniformly with
-    ``default_rng(0)``, and the absolute error of a(0) against (2 pi)^{-3/2}.
+    `coeffs` is the set of `maxwellian(grid)`.  Returns the worst relative
+    gap of A and a against the direct-quadrature oracle (each entry scaled
+    by max(|a|, |A_ij|)), the worst relative gap of grad a (scaled by
+    |grad a|), both at 10 nodes drawn uniformly with ``default_rng(0)``,
+    and the absolute error of a(0) against (2 pi)^{-3/2}.
     """
-    mu = maxwellian(grid)
-    coeffs = compute_coefficients(mu)
+    mu, grid = coeffs.density, coeffs.density.grid
     picks = np.random.default_rng(0).integers(0, grid.n, size=(10, 3))
     oracle = direct_quadrature_coefficients(mu, [tuple(grid.axis[i] for i in pick) for pick in picks])
     gap_A = gap_grad = 0.0
@@ -95,6 +98,33 @@ def oracle_gaps(grid: Grid) -> tuple[float, float, float]:
         gap_grad = max(gap_grad, float(np.max(np.abs(spec_grad - ora.grad_a))) / scale)
     mid = grid.n // 2
     return gap_A, gap_grad, abs(float(coeffs.a.values[mid, mid, mid]) - (2.0 * np.pi) ** -1.5)
+
+
+def maxwellian_closed_form_gap(coeffs: CoefficientSet) -> float:
+    """Sup error of A over the nodes 0 < |v| <= 4 against the closed form
+    of the unit Maxwellian, relative to max |A|; `coeffs` is the set of
+    `maxwellian(grid)`.
+
+    Phi = g / 8 pi with g(r) = (r + 1/r) erf(r/sqrt2) + sqrt(2/pi) e^{-r^2/2},
+    and A = Phi'' rr + (Phi'/r)(I - rr), r the unit vector v/|v|
+    (Rosenbluth, MacDonald & Judd, Phys. Rev. 107, 1957).
+    """
+    A = coeffs.A
+    grid = A.grid
+    r2 = grid.radius2
+    ball = (r2 > 0.0) & (r2 <= 16.0)
+    r2 = r2[ball]
+    r = np.sqrt(r2)
+    erf = np.array([math.erf(x / math.sqrt(2.0)) for x in r])
+    gauss = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r2)
+    radial = ((1.0 - 1.0 / r2) * erf + gauss / r) / (8.0 * math.pi * r)  # Phi'/r
+    second = (2.0 * erf / r**3 - 2.0 * gauss / r2) / (8.0 * math.pi)  # Phi''
+    v = [np.broadcast_to(x, grid.shape)[ball] for x in grid.coords]
+    gap = 0.0
+    for i, j in SYM_COMPONENTS:
+        exact = (second - radial) * v[i] * v[j] / r2 + (radial if i == j else 0.0)
+        gap = max(gap, float(np.max(np.abs(A.component(i, j)[ball] - exact))))
+    return gap / float(np.max(np.abs(A.values)))
 
 
 def conservation_drifts(trajs: Iterable[Trajectory]) -> tuple[float, float, float, float]:
@@ -164,10 +194,12 @@ def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
     trace, div = structural_worst(sets)
     bounds = [coefficient_upper_bounds(coeffs, 2.0) for coeffs in sets]
     a_ratio, grad_ratio = max(b.a_ratio for b in bounds), max(b.grad_a_ratio for b in bounds)
-    gap_A, gap_grad, a0_err = oracle_gaps(grid)
-    # the a(0) tolerance is calibrated at n = 48, L = 8 (spacing 1/3) and
-    # scales with the second-order spacing error
+    gap_A, gap_grad, a0_err = oracle_gaps(sets[0])  # corpus_fields(grid)[0] is the Maxwellian
+    closed_gap = maxwellian_closed_form_gap(sets[0])
+    # the a(0) and closed-form tolerances are calibrated at n = 48, L = 8
+    # (spacing 1/3) and scale with the second- and fourth-order spacing errors
     a0_tol = 2e-4 * (grid.spacing * 3.0) ** 2
+    closed_tol = 1e-3 * (grid.spacing * 3.0) ** 4
     runs = [
         run(SimConfig(n=n, extent=extent, t_end=0.5, cfl=0.25, initial=initial, snapshot_every=5))
         for initial in (Maxwellian(), AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0))
@@ -208,5 +240,10 @@ def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
             "coefficient upper bounds",
             a_ratio <= 0.16 and grad_ratio <= 0.5,
             f"p = 2: ||A||_inf ratio {a_ratio:.3f} (tol 0.16), ||grad a||_3 ratio {grad_ratio:.3f} (tol 0.5)",
+        ),
+        CheckResult(
+            "closed-form Maxwellian diffusion matrix",
+            closed_gap <= closed_tol,
+            f"sup |A - A_exact| over 0 < |v| <= 4, relative to max |A|: {closed_gap:.2e} (tol {closed_tol:.1e})",
         ),
     ]

@@ -60,7 +60,7 @@ def report(name: str, passed: bool, detail: str) -> None:
 
 def test_criterion_01_coefficient_oracle_equivalence():
     start = time.perf_counter()
-    gap_A, gap_grad, a0_err = oracle_gaps(make_grid(48, 8.0))
+    gap_A, gap_grad, a0_err = oracle_gaps(compute_coefficients(maxwellian(make_grid(48, 8.0))))
     elapsed = time.perf_counter() - start
     report(
         "criterion 1: coefficient oracle equivalence",

@@ -704,7 +704,7 @@ class TestCli:
         monkeypatch.setattr(verify, "run_verification", recording)
         assert cli(["verify", "--n", "24"]) == 0
         out = capsys.readouterr().out
-        assert "[FAIL]" not in out and out.splitlines()[-1] == "7/7 checks passed"
+        assert "[FAIL]" not in out and out.splitlines()[-1] == "8/8 checks passed"
         assert all(type(r.passed) is bool for r in results)
 
     def test_verify_fails_on_broken_trace(self, capsys, monkeypatch):
@@ -718,7 +718,7 @@ class TestCli:
         assert cli(["verify", "--n", "24"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] trace and divergence identities" in out
-        assert out.splitlines()[-1] == "6/7 checks passed"
+        assert out.splitlines()[-1] == "7/8 checks passed"
 
     @pytest.mark.parametrize("inflate", ["A", "grad_a"])
     def test_verify_fails_on_inflated_coefficients(self, capsys, monkeypatch, inflate):
@@ -734,27 +734,27 @@ class TestCli:
         else:
             real = coefficients._matrix_inverse
 
-            def inflated(f, kernel, scale, terms):
-                return (3.0 if terms is coefficients._DRIFT_TERMS else 1.0) * real(f, kernel, scale, terms)
+            def inflated(f, kernel, terms):
+                return (3.0 if terms is coefficients._DRIFT_TERMS else 1.0) * real(f, kernel, terms)
 
             monkeypatch.setattr(coefficients, "_matrix_inverse", inflated)
         assert cli(["verify", "--n", "24"]) == 1
         assert "[FAIL] coefficient upper bounds" in capsys.readouterr().out
 
     def test_verify_builds_each_grad_a_once(self, monkeypatch):
-        # the structural residuals and the upper bounds read one set per probe field
+        # the structural residuals, the upper bounds and the oracle read one set per probe field
         builds = []
         real = coefficients._matrix_inverse
 
-        def counting(f, kernel, scale, terms):
+        def counting(f, kernel, terms):
             if terms is coefficients._DRIFT_TERMS:
                 builds.append(f)
-            return real(f, kernel, scale, terms)
+            return real(f, kernel, terms)
 
         monkeypatch.setattr(coefficients, "_matrix_inverse", counting)
         verify.run_verification(n=24)
-        # one per probe field, and the oracle's Maxwellian
-        assert len(builds) == len(verify.corpus_fields(make_grid(24, 8.0))) + 1
+        # one per probe field; the oracle reads the Maxwellian's, the first
+        assert len(builds) == len(verify.corpus_fields(make_grid(24, 8.0)))
 
     def test_verify_upper_bounds_read_the_corpus_worst(self):
         grid = make_grid(24, 8.0)
