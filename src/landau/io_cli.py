@@ -230,8 +230,8 @@ def read_trajectory(directory: str | Path) -> Trajectory:
 
     The k = len(snapshot_times) snapshots are read as one (k, n, n, n)
     array and handed out as views.  A missing or mistyped index key, a
-    torn table or a snapshot file of the wrong size raises ValueError
-    naming the file.
+    torn or non-numeric table or a snapshot file of the wrong size raises
+    ValueError naming the file.
     """
     directory = Path(directory)
     index = _read_index(directory / "traj.json")
@@ -242,6 +242,13 @@ def read_trajectory(directory: str | Path) -> Trajectory:
     lines = scalars.read_text().splitlines()
     if not lines or lines[0] != ",".join(SCALAR_COLUMNS):
         raise ValueError(f"unexpected scalar header in {scalars}")
+    rows = [line.split(",") for line in lines[1:]]
+    if not rows or any(len(row) != len(SCALAR_COLUMNS) for row in rows):
+        raise ValueError(f"{scalars}: expected at least one row of {len(SCALAR_COLUMNS)} values")
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{scalars}: {exc}") from None
 
     path = directory / "snapshots.f64"
     raw = np.fromfile(path, dtype="<f8")
@@ -252,8 +259,7 @@ def read_trajectory(directory: str | Path) -> Trajectory:
 
     # the other keys are `Trajectory` fields of the same name
     rest = {key: index[key] for key in _INDEX_TYPES if key not in ("n", "L", "snapshot_times")}
-    rows = [line.split(",") for line in lines[1:]]
-    return Trajectory.from_rows(rows, str(scalars), grid=grid, snapshot_times=snapshot_times, snapshots=snapshots, **rest)
+    return Trajectory(grid=grid, table=table, snapshot_times=snapshot_times, snapshots=snapshots, **rest)
 
 
 @dataclass

@@ -39,11 +39,12 @@ roundoff, and removes the spurious entropy production the raw residual
 would otherwise pump into near-equilibrium states.  The raw operator
 remains available as :func:`rhs`.
 
-A run records the conserved moments, entropy, perturbation norms, and
-coercivity statistics at every step, plus full snapshots at a
-configurable cadence; the diagnostics layer consumes the resulting
-Trajectory.  One run mutates only its own state, so independent runs
-can execute concurrently.
+A run records a row of the time, step, conserved moments, entropy,
+perturbation norms and coercivity constant at every step, plus full
+snapshots at a configurable cadence.  The rows are the `table` of the
+resulting Trajectory, whose series are its column views; `scalars.csv`
+is that table as text.  One run mutates only its own state, so
+independent runs can execute concurrently.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -262,6 +263,8 @@ def initial_datum(config: SimConfig) -> Field:
         closure = _datum_closure(config.initial, grid)
         mom = moments(Field(grid, closure(v1, v2, v3)))
         for _ in range(NORMALIZATION_PASSES):
+            if not mom.mass > 0.0:  # every sample underflowed
+                break
             u = np.array(mom.momentum) / mom.mass
             energy_centered = mom.energy / mom.mass - float(u @ u)
             if not 0.0 < energy_centered < math.inf:
@@ -477,49 +480,50 @@ def step(f: Field, dt: float, coeffs: CoefficientSet | None = None) -> Field:
     return new_f
 
 
-# Trajectory series in scalar-table order, each with the table columns it fills.
-SCALAR_SCHEMA = (
-    ("times", ("time",)),
-    ("dt", ("dt",)),
-    ("mass", ("mass",)),
-    ("momentum", ("momentum_x", "momentum_y", "momentum_z")),
-    ("energy", ("energy",)),
-    ("entropy", ("entropy",)),
-    ("lp_p", ("lp_p",)),
-    ("linf_h", ("linf_h",)),
-    ("grad_energy", ("grad_energy",)),
-    ("c0", ("c0",)),
-)
-SCALAR_COLUMNS = tuple(column for _, columns in SCALAR_SCHEMA for column in columns)
+# The columns of a trajectory's scalar table, one row per recorded step.
+SCALAR_COLUMNS = ("time", "dt", "mass", "momentum_x", "momentum_y", "momentum_z",
+                  "energy", "entropy", "lp_p", "linf_h", "grad_energy", "c0")
 
 
-@dataclass
+def _column(first: str, last: str | None = None) -> property:
+    """The view of `Trajectory.table` at column `first`, or at columns `first` to `last`."""
+    start = SCALAR_COLUMNS.index(first)
+    index = start if last is None else slice(start, SCALAR_COLUMNS.index(last) + 1)
+    return property(lambda traj: traj.table[:, index])
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time series of scalar diagnostics plus snapshots at cadence.
+    """One row of scalars per recorded step, `table`, plus snapshots at cadence.
 
-    Not to be mutated after construction: `level_terms` memoizes the
-    per-snapshot level-set terms that `analysis.level_set_energy` computes.
-    A run that stopped early holds the reason of its abort, at its last row.
+    Every series is a view of the table's columns (SCALAR_COLUMNS):
+    `momentum` has shape (steps + 1, 3), `lp_p` is ||h||_p^p and
+    `grad_energy` the integral of <v>^-3 |grad |h|^{p/2}|^2.  Nothing is
+    to be mutated: `level_terms` memoizes the per-snapshot level-set
+    terms of `analysis.level_set_energy`.  A run that stopped early
+    holds the reason of its abort, at its last row.
     """
 
     grid: Grid
     p: float
     m: float
-    times: np.ndarray
-    dt: np.ndarray
-    mass: np.ndarray
-    momentum: np.ndarray  # (steps + 1, 3)
-    energy: np.ndarray
-    entropy: np.ndarray
-    lp_p: np.ndarray  # ||h||_p^p
-    linf_h: np.ndarray
-    grad_energy: np.ndarray  # integral of <v>^-3 |grad |h|^{p/2}|^2
-    c0: np.ndarray
+    table: np.ndarray
     snapshot_times: list[float]
     snapshots: list[Field]
     clipped_mass: float = 0.0
     abort_reason: str | None = None
-    level_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    level_terms: dict = field(default_factory=dict, init=False, repr=False)
+
+    times = _column("time")
+    dt = _column("dt")
+    mass = _column("mass")
+    momentum = _column("momentum_x", "momentum_z")
+    energy = _column("energy")
+    entropy = _column("entropy")
+    lp_p = _column("lp_p")
+    linf_h = _column("linf_h")
+    grad_energy = _column("grad_energy")
+    c0 = _column("c0")
 
     @property
     def aborted(self) -> bool:
@@ -531,28 +535,8 @@ class Trajectory:
         return float(self.times[-1]) if self.aborted else None
 
     def scalar_table(self) -> np.ndarray:
-        """One row per recorded step, columns in SCALAR_COLUMNS order."""
-        return np.column_stack([getattr(self, name) for name, _ in SCALAR_SCHEMA])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], source: str, **rest) -> Trajectory:
-        """Split scalar-table rows (values in SCALAR_COLUMNS order) into the series.
-
-        `source` names the table in errors; `rest` supplies the other fields.
-        """
-        width = len(SCALAR_COLUMNS)
-        if not rows or any(len(row) != width for row in rows):
-            raise ValueError(f"{source}: expected at least one row of {width} values")
-        try:
-            table = np.array([[float(x) for x in row] for row in rows])
-        except ValueError as exc:
-            raise ValueError(f"{source}: {exc}") from None
-        series, start = {}, 0
-        for name, columns in SCALAR_SCHEMA:
-            block = table[:, start : start + len(columns)]
-            series[name] = block if len(columns) > 1 else block[:, 0]
-            start += len(columns)
-        return cls(**series, **rest)
+        """`table` itself; kept because `perfbench/run.py` calls it."""
+        return self.table
 
 
 class _Recorder:
@@ -560,44 +544,27 @@ class _Recorder:
         self.grid = grid
         self.config = config
         self.mu = maxwellian(grid)
-        self.rows: list[np.ndarray] = []
+        self.rows: list[tuple[float, ...]] = []
         self.snapshot_times: list[float] = []
         self.snapshots: list[Field] = []
         self._p_req = NormRequest(config.p)
 
     def record(self, t: float, dt_used: float, f: Field, coeffs: FrozenCoefficients, snapshot: bool) -> None:
+        """Append the row of state f, in SCALAR_COLUMNS order."""
         h = f - self.mu
         mom = moments(f)
-        series = {
-            "times": t,
-            "dt": dt_used,
-            "mass": mom.mass,
-            "momentum": mom.momentum,
-            "energy": mom.energy,
-            # entropy of the nonnegative part: transient roundoff-scale
-            # undershoots are treated as zero density
-            "entropy": boltzmann_entropy(Field(self.grid, np.maximum(f.values, 0.0))),
-            "lp_p": lp_m_norm(h, self._p_req) ** self.config.p,
-            "linf_h": h.max_abs(),
-            "grad_energy": weighted_gradient_energy(h, self.config.p),
-            "c0": coeffs.c0_empirical,
-        }
-        self.rows.append(np.hstack([series[name] for name, _ in SCALAR_SCHEMA]))
+        p = self.config.p
+        # entropy of the nonnegative part: transient roundoff-scale undershoots are treated as zero density
+        entropy = boltzmann_entropy(Field(self.grid, np.maximum(f.values, 0.0)))
+        self.rows.append((t, dt_used, mom.mass, *mom.momentum, mom.energy, entropy, lp_m_norm(h, self._p_req) ** p,
+                          h.max_abs(), weighted_gradient_energy(h, p), coeffs.c0_empirical))
         if snapshot:
             self.snapshot_times.append(t)
             self.snapshots.append(f)
 
     def build(self, **rest) -> Trajectory:
-        return Trajectory.from_rows(
-            self.rows,
-            "recorded scalars",
-            grid=self.grid,
-            p=self.config.p,
-            m=self.config.m,
-            snapshot_times=self.snapshot_times,
-            snapshots=self.snapshots,
-            **rest,
-        )
+        return Trajectory(self.grid, self.config.p, self.config.m, np.array(self.rows),
+                          self.snapshot_times, self.snapshots, **rest)
 
 
 def _next_dt(dt: float, remaining: float) -> float:

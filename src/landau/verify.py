@@ -1,13 +1,13 @@
 """Invariant measurements and the suite behind the ``verify`` subcommand.
 
 Each function below measures one invariant and returns plain numbers:
-coefficient-oracle gaps, the gap of A to the Maxwellian's closed form,
-structural residuals over a probe corpus,
-conservation drifts along trajectories, the refinement order of the
-equilibrium residual, and the exponent-identity residual.  They are the
-single implementation of these checks: ``run_verification`` applies its
-bounds to them, and to the worst `coefficient_upper_bounds` ratios over
-the probe corpus, and the acceptance tests call the same functions with
+coefficient-oracle gaps, the gaps of A and grad a to the Maxwellian's
+closed forms, structural residuals over a probe corpus, conservation
+drifts along trajectories, the refinement order of the equilibrium
+residual, and the exponent-identity residual.  They are the single
+implementation of these checks: ``run_verification`` applies its bounds
+to them, and to the worst `coefficient_upper_bounds` ratios over the
+probe corpus, and the acceptance tests call the same functions with
 their own fixtures and bounds.
 """
 
@@ -37,6 +37,7 @@ __all__ = [
     "corpus_fields",
     "exponent_residual",
     "maxwellian_closed_form_gap",
+    "maxwellian_drift_closed_form_gap",
     "oracle_gaps",
     "residual_order",
     "run_verification",
@@ -100,6 +101,15 @@ def oracle_gaps(coeffs: CoefficientSet) -> tuple[float, float, float]:
     return gap_A, gap_grad, abs(float(coeffs.a.values[mid, mid, mid]) - (2.0 * np.pi) ** -1.5)
 
 
+def _ball(grid: Grid) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes 0 < |v| <= 4: their mask, their coordinates, |v|^2, |v| and erf(|v|/sqrt2)."""
+    ball = (grid.radius2 > 0.0) & (grid.radius2 <= 16.0)
+    r2 = grid.radius2[ball]
+    r = np.sqrt(r2)
+    erf = np.array([math.erf(x / math.sqrt(2.0)) for x in r])
+    return ball, [np.broadcast_to(x, grid.shape)[ball] for x in grid.coords], r2, r, erf
+
+
 def maxwellian_closed_form_gap(coeffs: CoefficientSet) -> float:
     """Sup error of A over the nodes 0 < |v| <= 4 against the closed form
     of the unit Maxwellian, relative to max |A|; `coeffs` is the set of
@@ -110,21 +120,29 @@ def maxwellian_closed_form_gap(coeffs: CoefficientSet) -> float:
     (Rosenbluth, MacDonald & Judd, Phys. Rev. 107, 1957).
     """
     A = coeffs.A
-    grid = A.grid
-    r2 = grid.radius2
-    ball = (r2 > 0.0) & (r2 <= 16.0)
-    r2 = r2[ball]
-    r = np.sqrt(r2)
-    erf = np.array([math.erf(x / math.sqrt(2.0)) for x in r])
+    ball, v, r2, r, erf = _ball(A.grid)
     gauss = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r2)
     radial = ((1.0 - 1.0 / r2) * erf + gauss / r) / (8.0 * math.pi * r)  # Phi'/r
     second = (2.0 * erf / r**3 - 2.0 * gauss / r2) / (8.0 * math.pi)  # Phi''
-    v = [np.broadcast_to(x, grid.shape)[ball] for x in grid.coords]
     gap = 0.0
     for i, j in SYM_COMPONENTS:
         exact = (second - radial) * v[i] * v[j] / r2 + (radial if i == j else 0.0)
         gap = max(gap, float(np.max(np.abs(A.component(i, j)[ball] - exact))))
     return gap / float(np.max(np.abs(A.values)))
+
+
+def maxwellian_drift_closed_form_gap(coeffs: CoefficientSet) -> float:
+    """Sup error of the components of grad a over the nodes 0 < |v| <= 4
+    against the closed form of the unit Maxwellian, relative to the largest
+    |grad a| on the grid; `coeffs` is the set of `maxwellian(grid)`.  With
+    a = erf(r/sqrt2) / (4 pi r), grad a = a'(r) v/r, where
+    a' = (sqrt(2/pi) e^{-r^2/2}/r - erf(r/sqrt2)/r^2) / (4 pi).
+    """
+    grad = coeffs.grad_a.values
+    ball, v, r2, r, erf = _ball(coeffs.grad_a.grid)
+    slope = (math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r2) / r - erf / r2) / (4.0 * math.pi * r)  # a'/r
+    gap = max(float(np.max(np.abs(grad[i][ball] - slope * v[i]))) for i in range(3))
+    return gap / float(np.max(np.linalg.norm(grad, axis=0)))
 
 
 def conservation_drifts(trajs: Iterable[Trajectory]) -> tuple[float, float, float, float]:
@@ -196,10 +214,12 @@ def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
     a_ratio, grad_ratio = max(b.a_ratio for b in bounds), max(b.grad_a_ratio for b in bounds)
     gap_A, gap_grad, a0_err = oracle_gaps(sets[0])  # corpus_fields(grid)[0] is the Maxwellian
     closed_gap = maxwellian_closed_form_gap(sets[0])
+    drift_gap = maxwellian_drift_closed_form_gap(sets[0])
     # the a(0) and closed-form tolerances are calibrated at n = 48, L = 8
     # (spacing 1/3) and scale with the second- and fourth-order spacing errors
     a0_tol = 2e-4 * (grid.spacing * 3.0) ** 2
     closed_tol = 1e-3 * (grid.spacing * 3.0) ** 4
+    drift_tol = 3e-3 * (grid.spacing * 3.0) ** 4
     runs = [
         run(SimConfig(n=n, extent=extent, t_end=0.5, cfl=0.25, initial=initial, snapshot_every=5))
         for initial in (Maxwellian(), AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0))
@@ -245,5 +265,10 @@ def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
             "closed-form Maxwellian diffusion matrix",
             closed_gap <= closed_tol,
             f"sup |A - A_exact| over 0 < |v| <= 4, relative to max |A|: {closed_gap:.2e} (tol {closed_tol:.1e})",
+        ),
+        CheckResult(
+            "closed-form Maxwellian drift",
+            drift_gap <= drift_tol,
+            f"sup |grad a - grad a_exact| over 0 < |v| <= 4, relative to max |grad a|: {drift_gap:.2e} (tol {drift_tol:.1e})",
         ),
     ]

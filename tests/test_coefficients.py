@@ -25,7 +25,7 @@ from landau.coefficients import (
 from landau.fields import maxwellian
 from landau.grid import SYM_COMPONENTS, Field, SymTensorField, _derivative_matrix, make_grid, spectral_gradient
 from landau.solver import AnisotropicGaussian, Maxwellian, SimConfig, TwoBump, initial_datum
-from landau.verify import corpus_fields, maxwellian_closed_form_gap
+from landau.verify import corpus_fields, maxwellian_closed_form_gap, maxwellian_drift_closed_form_gap
 
 
 @pytest.fixture(scope="module")
@@ -510,6 +510,12 @@ class TestComputeCoefficients:
         coarse = maxwellian_closed_form_gap(compute_coefficients(maxwellian(make_grid(24, 8.0))))
         fine = maxwellian_closed_form_gap(coeffs48)
         assert fine <= 1e-3 and math.log2(coarse / fine) >= 3.5
+
+    def test_maxwellian_drift_closed_form_over_the_grid(self, coeffs48):
+        # grad a against the closed form over 0 < |v| <= 4, relative to max |grad a|: 2.0e-2 at n = 24, 1.2e-3 at n = 48
+        coarse = maxwellian_drift_closed_form_gap(compute_coefficients(maxwellian(make_grid(24, 8.0))))
+        fine = maxwellian_drift_closed_form_gap(coeffs48)
+        assert fine <= 3e-3 and math.log2(coarse / fine) >= 3.5
 
     def test_drift_matches_enclosed_charge_along_axis(self, coeffs48, grid48):
         # grad a[mu](v) = -v_hat Q(|v|) / (4 pi |v|^2) with Q the

@@ -182,12 +182,11 @@ def _trajectories(draw):
     grid = make_grid(8, draw(st.floats(0.5, 100.0)))
     table = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), len(SCALAR_COLUMNS)), elements=_FINITE))
     count = draw(st.integers(1, 3))
-    return Trajectory.from_rows(
-        table.tolist(),
-        "drawn table",
+    return Trajectory(
         grid=grid,
         p=draw(_FINITE),
         m=draw(_FINITE),
+        table=table,
         snapshot_times=draw(st.lists(_FINITE, min_size=count, max_size=count)),
         snapshots=[Field(grid, draw(hnp.arrays(np.float64, grid.shape, elements=_FINITE))) for _ in range(count)],
         clipped_mass=draw(_FINITE),
@@ -229,6 +228,8 @@ class TestTrajectoryPersistence:
         for a, b in zip(loaded.snapshots, small_traj.snapshots):
             np.testing.assert_array_equal(a.values, b.values)
         assert loaded.p == small_traj.p and loaded.m == small_traj.m
+        # trajectories compare by identity, not array by array
+        assert (loaded == small_traj) is False
 
     def test_csv_has_twelve_columns(self, small_traj, tmp_path):
         write_trajectory(small_traj, tmp_path / "out")
@@ -289,7 +290,7 @@ class TestTrajectoryPersistence:
         assert cli(["diagnose", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 2
         assert f"error: {out / 'traj.json'}: key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tear", ["header_only", "row_cut"])
+    @pytest.mark.parametrize("tear", ["header_only", "row_cut", "not_a_number"])
     def test_torn_scalars_rejected(self, small_traj, tmp_path, tear):
         out = tmp_path / "out"
         write_trajectory(small_traj, out)
@@ -297,6 +298,8 @@ class TestTrajectoryPersistence:
         lines = scalars.read_text().splitlines()
         if tear == "header_only":
             scalars.write_text(lines[0] + "\n")
+        elif tear == "not_a_number":
+            scalars.write_text("\n".join(lines[:-1] + [",".join(lines[-1].split(",")[:-1] + ["x"])]))
         else:
             scalars.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]))
         with pytest.raises(ValueError, match="scalars.csv"):
@@ -704,7 +707,7 @@ class TestCli:
         monkeypatch.setattr(verify, "run_verification", recording)
         assert cli(["verify", "--n", "24"]) == 0
         out = capsys.readouterr().out
-        assert "[FAIL]" not in out and out.splitlines()[-1] == "8/8 checks passed"
+        assert "[FAIL]" not in out and out.splitlines()[-1] == "9/9 checks passed"
         assert all(type(r.passed) is bool for r in results)
 
     def test_verify_fails_on_broken_trace(self, capsys, monkeypatch):
@@ -718,7 +721,7 @@ class TestCli:
         assert cli(["verify", "--n", "24"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] trace and divergence identities" in out
-        assert out.splitlines()[-1] == "7/8 checks passed"
+        assert out.splitlines()[-1] == "8/9 checks passed"
 
     @pytest.mark.parametrize("inflate", ["A", "grad_a"])
     def test_verify_fails_on_inflated_coefficients(self, capsys, monkeypatch, inflate):

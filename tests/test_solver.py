@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -8,9 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 import landau.solver as solver_mod
 from landau.coefficients import CoefficientSet, compute_coefficients
-from landau.fields import boltzmann_entropy, maxwellian, moments
+from landau.fields import NormRequest, boltzmann_entropy, lp_m_norm, maxwellian, moments, weighted_gradient_energy
 from landau.grid import Field, SymTensorField, integrate, make_grid
 from landau.solver import (
+    SCALAR_COLUMNS,
     AnisotropicGaussian,
     Maxwellian,
     PerturbedMaxwellian,
@@ -105,6 +107,12 @@ class TestInitialDatum:
     def test_unresolvable_mode_rejected(self):
         with pytest.raises(ValueError):
             initial_datum(SimConfig(n=16, initial=PerturbedMaxwellian(0.1, 8)))
+
+    def test_datum_sampled_to_zero_rejected(self):
+        # w1 w2 d^2 rounds to just below 3: a thermal share of 1.5e-16 underflows every sample to 0
+        datum = TwoBump(math.sqrt(12.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="not resolved"):
+            initial_datum(SimConfig(n=16, initial=datum))
 
 
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
@@ -362,6 +370,31 @@ class TestRun:
         assert traj.snapshot_times[0] == 0.0
         assert traj.snapshot_times[-1] == pytest.approx(0.3)
         assert not traj.aborted
+        # each column holds the quantity it names, bit for bit, at every snapshot row
+        mu = maxwellian(traj.grid)
+        for t, snap in zip(traj.snapshot_times, traj.snapshots):
+            row = traj.table[list(traj.times).index(t)]
+            h = snap - mu
+            mom = moments(snap)
+            expected = {
+                "time": t,
+                "mass": mom.mass,
+                "momentum_x": mom.momentum[0],
+                "momentum_y": mom.momentum[1],
+                "momentum_z": mom.momentum[2],
+                "energy": mom.energy,
+                "entropy": boltzmann_entropy(Field(traj.grid, np.maximum(snap.values, 0.0))),
+                "lp_p": lp_m_norm(h, NormRequest(cfg.p)) ** cfg.p,
+                "linf_h": h.max_abs(),
+                "grad_energy": weighted_gradient_energy(h, cfg.p),
+                "c0": compute_coefficients(snap).c0_empirical,  # coefficient_refresh is 1
+            }
+            for name, value in expected.items():
+                assert row[SCALAR_COLUMNS.index(name)] == value, name
+        # the series are views of the one table, which cannot be reassigned
+        assert np.shares_memory(traj.mass, traj.table)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.table = traj.table.copy()
 
     def test_conservation_and_entropy_short_run(self):
         traj = run(SimConfig(n=24, t_end=0.3, cfl=0.25, initial=AnisotropicGaussian((0.8, 1.0, 1.2))))
