@@ -371,9 +371,7 @@ class MomentBoundReport:
     l: float
     theta: float
     exponent: float  # q_{l,theta} + MOMENT_MARGIN
-    c3: float
-    holds: bool
-    worst_margin: float  # max over samples of norm / (c3 (1+t)^exponent)
+    c3: float  # max over samples of norm / (1+t)^exponent, so the envelope holds by construction
 
 
 def moment_bound_check(traj: Trajectory, theta: float) -> MomentBoundReport:
@@ -385,17 +383,8 @@ def moment_bound_check(traj: Trajectory, theta: float) -> MomentBoundReport:
     times = np.asarray(traj.snapshot_times)
     req = NormRequest(1.0, theta)
     norms = np.array([lp_m_norm(h, req) for h in _snapshot_h(traj, range(len(traj.snapshots)))])
-    envelope = (1.0 + times) ** exponent
-    c3 = float(np.max(norms / envelope))
-    ratios = norms / (c3 * envelope) if c3 > 0 else np.zeros_like(norms)
-    return MomentBoundReport(
-        l=l,
-        theta=theta,
-        exponent=exponent,
-        c3=c3,
-        holds=bool(np.all(norms <= c3 * envelope * (1.0 + 1e-12))),
-        worst_margin=float(np.max(ratios)) if c3 > 0 else 0.0,
-    )
+    c3 = float(np.max(norms / (1.0 + times) ** exponent))
+    return MomentBoundReport(l=l, theta=theta, exponent=exponent, c3=c3)
 
 
 # --------------------------------------------------------------------------
@@ -410,12 +399,9 @@ class OdeBarrierReport:
     c_tilde_min: float  # smallest constant closing the integral inequality
     duhamel_holds: bool  # with the supplied (or minimal) constant
     m_bar: float
-    c0: float
 
 
-def ode_barrier_check(
-    traj: Trajectory, eps: float, c_tilde: float | None = None, c0: float | None = None
-) -> OdeBarrierReport:
+def ode_barrier_check(traj: Trajectory, eps: float, c_tilde: float | None = None) -> OdeBarrierReport:
     """Barrier and integral-inequality check for y(t) = ||h(t)||_p^p.
 
     Verifies y stays below eps, and measures the smallest constant C for
@@ -424,8 +410,9 @@ def ode_barrier_check(
         y(t) <= y(0) + C int_0^t ((Mbar + 1) y + y^alpha) ds - (c0/2) int_0^t G ds
 
     holds at every sample, where G is the weighted gradient energy
-    series and Mbar the sup of the weighted L^1 norm of h over the
-    snapshots.  The run should start with y(0) < eps/3.
+    series, Mbar the sup of the weighted L^1 norm of h over the
+    snapshots and c0 the minimum of the recorded c0 series.  The run
+    should start with y(0) < eps/3.
     """
     y = traj.lp_p
     if y[0] >= eps / 3.0:
@@ -437,8 +424,7 @@ def ode_barrier_check(
 
     req = NormRequest(1.0, traj.m)
     m_bar = max(lp_m_norm(h, req) for h in _snapshot_h(traj, range(len(traj.snapshots))))
-    if c0 is None:
-        c0 = float(np.min(traj.c0))
+    c0 = float(np.min(traj.c0))
 
     growth = (m_bar + 1.0) * y + y**exps.alpha
     growth_int = np.concatenate([[0.0], np.cumsum(0.5 * (growth[1:] + growth[:-1]) * np.diff(times))])
@@ -458,7 +444,6 @@ def ode_barrier_check(
         c_tilde_min=c_min,
         duhamel_holds=duhamel,
         m_bar=m_bar,
-        c0=c0,
     )
 
 

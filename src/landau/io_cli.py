@@ -334,9 +334,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     traj = read_trajectory(directory)
     out.mkdir(parents=True, exist_ok=True)
     p, m = traj.p, traj.m
+    # every value below is read off the trajectory
     t_end = float(traj.times[-1])
-    t_mid = args.t if args.t is not None else 0.25 * t_end
-    c0 = args.c0 if args.c0 is not None else float(np.min(traj.c0))
+    t_mid = 0.25 * t_end
+    c0 = float(np.min(traj.c0))
     exps = analysis.exponents(p, m)
     sup_h = float(np.max(traj.linf_h))
     relative_h = sup_h / maxwellian(traj.grid).max_abs()
@@ -356,21 +357,21 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     }
 
     y0 = float(traj.lp_p[0])
-    eps = args.eps if args.eps is not None else max(4.0 * y0, 2.0 * float(np.max(traj.lp_p)), 1e-12)
-    barrier = analysis.ode_barrier_check(traj, eps, c0=c0)
+    eps = max(4.0 * y0, 2.0 * float(np.max(traj.lp_p)), 1e-12)
+    barrier = analysis.ode_barrier_check(traj, eps)
     report["ode_barrier"] = dataclasses.asdict(barrier)
 
     ladder = [frac * sup_h for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 0.9)] if sup_h > 0.0 else []
     report["levels"] = [dataclasses.asdict(analysis.level_set_energy(traj, lev, (0.0, t_end), c0)) for lev in ladder]
 
-    if not exps.degenerate and 0.0 < t_mid < t_end:
+    if not exps.degenerate and t_end > 0.0:
         # one probe per consecutive pair of ladder levels; each reads only cuts the ladder measured
         report["recurrence"] = [
             dataclasses.asdict(analysis.level_set_recurrence_check(traj, k, level, 0.0, t_mid, t_end, c0))
             for k, level in zip(ladder, ladder[1:])
         ]
         e0 = analysis.level_set_energy(traj, 0.0, (0.0, t_end), c0).total
-        K = analysis.predict_K(e0, t_mid, t_end, p, m, args.calibration)
+        K = analysis.predict_K(e0, t_mid, t_end, p, m, 1.0)  # c = 1 until the ceiling is measured on the run
         if K > 0:
             report["degiorgi"] = dataclasses.asdict(analysis.degiorgi_iterate(traj, K, t_mid, t_end, c0))
 
@@ -388,8 +389,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     h1 = analysis.h1_smallness(traj, 0.5 * t_end)
     report["h1_smallness"] = {"l2_1": h1[0], "grad_l2_2": h1[1], "t_query": 0.5 * t_end}
 
-    # both entropy conventions for the final state: signed f log f and
-    # f |log f| (positive part, matching the run recorder's convention)
+    # both entropy conventions for the positive part of the final state: the
+    # signed f log f, which the run recorder records, and f |log f|
     final = traj.snapshots[-1]
     positive = Field(final.grid, np.maximum(final.values, 0.0))
     report["entropy_final"] = {
@@ -406,7 +407,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_verification
 
-    results = run_verification(n=args.n, extent=args.L)
+    results = run_verification(n=args.n)
     failed = 0
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
@@ -520,20 +521,14 @@ def cli(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=_cmd_run)
 
-    p_diag = sub.add_parser("diagnose", help="emit analysis reports for a stored trajectory")
+    # unabbreviated: `--t` would otherwise be read as `--traj`
+    p_diag = sub.add_parser("diagnose", allow_abbrev=False, help="emit analysis reports for a stored trajectory")
     p_diag.add_argument("--traj", required=True)
     p_diag.add_argument("--out", required=True)
-    p_diag.add_argument("--t", type=_finite_float, default=None, help="iteration window start (default t_end/4)")
-    p_diag.add_argument("--c0", type=_finite_float, default=None, help="override the coercivity constant")
-    p_diag.add_argument("--eps", type=_finite_float, default=None, help="barrier level for the ODE check")
-    p_diag.add_argument(
-        "--calibration-c", dest="calibration", type=_finite_float, default=1.0, help="constant c of the level ceiling K"
-    )
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
     p_ver.add_argument("--n", type=int, default=32)
-    p_ver.add_argument("--L", type=float, default=8.0)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid concurrently")

@@ -41,10 +41,11 @@ remains available as :func:`rhs`.
 
 A run records a row of the time, step, conserved moments, entropy,
 perturbation norms and coercivity constant at every step, plus full
-snapshots at a configurable cadence.  The rows are the `table` of the
-resulting Trajectory, whose series are its column views; `scalars.csv`
-is that table as text.  One run mutates only its own state, so
-independent runs can execute concurrently.
+snapshots at a configurable cadence and at the last row, so that a run
+that aborts between snapshot times still ends on one.  The rows are
+the `table` of the resulting Trajectory, whose series are its column
+views; `scalars.csv` is that table as text.  One run mutates only its
+own state, so independent runs can execute concurrently.
 """
 
 from __future__ import annotations
@@ -636,4 +637,7 @@ def run(config: SimConfig) -> Trajectory:
         snapshots += landed
         recorder.record(t, dt, f, coeffs, snapshot=landed)
 
+    if recorder.snapshot_times[-1] != t:  # an abort off a snapshot time: the last recorded state is one
+        recorder.snapshot_times.append(t)
+        recorder.snapshots.append(f)
     return recorder.build(clipped_mass=clipped_total, abort_reason=abort_reason)

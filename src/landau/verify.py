@@ -206,8 +206,9 @@ def _check_grid_ops(grid: Grid) -> CheckResult:
     )
 
 
-def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
-    grid = make_grid(n, extent)
+def run_verification(n: int = 32) -> list[CheckResult]:
+    """The nine checks at resolution n on the cube [-8, 8)^3, the default extent of `SimConfig`."""
+    grid = make_grid(n, SimConfig.extent)
     sets = [compute_coefficients(f) for f in corpus_fields(grid)]
     trace, div = structural_worst(sets)
     bounds = [coefficient_upper_bounds(coeffs, 2.0) for coeffs in sets]
@@ -221,14 +222,14 @@ def run_verification(n: int = 32, extent: float = 8.0) -> list[CheckResult]:
     closed_tol = 1e-3 * (grid.spacing * 3.0) ** 4
     drift_tol = 3e-3 * (grid.spacing * 3.0) ** 4
     runs = [
-        run(SimConfig(n=n, extent=extent, t_end=0.5, cfl=0.25, initial=initial, snapshot_every=5))
+        run(SimConfig(n=n, t_end=0.5, cfl=0.25, initial=initial, snapshot_every=5))
         for initial in (Maxwellian(), AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0))
     ]
     mass, momentum, energy, entropy = conservation_drifts(runs)
     sup_drift = float(np.max(runs[0].linf_h))
     # the residual order is a property of the scheme; it is measured on a
     # fixed well-resolved pair regardless of the requested resolution
-    order = residual_order(extent)
+    order = residual_order(grid.extent)
     exp_res = exponent_residual()
     return [
         _check_grid_ops(grid),

@@ -218,6 +218,18 @@ def small_traj():
     return run(SimConfig(n=16, t_end=0.3, cfl=0.25, snapshot_every=2, initial=PerturbedMaxwellian(0.1, 3), m=12.0))
 
 
+@pytest.fixture
+def first_step_abort(tmp_path, monkeypatch):
+    """The directory of a run that aborts in its first step: one row, t = 0, one snapshot."""
+    import landau.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "BLOWUP_SUP", 1e-3)
+    traj = run(SimConfig(n=16, t_end=0.3, cfl=0.25, snapshot_every=2, initial=PerturbedMaxwellian(0.1, 3)))
+    assert traj.aborted and list(traj.times) == traj.snapshot_times == [0.0]
+    write_trajectory(traj, tmp_path / "aborted")
+    return tmp_path / "aborted"
+
+
 class TestTrajectoryPersistence:
     def test_round_trip_bitwise(self, small_traj, tmp_path):
         write_trajectory(small_traj, tmp_path / "out")
@@ -421,13 +433,35 @@ class TestCli:
             out = rep
         assert sorted(p.name for p in out.iterdir()) == documented
 
-    def test_diagnose_c0_override_reaches_the_ode_barrier(self, small_traj, tmp_path):
-        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
-        write_trajectory(small_traj, traj_dir)
-        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--c0", "0.5"]) == 0
-        report = json.loads((rep / "report.json").read_text())
-        assert report["c0"] == report["ode_barrier"]["c0"] == 0.5
-        assert min(small_traj.c0) != 0.5
+    def test_readme_command_line_matches_the_parser(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        documented = {}
+        for line in block.strip().splitlines():
+            words = line.split("#", 1)[0].split()
+            assert words[0] == "landau"
+            documented[words[1]] = set(re.findall(r"--[\w-]+", " ".join(words[2:])))
+        with pytest.raises(SystemExit):
+            cli(["--help"])
+        assert set(re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")) == set(documented)
+        for command, flags in documented.items():
+            with pytest.raises(SystemExit):
+                cli([command, "--help"])
+            usage = capsys.readouterr().out.split("\n\n", 1)[0]
+            assert set(re.findall(r"--[\w-]+", usage)) == flags, command
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [*(("diagnose", flag) for flag in ("--t", "--c0", "--eps", "--calibration-c")), ("verify", "--L")],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        # no abbreviation either: --t is not read as --traj
+        paths = ["--traj", str(tmp_path / "out"), "--out", str(tmp_path / "rep")] if command == "diagnose" else []
+        with pytest.raises(SystemExit) as exc:
+            cli([command, *paths, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_run_and_diagnose_make_no_fft_call_once_caches_are_built(self, tmp_path, fft_calls):
         cfg = write_cfg(tmp_path, MINIMAL.replace("n = 32", "n = 16") + "snapshot_every = 2\n")
@@ -501,18 +535,19 @@ class TestCli:
         assert "recurrence" not in report and "degiorgi" not in report
         assert len(report["levels"]) == 6
 
-    def test_diagnose_at_t0_writes_no_recurrence(self, small_traj, tmp_path):
-        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
-        write_trajectory(small_traj, traj_dir)
-        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--t", "0"]) == 0
-        assert "recurrence" not in json.loads((rep / "report.json").read_text())
+    def test_diagnose_at_t0_writes_no_recurrence(self, first_step_abort, tmp_path):
+        rep = tmp_path / "rep"
+        assert cli(["diagnose", "--traj", str(first_step_abort), "--out", str(rep)]) == 0
+        report = json.loads((rep / "report.json").read_text())
+        assert "recurrence" not in report and "degiorgi" not in report
+        assert len(report["levels"]) == 6
 
-    def test_rerun_with_t0_leaves_no_stale_outputs(self, small_traj, tmp_path):
+    def test_rerun_with_t0_leaves_no_stale_outputs(self, small_traj, first_step_abort, tmp_path):
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
         write_trajectory(small_traj, traj_dir)
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
         assert "degiorgi" in json.loads((rep / "report.json").read_text())
-        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--t", "0"]) == 0
+        assert cli(["diagnose", "--traj", str(first_step_abort), "--out", str(rep)]) == 0
         assert "degiorgi" not in json.loads((rep / "report.json").read_text())
         assert sorted(p.name for p in rep.iterdir()) == ["report.json"]
 
@@ -520,10 +555,32 @@ class TestCli:
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
         write_trajectory(small_traj, traj_dir)
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
-        eps = 2.0 * float(small_traj.lp_p[0])  # below 3 y(0): the ODE barrier check raises
-        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), "--eps", repr(eps)]) == 2
-        assert "error: barrier check needs y(0) < eps/3" in capsys.readouterr().err
+        # the index is read as it stands; the exponents then reject p = 1.5
+        index = traj_dir / "traj.json"
+        index.write_text(json.dumps({**json.loads(index.read_text()), "p": 1.5}))
+        capsys.readouterr()
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 2
+        assert "error: exponents require p > 3/2" in capsys.readouterr().err
         assert list(rep.iterdir()) == []
+
+    def test_run_aborted_between_snapshots_ends_on_one(self, tmp_path, monkeypatch):
+        import landau.solver as solver_mod
+
+        real, calls = solver_mod._check_state, []
+
+        def failing_third(values):  # the third check is the first stage of step 2
+            calls.append(None)
+            if len(calls) == 3:
+                raise solver_mod.BlowUpError("forced")
+            real(values)
+
+        monkeypatch.setattr(solver_mod, "_check_state", failing_third)
+        traj = run(SimConfig(n=16, t_end=1.0, cfl=0.05, snapshot_every=5, initial=PerturbedMaxwellian(0.1, 3)))
+        assert traj.aborted and 0.0 < traj.times[-1] < 0.5  # the first snapshot time past 0 is 0.5
+        assert traj.snapshot_times[-1] == traj.times[-1]
+        assert (traj.snapshots[-1] - maxwellian(traj.grid)).max_abs() == traj.linf_h[-1]
+        write_trajectory(traj, tmp_path / "out")
+        assert cli(["diagnose", "--traj", str(tmp_path / "out"), "--out", str(tmp_path / "rep")]) == 0
 
     @pytest.mark.parametrize("damage", ["torn_snapshots", "no_index"])
     def test_unreadable_trajectory_leaves_no_older_report(self, small_traj, tmp_path, capsys, damage):
@@ -559,17 +616,6 @@ class TestCli:
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(tmp_path / "rep")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(traj_dir / name) in err
-
-    @pytest.mark.parametrize("flag", ["--t", "--c0", "--eps", "--calibration-c"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_diagnose_rejects_non_finite_overrides(self, small_traj, tmp_path, capsys, flag, value):
-        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
-        write_trajectory(small_traj, traj_dir)
-        with pytest.raises(SystemExit) as exc:
-            cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep), f"{flag}={value}"])
-        assert exc.value.code == 2
-        assert f"argument {flag}: expected a finite number, got '{value}'" in capsys.readouterr().err
-        assert not rep.exists()
 
     def test_rerun_with_fewer_snapshots_lists_only_its_own(self, tmp_path):
         base = MINIMAL.replace("n = 32", "n = 16") + "snapshot_every = 1\n"
