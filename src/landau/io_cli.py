@@ -7,9 +7,9 @@ A trajectory persists as three files: a scalar CSV (full-precision
 reprs, so the round trip is bit-exact), one raw little-endian float64
 file holding every snapshot back to back (row-major, first velocity
 axis slowest), and a JSON index of the grid, the exponents, the
-snapshot times, the clipped mass and the abort reason, removed first
-and written last, atomically.  A run manifest is written
-atomically at the end of every run, the fourth file of a run directory.
+snapshot times and the abort reason, removed first and written last,
+atomically.  A run manifest is written atomically at the end of every
+run, the fourth file of a run directory.
 A diagnose removes the older report before it reads anything and writes
 the one `report.json` last, atomically.
 """
@@ -99,13 +99,6 @@ _KEYS = _key_table()
 def _parse_value(key: str, raw: str):
     kind = _KEYS[key].type
     try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind is tuple:
             return tuple(float(part) for part in raw.split(","))
         return kind(raw)
@@ -116,8 +109,6 @@ def _parse_value(key: str, raw: str):
 def _format_value(key: str, value) -> str:
     """`value` as `_parse_value` reads it back; NumPy scalars are written as Python numbers."""
     kind = _KEYS[key].type
-    if kind is bool:
-        return str(value).lower()
     if kind is tuple:
         return ", ".join(repr(float(x)) for x in value)
     return repr(kind(value))
@@ -186,7 +177,7 @@ def _replace_text(target: Path, text: str) -> None:
 # The keys of `traj.json` and the exact JSON types each takes (so true is no number)
 _NUMBER = (int, float)
 _INDEX_TYPES = {"n": (int,), "L": _NUMBER, "p": _NUMBER, "m": _NUMBER, "snapshot_times": (list,),
-                "clipped_mass": _NUMBER, "abort_reason": (str, type(None))}
+                "abort_reason": (str, type(None))}
 
 
 def write_trajectory(traj: Trajectory, directory: str | Path) -> None:

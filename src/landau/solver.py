@@ -44,8 +44,10 @@ perturbation norms and coercivity constant at every step, plus full
 snapshots at a configurable cadence and at the last row, so that a run
 that aborts between snapshot times still ends on one.  The rows are
 the `table` of the resulting Trajectory, whose series are its column
-views; `scalars.csv` is that table as text.  One run mutates only its
-own state, so independent runs can execute concurrently.
+views; `scalars.csv` is that table as text.  An undershoot below zero
+is kept as it is, so the mass stays exact; the entropy reads the
+positive part.  One run mutates only its own state, so independent runs
+can execute concurrently.
 """
 
 from __future__ import annotations
@@ -182,7 +184,6 @@ class SimConfig:
     p: float = 2.0
     m: float = 12.0
     snapshot_every: int = 5
-    clip_negatives: bool = False
     coefficient_refresh: int = 1
     seed: int = 0
 
@@ -409,10 +410,12 @@ def stable_dt(f: Field, coeffs: CoefficientSet | FrozenCoefficients, cfl: float)
 
 @lru_cache(maxsize=8)
 def equilibrium_residual(n: int, extent: float) -> np.ndarray:
-    """Raw flux-divergence residual at the sampled equilibrium (cached per grid; read-only use)."""
+    """Raw flux-divergence residual at the sampled equilibrium (cached per grid, read-only)."""
     grid = make_grid(n, extent)
     mu = maxwellian(grid)
-    return rhs(mu, compute_coefficients(mu)).values
+    residual = rhs(mu, compute_coefficients(mu)).values
+    residual.flags.writeable = False
+    return residual
 
 
 def _check_state(values: np.ndarray) -> None:
@@ -424,31 +427,13 @@ def _check_state(values: np.ndarray) -> None:
         raise BlowUpError(f"sup norm exceeded {BLOWUP_SUP:.0e}")
 
 
-def _clip_negative(values: np.ndarray) -> tuple[np.ndarray, float]:
-    negative = values < 0.0
-    if not np.any(negative):
-        return values, 0.0
-    clipped_mass = -float(np.sum(values[negative]))
-    out = np.where(negative, 0.0, values)
-    total = float(np.sum(out))
-    # a sum that rounds below zero leaves no mass to restore
-    before = max(total - clipped_mass, 0.0)
-    if total > 0.0:
-        out *= before / total
-    return out, clipped_mass
-
-
-def _ssp_step(
-    f: Field, dt: float, coeffs: FrozenCoefficients, slope: np.ndarray, base: np.ndarray, clip_negatives: bool
-) -> tuple[Field, float]:
+def _ssp_step(f: Field, dt: float, coeffs: FrozenCoefficients, slope: np.ndarray, base: np.ndarray) -> Field:
     """Two-stage SSP Runge-Kutta update with frozen coefficients.
 
     `slope` is rhs(f, coeffs).values, the raw first-stage divergence; it
     is consumed, as the first stage's buffer.  Stage derivatives are the
     equilibrium-balanced flux divergence, the raw one less `base`, the
-    grid's `equilibrium_residual`.  Returns the new field and the
-    (quadrature-weighted) mass removed by negative clipping, zero when
-    clipping is disabled or inactive.
+    grid's `equilibrium_residual`.
     """
     grid = f.grid
     f1 = slope
@@ -463,22 +448,17 @@ def _ssp_step(
     new_vals += f.values
     new_vals *= 0.5
     _check_state(new_vals)
-    clipped = 0.0
-    if clip_negatives:
-        new_vals, clipped = _clip_negative(new_vals)
-        clipped *= grid.cell_volume
-    return Field(grid, new_vals), clipped
+    return Field(grid, new_vals)
 
 
-def step(f: Field, dt: float, coeffs: CoefficientSet | None = None) -> Field:
-    """One SSP-RK2 update of the state, unclipped; coefficients built from f when not given."""
+def step(f: Field, dt: float, coeffs: CoefficientSet) -> Field:
+    """One SSP-RK2 update of the state on the coefficient set `coeffs`."""
     # the residual first, so that its coefficient set is not built beside the weights
     base = equilibrium_residual(f.grid.n, f.grid.extent)
-    weights = _face_weights(compute_coefficients(f) if coeffs is None else coeffs)
+    weights = _face_weights(coeffs)
     # the stages read the weights alone, so the statistics are left unmeasured
     frozen = FrozenCoefficients(weights, math.nan, math.nan, math.nan)
-    new_f, _ = _ssp_step(f, dt, frozen, rhs(f, frozen).values, base, clip_negatives=False)
-    return new_f
+    return _ssp_step(f, dt, frozen, rhs(f, frozen).values, base)
 
 
 # The columns of a trajectory's scalar table, one row per recorded step.
@@ -511,7 +491,6 @@ class Trajectory:
     table: np.ndarray
     snapshot_times: list[float]
     snapshots: list[Field]
-    clipped_mass: float = 0.0
     abort_reason: str | None = None
     level_terms: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -563,9 +542,9 @@ class _Recorder:
             self.snapshot_times.append(t)
             self.snapshots.append(f)
 
-    def build(self, **rest) -> Trajectory:
+    def build(self, abort_reason: str | None) -> Trajectory:
         return Trajectory(self.grid, self.config.p, self.config.m, np.array(self.rows),
-                          self.snapshot_times, self.snapshots, **rest)
+                          self.snapshot_times, self.snapshots, abort_reason)
 
 
 def _next_dt(dt: float, remaining: float) -> float:
@@ -596,13 +575,12 @@ def run(config: SimConfig) -> Trajectory:
     snapshots = 1
     since_rebuild = 0
     dt_control = math.inf
-    clipped_total = 0.0
     abort_reason = None
     while t < config.t_end * (1.0 - 1e-12):
         target = min(snapshots * config.snapshot_every * DT_CAP, config.t_end)
         dt = _next_dt(min(dt_control, stable_dt(f, coeffs, config.cfl)), target - t)
         try:
-            f_new, clipped = _ssp_step(f, dt, coeffs, slope, base, config.clip_negatives)
+            f_new = _ssp_step(f, dt, coeffs, slope, base)
         except BlowUpError as exc:
             abort_reason = str(exc)
             break
@@ -631,7 +609,6 @@ def run(config: SimConfig) -> Trajectory:
             dt_control = dt * min(ratio, MAX_GROWTH)
             since_rebuild = 0
         f = f_new
-        clipped_total += clipped
         landed = dt == target - t
         t = target if landed else t + dt
         snapshots += landed
@@ -640,4 +617,4 @@ def run(config: SimConfig) -> Trajectory:
     if recorder.snapshot_times[-1] != t:  # an abort off a snapshot time: the last recorded state is one
         recorder.snapshot_times.append(t)
         recorder.snapshots.append(f)
-    return recorder.build(clipped_mass=clipped_total, abort_reason=abort_reason)
+    return recorder.build(abort_reason)

@@ -164,10 +164,10 @@ def conservation_drifts(trajs: Iterable[Trajectory]) -> tuple[float, float, floa
     return tuple(max(column) for column in zip(*drifts))
 
 
-def residual_order(extent: float) -> float:
-    """Observed refinement order of the equilibrium residual max |rhs(mu)| from n = 24 to 48,
-    read off the solver's cached residuals (`equilibrium_residual`)."""
-    coarse, fine = (float(np.max(np.abs(equilibrium_residual(n, extent)))) for n in (24, 48))
+def residual_order() -> float:
+    """Observed refinement order of the equilibrium residual max |rhs(mu)| from n = 24 to 48 at
+    the default extent of `SimConfig`, read off the solver's cached residuals (`equilibrium_residual`)."""
+    coarse, fine = (float(np.max(np.abs(equilibrium_residual(n, SimConfig.extent)))) for n in (24, 48))
     return float(np.log2(coarse / fine))
 
 
@@ -206,7 +206,7 @@ def _check_grid_ops(grid: Grid) -> CheckResult:
     )
 
 
-def run_verification(n: int = 32) -> list[CheckResult]:
+def run_verification(n: int) -> list[CheckResult]:
     """The nine checks at resolution n on the cube [-8, 8)^3, the default extent of `SimConfig`."""
     grid = make_grid(n, SimConfig.extent)
     sets = [compute_coefficients(f) for f in corpus_fields(grid)]
@@ -229,7 +229,7 @@ def run_verification(n: int = 32) -> list[CheckResult]:
     sup_drift = float(np.max(runs[0].linf_h))
     # the residual order is a property of the scheme; it is measured on a
     # fixed well-resolved pair regardless of the requested resolution
-    order = residual_order(grid.extent)
+    order = residual_order()
     exp_res = exponent_residual()
     return [
         _check_grid_ops(grid),

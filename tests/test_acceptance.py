@@ -98,7 +98,7 @@ def test_criterion_03_conservation_and_entropy(trio48):
 
 def test_criterion_04_equilibrium_stationarity(trio48):
     sup_drift = float(np.max(trio48["maxwellian"].linf_h))
-    order = residual_order(8.0)
+    order = residual_order()
     report(
         "criterion 4: equilibrium stationarity and residual refinement",
         sup_drift <= 1e-2 and order >= 1.8,

@@ -50,7 +50,6 @@ class TestParseConfig:
         # documented defaults
         assert cfg.cfl == 0.5
         assert cfg.snapshot_every == 5
-        assert cfg.clip_negatives is False
         assert cfg.coefficient_refresh == 1
         assert cfg.seed == 0
 
@@ -60,9 +59,11 @@ class TestParseConfig:
             parse_config(path)
 
     def test_rejects_unknown_key(self, tmp_path):
-        path = write_cfg(tmp_path, MINIMAL + "foo = 1\n")
-        with pytest.raises(ConfigError, match="foo"):
-            parse_config(path)
+        # a key no longer read is unknown like any other
+        for line in ("foo = 1", "clip_negatives = false"):
+            path = write_cfg(tmp_path, MINIMAL + line + "\n")
+            with pytest.raises(ConfigError, match=line.split()[0]):
+                parse_config(path)
 
     def test_rejects_duplicate_key(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "n = 16\n")
@@ -72,11 +73,6 @@ class TestParseConfig:
     def test_rejects_family_mismatch(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "amplitude = 0.1\n")
         with pytest.raises(ConfigError, match="perturbed_maxwellian"):
-            parse_config(path)
-
-    def test_rejects_bad_boolean(self, tmp_path):
-        path = write_cfg(tmp_path, MINIMAL + "clip_negatives = maybe\n")
-        with pytest.raises(ConfigError, match="clip_negatives"):
             parse_config(path)
 
     def test_rejects_bad_theta_arity(self, tmp_path):
@@ -160,7 +156,6 @@ _CONFIGS = st.builds(
     p=st.floats(1.5, 1e3, exclude_min=True),
     m=_positive(1e3),
     snapshot_every=st.integers(1, 10**6),
-    clip_negatives=st.booleans(),
     coefficient_refresh=st.integers(1, 10**6),
     seed=st.integers(0, 2**63),
 )
@@ -189,7 +184,6 @@ def _trajectories(draw):
         table=table,
         snapshot_times=draw(st.lists(_FINITE, min_size=count, max_size=count)),
         snapshots=[Field(grid, draw(hnp.arrays(np.float64, grid.shape, elements=_FINITE))) for _ in range(count)],
-        clipped_mass=draw(_FINITE),
         abort_reason=draw(st.none() | st.text()),
     )
 
@@ -208,7 +202,6 @@ def test_property_trajectory_round_trip_bitwise(traj, tmp_path_factory):
     assert _bits(loaded.scalar_table()) == _bits(traj.scalar_table())
     assert _bits(loaded.snapshot_times) == _bits(traj.snapshot_times)
     assert [_bits(s.values) for s in loaded.snapshots] == [_bits(s.values) for s in traj.snapshots]
-    assert _bits(loaded.clipped_mass) == _bits(traj.clipped_mass)
     assert loaded.aborted is traj.aborted
     assert loaded.abort_reason == traj.abort_reason
 
@@ -289,7 +282,7 @@ class TestTrajectoryPersistence:
     @pytest.mark.parametrize(
         "key, value",
         [("n", 16.0), ("n", True), ("L", "8.0"), ("p", None), ("m", [12.0]), ("snapshot_times", 0.0),
-         ("snapshot_times", [0.0, "0.1"]), ("clipped_mass", False), ("abort_reason", 3)],
+         ("snapshot_times", [0.0, "0.1"]), ("m", False), ("abort_reason", 3)],
     )
     def test_index_mistyped_key_rejected(self, small_traj, tmp_path, capsys, key, value):
         out = tmp_path / "out"
@@ -365,10 +358,12 @@ class TestTrajectoryPersistence:
         assert loaded.aborted
         assert loaded.abort_time == traj.abort_time == traj.times[-1]
         assert loaded.abort_reason == traj.abort_reason
-        # an older index still holds the abort time; the key is ignored
+        # an older index still holds the abort time and the clipped mass; the keys are ignored
         index = tmp_path / "out" / "traj.json"
-        index.write_text(json.dumps({**json.loads(index.read_text()), "abort_time": 99.0}))
-        assert read_trajectory(tmp_path / "out").abort_time == traj.times[-1]
+        index.write_text(json.dumps({**json.loads(index.read_text()), "abort_time": 99.0, "clipped_mass": 0.0}))
+        loaded = read_trajectory(tmp_path / "out")
+        assert loaded.abort_time == traj.times[-1]
+        assert not hasattr(loaded, "clipped_mass")
 
 
 class TestCli:

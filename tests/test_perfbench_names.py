@@ -29,3 +29,20 @@ def test_perfbench_finds_every_name_it_uses(monkeypatch, tmp_path):
         "solver.step",
         "fields.recorder",
     }
+
+
+def test_every_workload_config_parses(monkeypatch, tmp_path):
+    # a SimConfig field the benchmark writes (seed, coefficient_refresh) cannot go unnoticed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from landau.io_cli import parse_config
+
+    parsed = 0
+    for name in workloads.NAMES:
+        for seed in (0, 1):
+            for label, text in workloads.build(name, seed).configs.items():
+                path = tmp_path / f"{name}_{seed}_{label}.cfg"
+                path.write_text(text)
+                parse_config(path)
+                parsed += 1
+    assert parsed == 10
