@@ -11,21 +11,21 @@ Time integrals over trajectories use the trapezoid rule on the recorded
 cadence; suprema over time are maxima over samples.  Everything here is
 a pure function of immutable trajectories, and each reads the Lebesgue
 exponent p and the moment order m off the trajectory it measures.  The
-level-set terms are computed at most once per level on a trajectory and
-memoized on it, and an empty cut costs no transform, so a trajectory
-must not be mutated after construction.
+perturbation h = f - mu is built one snapshot at a time, against the
+grid's cached, read-only equilibrium `fields.maxwellian`.  The level-set
+terms are computed at most once per level on a trajectory and memoized
+on it, and an empty cut costs no transform, so a trajectory must not be
+mutated after construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .fields import NormRequest, level_set_plus, lp_m_norm, maxwellian, squared_gradient, weighted_gradient_energy
-from .grid import Field
 from .solver import Trajectory
 
 __all__ = [
@@ -122,12 +122,6 @@ def _window_indices(times: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
     return idx
 
 
-def _snapshot_h(traj: Trajectory, indices: Iterable[int]) -> Iterator[Field]:
-    """h = f - mu for the snapshots at `indices`, built one at a time from one mu."""
-    mu = maxwellian(traj.grid)
-    return (traj.snapshots[i] - mu for i in indices)
-
-
 def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     if len(times) < 2:
         return 0.0
@@ -173,13 +167,12 @@ def level_set_energy(traj: Trajectory, level: float, window: tuple[float, float]
     idx = _window_indices(times, t_a, t_b)
     p = traj.p
     req = NormRequest(p)
-    memo, mu = traj.level_terms, None
+    memo, mu = traj.level_terms, maxwellian(traj.grid)
     sup_term = 0.0
     diss = np.empty(idx.size)
     for out_i, i in enumerate(idx):
         key = (level, int(i))
         if key not in memo:
-            mu = maxwellian(traj.grid) if mu is None else mu
             h = traj.snapshots[i] - mu
             if np.max(h.values) <= level:
                 memo[key] = (0.0, 0.0)
@@ -382,7 +375,8 @@ def moment_bound_check(traj: Trajectory, theta: float) -> MomentBoundReport:
     exponent = q_ltheta(l, theta) + MOMENT_MARGIN
     times = np.asarray(traj.snapshot_times)
     req = NormRequest(1.0, theta)
-    norms = np.array([lp_m_norm(h, req) for h in _snapshot_h(traj, range(len(traj.snapshots)))])
+    mu = maxwellian(traj.grid)
+    norms = np.array([lp_m_norm(f - mu, req) for f in traj.snapshots])
     c3 = float(np.max(norms / (1.0 + times) ** exponent))
     return MomentBoundReport(l=l, theta=theta, exponent=exponent, c3=c3)
 
@@ -423,7 +417,8 @@ def ode_barrier_check(traj: Trajectory, eps: float, c_tilde: float | None = None
     exit_time = float(times[np.argmax(above)]) if bool(np.any(above)) else None
 
     req = NormRequest(1.0, traj.m)
-    m_bar = max(lp_m_norm(h, req) for h in _snapshot_h(traj, range(len(traj.snapshots))))
+    mu = maxwellian(traj.grid)
+    m_bar = max(lp_m_norm(f - mu, req) for f in traj.snapshots)
     c0 = float(np.min(traj.c0))
 
     growth = (m_bar + 1.0) * y + y**exps.alpha

@@ -6,13 +6,16 @@ Boltzmann entropy, positive-part level sets, and the weighted gradient
 energies that drive the regularity estimates.
 
 All functions are pure; quadrature is everywhere the same midpoint rule
-as :func:`landau.grid.integrate`.
+as :func:`landau.grid.integrate`.  The equilibrium mu of :func:`maxwellian`
+is a per-grid constant like the grid's weights: built once per grid and
+shared read-only, and every h = f - mu in the program is taken against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +40,12 @@ ENTROPY_FLOOR = 1e-300
 NEGATIVITY_SLACK = 1e-12
 
 
+@lru_cache(maxsize=8)
 def maxwellian(grid: Grid) -> Field:
-    """The unit-mass, zero-mean, unit-temperature Gaussian equilibrium."""
-    return Field(grid, (2.0 * np.pi) ** -1.5 * np.exp(-0.5 * grid.radius2))
+    """The unit-mass, zero-mean, unit-temperature Gaussian equilibrium (cached per grid, read-only)."""
+    mu = Field(grid, (2.0 * np.pi) ** -1.5 * np.exp(-0.5 * grid.radius2))
+    mu.values.flags.writeable = False
+    return mu
 
 
 @dataclass(frozen=True)

@@ -93,30 +93,27 @@ class Grid:
         return weight
 
 
-def _same_grid(a: Grid, b: Grid) -> None:
-    if a != b:
-        raise ValueError(f"fields live on different grids: {a} vs {b}")
-
-
 @dataclass(frozen=True, eq=False)
-class Field:
-    """Scalar samples on a Grid, stored row-major with axis v1 slowest."""
+class _GridValues:
+    """Samples on a Grid, float64 of shape `leading` + grid.shape, axis v1 slowest."""
 
     grid: Grid
     values: np.ndarray
+    leading = ()
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != self.grid.shape:
-            raise ValueError(f"field shape {values.shape} does not match grid shape {self.grid.shape}")
+        if values.shape != (*self.leading, *self.grid.shape):
+            raise ValueError(f"{type(self).__name__} shape {values.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "values", values)
 
-    def __add__(self, other: "Field") -> "Field":
-        _same_grid(self.grid, other.grid)
-        return Field(self.grid, self.values + other.values)
+
+class Field(_GridValues):
+    """Scalar samples on a Grid, stored row-major with axis v1 slowest."""
 
     def __sub__(self, other: "Field") -> "Field":
-        _same_grid(self.grid, other.grid)
+        if self.grid != other.grid:
+            raise ValueError(f"fields live on different grids: {self.grid} vs {other.grid}")
         return Field(self.grid, self.values - other.values)
 
     def __mul__(self, scale: float) -> "Field":
@@ -128,18 +125,10 @@ class Field:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True, eq=False)
-class VecField:
+class VecField(_GridValues):
     """Three scalar components on one grid, stacked as values[k, i1, i2, i3]."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (3, *self.grid.shape):
-            raise ValueError(f"vector field shape {values.shape} does not match grid {self.grid.shape}")
-        object.__setattr__(self, "values", values)
+    leading = (3,)
 
     def component(self, k: int) -> Field:
         return Field(self.grid, self.values[k])
@@ -150,23 +139,15 @@ class VecField:
 
 # storage order of the six independent components of a symmetric matrix
 SYM_COMPONENTS: tuple[tuple[int, int], ...] = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_SYM_INDEX = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (0, 1): 3, (1, 0): 3, (0, 2): 4, (2, 0): 4, (1, 2): 5, (2, 1): 5}
+_SYM_INDEX = {key: slot for slot, (i, j) in enumerate(SYM_COMPONENTS) for key in ((i, j), (j, i))}
 # nodes per closed-form eigen block: its ~50 temporaries stay in cache
 _EIGEN_BLOCK = 8192
 
 
-@dataclass(frozen=True, eq=False)
-class SymTensorField:
+class SymTensorField(_GridValues):
     """Symmetric 3x3 matrix per node; components (11, 22, 33, 12, 13, 23)."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (6, *self.grid.shape):
-            raise ValueError(f"tensor field shape {values.shape} does not match grid {self.grid.shape}")
-        object.__setattr__(self, "values", values)
+    leading = (6,)
 
     def component(self, i: int, j: int) -> np.ndarray:
         return self.values[_SYM_INDEX[(i, j)]]

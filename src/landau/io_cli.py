@@ -348,7 +348,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     }
 
     y0 = float(traj.lp_p[0])
-    eps = max(4.0 * y0, 2.0 * float(np.max(traj.lp_p)), 1e-12)
+    eps = max(4.0 * y0, 1e-12)
     barrier = analysis.ode_barrier_check(traj, eps)
     report["ode_barrier"] = dataclasses.asdict(barrier)
 

@@ -42,7 +42,9 @@ remains available as :func:`rhs`.
 A run records a row of the time, step, conserved moments, entropy,
 perturbation norms and coercivity constant at every step, plus full
 snapshots at a configurable cadence and at the last row, so that a run
-that aborts between snapshot times still ends on one.  The rows are
+that aborts between snapshot times still ends on one.  `run` keeps the
+rows and snapshots itself; the perturbation h = f - mu of a row is taken
+against the grid's cached equilibrium `fields.maxwellian`.  The rows are
 the `table` of the resulting Trajectory, whose series are its column
 views; `scalars.csv` is that table as text.  An undershoot below zero
 is kept as it is, so the mass stays exact; the entropy reads the
@@ -317,7 +319,7 @@ class FrozenCoefficients:
     """What a step of `run` reads of one coefficient set.
 
     The face weights of the flux and the three statistics behind the
-    step bound and the recorder, `drift_max` the set's own.  Holding
+    step bound and the rows, `drift_max` the set's own.  Holding
     these instead of the set lets the run drop the node-valued A and a
     as soon as the weights exist.
     """
@@ -519,32 +521,14 @@ class Trajectory:
         return self.table
 
 
-class _Recorder:
-    def __init__(self, grid: Grid, config: SimConfig):
-        self.grid = grid
-        self.config = config
-        self.mu = maxwellian(grid)
-        self.rows: list[tuple[float, ...]] = []
-        self.snapshot_times: list[float] = []
-        self.snapshots: list[Field] = []
-        self._p_req = NormRequest(config.p)
-
-    def record(self, t: float, dt_used: float, f: Field, coeffs: FrozenCoefficients, snapshot: bool) -> None:
-        """Append the row of state f, in SCALAR_COLUMNS order."""
-        h = f - self.mu
-        mom = moments(f)
-        p = self.config.p
-        # entropy of the nonnegative part: transient roundoff-scale undershoots are treated as zero density
-        entropy = boltzmann_entropy(Field(self.grid, np.maximum(f.values, 0.0)))
-        self.rows.append((t, dt_used, mom.mass, *mom.momentum, mom.energy, entropy, lp_m_norm(h, self._p_req) ** p,
-                          h.max_abs(), weighted_gradient_energy(h, p), coeffs.c0_empirical))
-        if snapshot:
-            self.snapshot_times.append(t)
-            self.snapshots.append(f)
-
-    def build(self, abort_reason: str | None) -> Trajectory:
-        return Trajectory(self.grid, self.config.p, self.config.m, np.array(self.rows),
-                          self.snapshot_times, self.snapshots, abort_reason)
+def _row(t: float, dt_used: float, f: Field, coeffs: FrozenCoefficients, p: float) -> tuple[float, ...]:
+    """The row of state f, in SCALAR_COLUMNS order."""
+    h = f - maxwellian(f.grid)
+    mom = moments(f)
+    # entropy of the nonnegative part: transient roundoff-scale undershoots are treated as zero density
+    entropy = boltzmann_entropy(Field(f.grid, np.maximum(f.values, 0.0)))
+    return (t, dt_used, mom.mass, *mom.momentum, mom.energy, entropy, lp_m_norm(h, NormRequest(p)) ** p,
+            h.max_abs(), weighted_gradient_energy(h, p), coeffs.c0_empirical)
 
 
 def _next_dt(dt: float, remaining: float) -> float:
@@ -565,19 +549,18 @@ def run(config: SimConfig) -> Trajectory:
     f = initial_datum(config)
     grid = f.grid
     base = equilibrium_residual(grid.n, grid.extent)  # before the run's first set, not beside it
-    recorder = _Recorder(grid, config)
     # each set lives only until its weights and statistics exist
     coeffs = FrozenCoefficients.of(compute_coefficients(f))
-    recorder.record(0.0, 0.0, f, coeffs, snapshot=True)
+    rows = [_row(0.0, 0.0, f, coeffs, config.p)]
+    snapshot_times, snapshots = [0.0], [f]
     slope = rhs(f, coeffs).values
 
     t = 0.0
-    snapshots = 1
     since_rebuild = 0
     dt_control = math.inf
     abort_reason = None
     while t < config.t_end * (1.0 - 1e-12):
-        target = min(snapshots * config.snapshot_every * DT_CAP, config.t_end)
+        target = min(len(snapshots) * config.snapshot_every * DT_CAP, config.t_end)
         dt = _next_dt(min(dt_control, stable_dt(f, coeffs, config.cfl)), target - t)
         try:
             f_new = _ssp_step(f, dt, coeffs, slope, base)
@@ -611,10 +594,12 @@ def run(config: SimConfig) -> Trajectory:
         f = f_new
         landed = dt == target - t
         t = target if landed else t + dt
-        snapshots += landed
-        recorder.record(t, dt, f, coeffs, snapshot=landed)
+        rows.append(_row(t, dt, f, coeffs, config.p))
+        if landed:
+            snapshot_times.append(t)
+            snapshots.append(f)
 
-    if recorder.snapshot_times[-1] != t:  # an abort off a snapshot time: the last recorded state is one
-        recorder.snapshot_times.append(t)
-        recorder.snapshots.append(f)
-    return recorder.build(abort_reason)
+    if snapshot_times[-1] != t:  # an abort off a snapshot time: the last recorded state is one
+        snapshot_times.append(t)
+        snapshots.append(f)
+    return Trajectory(grid, config.p, config.m, np.array(rows), snapshot_times, snapshots, abort_reason)

@@ -62,7 +62,7 @@ def corpus_fields(grid: Grid) -> list[Field]:
         0.5 * norm * (np.exp(-0.5 * ((v1 - 1.0) ** 2 + v2**2 + v3**2))
                       + np.exp(-0.5 * ((v1 + 1.0) ** 2 + v2**2 + v3**2))),
         norm * np.exp(-0.5 * (v1**2 / 0.8 + v2**2 + v3**2 / 1.2)) / np.sqrt(0.96),
-        norm * np.exp(-0.5 * (v1**2 + v2**2 + v3**2)) * (1.0 + 0.3 * np.cos(np.pi * v1 / grid.extent)),
+        mu * (1.0 + 0.3 * np.cos(np.pi * v1 / grid.extent)),
         (2.0 * np.pi * 0.5) ** -1.5 * np.exp(-grid.radius2),
         0.5 * mu + 0.5 * norm * np.exp(-0.5 * ((v1 - 1.0) ** 2 + v2**2 + v3**2)),
     ]

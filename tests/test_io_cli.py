@@ -602,6 +602,20 @@ class TestCli:
             "moment_bounds", "ode_barrier", "p", "perturbation", "recurrence", "smoothing_fit",
         ]
 
+    def test_barrier_exit_is_reported(self, small_traj, tmp_path):
+        # eps = max(4 y(0), 1e-12) does not follow y: a y that passes 4 y(0) leaves the barrier
+        table = small_traj.table.copy()
+        lp_p = SCALAR_COLUMNS.index("lp_p")
+        table[2:, lp_p] = 5.0 * table[0, lp_p]
+        stored = dataclasses.replace(small_traj, table=table)
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(stored, traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        barrier = json.loads((rep / "report.json").read_text())["ode_barrier"]
+        assert barrier["eps"] == 4.0 * table[0, lp_p]
+        assert barrier["barrier_held"] is False
+        assert barrier["exit_time"] == table[2, 0]
+
     @pytest.mark.parametrize("name", ["snapshots.f64", "scalars.csv"])
     def test_diagnose_reports_a_trajectory_file_that_is_a_directory(self, small_traj, tmp_path, capsys, name):
         traj_dir = tmp_path / "out"

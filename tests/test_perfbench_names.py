@@ -1,5 +1,7 @@
-"""The names that the benchmark harness in `perfbench/` imports, calls or wraps still exist."""
+"""The names that the benchmark harness in `perfbench/` imports, calls or wraps still exist,
+and the commands it drives still call the wrapped names."""
 
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,3 +48,39 @@ def test_every_workload_config_parses(monkeypatch, tmp_path):
                 parse_config(path)
                 parsed += 1
     assert parsed == 10
+
+
+def test_commands_call_the_names_perfbench_wraps(monkeypatch, tmp_path):
+    # perfbench/run.py captures the trajectory at io_cli.run and io_cli.read_trajectory, and
+    # perfbench/layertrace.py times the rows as solver.moments, lp_m_norm and weighted_gradient_energy
+    import landau.io_cli as io_cli
+    import landau.solver as solver
+
+    calls, returned = Counter(), {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            returned[name] = original(*args, **kwargs)
+            return returned[name]
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("run", "read_trajectory"):
+        count(io_cli, name)
+    for name in ("moments", "lp_m_norm", "weighted_gradient_energy"):
+        count(solver, name)
+    config = tmp_path / "probe.cfg"
+    config.write_text("n = 16\nL = 8.0\nt_end = 0.2\np = 2.0\nm = 12.0\ninitial = anisotropic_gaussian\n"
+                      "theta = 0.8, 1.0, 1.2\n")
+    out, rep = tmp_path / "out", tmp_path / "rep"
+    assert io_cli.cli(["run", "--config", str(config), "--out", str(out)]) == 0
+    rows = len(returned["run"].times)
+    assert rows > 1
+    assert (calls["run"], calls["read_trajectory"]) == (1, 0)
+    assert calls["lp_m_norm"] == calls["weighted_gradient_energy"] == rows
+    assert calls["moments"] >= rows
+    assert io_cli.cli(["diagnose", "--traj", str(out), "--out", str(rep)]) == 0
+    assert (calls["run"], calls["read_trajectory"]) == (1, 1)

@@ -188,6 +188,12 @@ class TestRhs:
         with pytest.raises(ValueError):
             solver_mod.equilibrium_residual(16, 8.0)[0, 0, 0] = 1.0
 
+    def test_maxwellian_is_one_read_only_field_per_grid(self):
+        # every run and diagnosis on the grid reads this one equilibrium
+        mu = maxwellian(make_grid(16, 8.0))
+        assert mu is maxwellian(make_grid(16, 8.0))
+        assert not mu.values.flags.writeable
+
     def test_mass_free(self):
         cfg = SimConfig(n=24, initial=TwoBump(2.0))
         f0 = initial_datum(cfg)
