@@ -14,8 +14,8 @@ exponent p and the moment order m off the trajectory it measures.  The
 perturbation h = f - mu is built one snapshot at a time, against the
 grid's cached, read-only equilibrium `fields.maxwellian`.  The level-set
 terms are computed at most once per level on a trajectory and memoized
-on it, and an empty cut costs no transform, so a trajectory must not be
-mutated after construction.
+on it, with each snapshot's max h, so that an empty cut costs no pass
+over the grid; a trajectory must not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import NormRequest, level_set_plus, lp_m_norm, maxwellian, squared_gradient, weighted_gradient_energy
+from .fields import NormRequest, lp_m_norm, maxwellian, squared_gradient, weighted_gradient_energy
+from .grid import Field
 from .solver import Trajectory
 
 __all__ = [
@@ -153,8 +154,9 @@ class LevelSetEnergyReport:
 def level_set_energy(traj: Trajectory, level: float, window: tuple[float, float], c0: float) -> LevelSetEnergyReport:
     """sup_t ||h_l^+||_p^p + c0 int ||<v>^{-3/2} grad (h_l^+)^{p/2}||_2^2 dt.
 
-    Both per-snapshot terms are memoized on `traj` by (level, snapshot);
-    an empty cut (max h <= level) gives exactly 0.0 for both, untransformed.
+    Both per-snapshot terms are memoized on `traj` by (level, snapshot),
+    and each snapshot's max h by its index; an empty cut (max h <= level)
+    gives exactly 0.0 for both, with no pass over the grid once max h is known.
     """
     t_a, t_b = window
     if t_a > t_b:
@@ -170,14 +172,20 @@ def level_set_energy(traj: Trajectory, level: float, window: tuple[float, float]
     memo, mu = traj.level_terms, maxwellian(traj.grid)
     sup_term = 0.0
     diss = np.empty(idx.size)
-    for out_i, i in enumerate(idx):
-        key = (level, int(i))
+    for out_i, i in enumerate(idx.tolist()):
+        key = (level, i)
         if key not in memo:
-            h = traj.snapshots[i] - mu
-            if np.max(h.values) <= level:
+            h = None
+            if i not in memo:  # the snapshot's max h, so that an empty cut costs no pass
+                h = np.subtract(traj.snapshots[i].values, mu.values)
+                memo[i] = float(np.max(h))
+            if memo[i] <= level:
                 memo[key] = (0.0, 0.0)
             else:
-                cut = level_set_plus(h, level)
+                # the cut (f - mu - level)^+ in the one buffer of h
+                h = np.subtract(traj.snapshots[i].values, mu.values) if h is None else h
+                h -= level
+                cut = Field(traj.grid, np.maximum(h, 0.0, out=h))
                 memo[key] = (lp_m_norm(cut, req) ** p, weighted_gradient_energy(cut, p))
         lp_term, diss[out_i] = memo[key]
         sup_term = max(sup_term, lp_term)

@@ -6,7 +6,11 @@ Boltzmann entropy, positive-part level sets, and the weighted gradient
 energies that drive the regularity estimates.
 
 All functions are pure; quadrature is everywhere the same midpoint rule
-as :func:`landau.grid.integrate`.  The equilibrium mu of :func:`maxwellian`
+as :func:`landau.grid.integrate`.  The sums of the run's rows (the
+moments, the L^2 norm, the entropy, the weighted gradient energy) are
+`np.einsum` contractions: one pass each with no product temporary, in
+numpy's own loops rather than BLAS, so their bits do not depend on the
+BLAS thread count.  The equilibrium mu of :func:`maxwellian`
 is a per-grid constant like the grid's weights: built once per grid and
 shared read-only, and every h = f - mu in the program is taken against it.
 """
@@ -73,27 +77,36 @@ def lp_m_norm(field: Field, req: NormRequest) -> float:
     """(integral of |f|^p <v>^m)^(1/p); plain sup norm when p = inf."""
     if math.isinf(req.p):
         return field.max_abs()
-    weighted = np.abs(field.values) ** req.p
-    if req.m != 0.0:
-        weighted = weighted * field.grid.bracket_power(req.m)
-    total = field.grid.cell_volume * float(np.sum(weighted))
-    return total ** (1.0 / req.p)
+    x = field.values
+    if req.p == 2.0:  # |x|^2 is x x, so the sum is a dot product
+        if req.m == 0.0:
+            total = np.einsum("ijk,ijk->", x, x)
+        else:
+            total = np.einsum("ijk,ijk,ijk->", x, x, field.grid.bracket_power(req.m))
+    else:
+        weighted = np.abs(x) ** req.p
+        if req.m != 0.0:
+            weighted = weighted * field.grid.bracket_power(req.m)
+        total = np.sum(weighted)
+    return (field.grid.cell_volume * float(total)) ** (1.0 / req.p)
 
 
 def moments(field: Field) -> MomentVector:
-    """Mass, momentum, and energy integrals (the conserved triple)."""
+    """Mass, momentum, and energy integrals (the conserved triple).
+
+    The weights 1, v_k and |v|^2 are sums of products of (1, v, v^2) on
+    single axes, so f is contracted against (1, v, v^2) one axis at a
+    time, to m[a, b, c] = sum f v1^a v2^b v3^c.
+    """
     grid = field.grid
-    v1, v2, v3 = grid.coords
+    axis = grid.axis
+    powers = np.stack((np.ones(grid.n), axis, axis * axis))
+    m = np.einsum("ijk,ai->ajk", field.values, powers)
+    m = np.einsum("ajk,bj->abk", m, powers)
+    m = np.einsum("abk,ck->abc", m, powers).tolist()
     w = grid.cell_volume
-    vals = field.values
-    mass = w * float(np.sum(vals))
-    momentum = (
-        w * float(np.sum(v1 * vals)),
-        w * float(np.sum(v2 * vals)),
-        w * float(np.sum(v3 * vals)),
-    )
-    energy = w * float(np.sum(grid.radius2 * vals))
-    return MomentVector(mass, momentum, energy)
+    momentum = (w * m[1][0][0], w * m[0][1][0], w * m[0][0][1])
+    return MomentVector(w * m[0][0][0], momentum, w * (m[2][0][0] + m[0][2][0] + m[0][0][2]))
 
 
 def boltzmann_entropy(field: Field, *, absolute: bool = False) -> float:
@@ -103,14 +116,15 @@ def boltzmann_entropy(field: Field, *, absolute: bool = False) -> float:
     those signal a failed solve, not a density.
     """
     vals = field.values
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if top > 0.0 and float(np.min(vals)) < -NEGATIVITY_SLACK * top:
+    low = float(np.min(vals))
+    # max |f| is max(max f, -min f)
+    if low < -NEGATIVITY_SLACK * max(float(np.max(vals)), -low):
         raise ValueError("field has negative values beyond roundoff tolerance; entropy undefined")
     pos = vals[vals > ENTROPY_FLOOR]
     logs = np.log(pos)
     if absolute:
-        logs = np.abs(logs)
-    return field.grid.cell_volume * float(np.sum(pos * logs))
+        np.abs(logs, out=logs)
+    return field.grid.cell_volume * float(np.einsum("i,i->", pos, logs))
 
 
 def level_set_plus(h: Field, level: float) -> Field:
@@ -143,9 +157,8 @@ def weighted_gradient_energy(h: Field, p: float) -> float:
         base = h.values
     else:
         base = np.abs(h.values) ** (0.5 * p)
-    density = squared_gradient(Field(grid, base))
-    density *= grid.bracket_power(-3.0)
-    return grid.cell_volume * float(np.sum(density))
+    grad = spectral_gradient(Field(grid, base)).values
+    return grid.cell_volume * float(np.einsum("kijl,kijl,ijl->", grad, grad, grid.bracket_power(-3.0)))
 
 
 def sobolev_ratio(g: Field, s: float) -> float:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,14 @@ def dying_sweep_worker(job):
     if job[0].n == 16:
         os._exit(3)
     return io_cli._sweep_worker(job)
+
+
+def one_blas_thread_stdout(script: str) -> str:
+    """What `python -c script` prints, stripped, run on this checkout with one BLAS thread."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def stacked_matrices(tensor: SymTensorField) -> np.ndarray:

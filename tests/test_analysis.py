@@ -159,6 +159,13 @@ class TestLevelSetEnergy:
             sup, dissipation = direct_level_energy(twobump32, level, 0.0168)
             assert (report.sup_term, report.dissipation_term, report.total) == (sup, dissipation, sup + dissipation)
 
+    def test_an_empty_cut_reads_no_snapshot_once_its_max_h_is_known(self, twobump32):
+        traj = dataclasses.replace(twobump32, snapshots=list(twobump32.snapshots))
+        level_set_energy(traj, 0.0, (0.0, 1.0), c0=0.02)
+        traj.snapshots[:] = [None] * len(traj.snapshots)  # any read of a snapshot now fails
+        top = float(np.max(twobump32.linf_h))
+        assert level_set_energy(traj, 2.0 * top, (0.0, 1.0), c0=0.02).total == 0.0
+
     def test_call_order_does_not_change_totals(self, twobump32):
         top = float(np.max(twobump32.linf_h))
         probes = [(frac * top, window) for frac in (0.0, 0.25, 0.5, 0.9, 2.0) for window in ((0.0, 1.0), (0.3, 1.0))]

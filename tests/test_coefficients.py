@@ -1,18 +1,14 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import warnings
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import stacked_matrices
+from conftest import one_blas_thread_stdout, stacked_matrices
 from landau import coefficients
 from landau.coefficients import (
     CoefficientSet,
@@ -291,15 +287,12 @@ class TestTransformOnRead:
             "print(hashlib.sha256(c.A.values.tobytes() + c.grad_a.values.tobytes() "
             "+ spectral_gradient(f).values.tobytes()).hexdigest())"
         )
-        src = str(Path(coefficients.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        single = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        single = one_blas_thread_stdout(script)
         f = initial_datum(SimConfig(n=48, initial=TwoBump(2.0)))
         coeffs = compute_coefficients(f)
         grad = spectral_gradient(f).values
         here = hashlib.sha256(coeffs.A.values.tobytes() + coeffs.grad_a.values.tobytes() + grad.tobytes()).hexdigest()
-        assert single.stdout.strip() == here
+        assert single == here
 
     def test_boundary_warning_fires_once_per_set(self):
         # at n = 8 the data reach the faces

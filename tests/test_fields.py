@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from landau.fields import (
+    ENTROPY_FLOOR,
+    NEGATIVITY_SLACK,
     NormRequest,
     boltzmann_entropy,
     level_set_plus,
@@ -11,6 +13,7 @@ from landau.fields import (
     maxwellian,
     moments,
     sobolev_ratio,
+    squared_gradient,
     weighted_gradient_energy,
 )
 from landau.grid import Field, make_grid, spectral_gradient
@@ -181,6 +184,64 @@ class TestWeightedGradientEnergy:
         assert weighted_gradient_energy(-1.0 * mu48, 2.0) == pytest.approx(
             weighted_gradient_energy(mu48, 2.0), rel=1e-12
         )
+
+
+# The reductions are einsum contractions; each reference below is the np.sum formula it
+# replaced.  The two add the same products in another order, so they may differ by rounding,
+# bounded here by SUM_TOL, 64 eps of the sum of the terms' magnitudes; on these data the
+# largest difference is about 5 eps of it.
+SUM_TOL = 64 * np.finfo(np.float64).eps
+
+
+def _signed_field(n: int) -> Field:
+    grid = make_grid(n, 8.0)
+    return Field(grid, np.random.default_rng(n).standard_normal(grid.shape))
+
+
+def _close_in_sum(got: float, terms: np.ndarray) -> bool:
+    return abs(got - float(np.sum(terms))) <= SUM_TOL * float(np.sum(np.abs(terms)))
+
+
+@pytest.mark.parametrize("n", [8, 24, 48])
+class TestReductionsMatchTheSumFormulas:
+    def test_moments(self, n):
+        field = _signed_field(n)
+        grid, vals = field.grid, field.values
+        v1, v2, v3 = grid.coords
+        mom = moments(field)
+        got = (mom.mass, *mom.momentum, mom.energy)
+        for value, weight in zip(got, (1.0, v1, v2, v3, grid.radius2)):
+            assert _close_in_sum(value, grid.cell_volume * weight * vals)
+
+    def test_lp_m_norm(self, n):
+        field = _signed_field(n)
+        grid, vals = field.grid, field.values
+        for m in (0.0, 3.0):
+            terms = grid.cell_volume * np.abs(vals) ** 2 * grid.bracket_power(m)
+            assert _close_in_sum(lp_m_norm(field, NormRequest(2.0, m)) ** 2, terms)
+            # the general path is still the np.sum formula, bit for bit
+            total = float(np.sum(np.abs(vals) ** 3.0 * grid.bracket_power(m)))
+            assert lp_m_norm(field, NormRequest(3.0, m)) == (grid.cell_volume * total) ** (1.0 / 3.0)
+
+    def test_boltzmann_entropy(self, n):
+        field = _signed_field(n)
+        vals = np.abs(field.values)
+        vals.reshape(-1)[:3] = (0.0, ENTROPY_FLOOR, 0.5 * ENTROPY_FLOOR)  # under the floor: no f log f term
+        vals.reshape(-1)[3] = -0.5 * NEGATIVITY_SLACK * np.max(vals)  # within the slack, and under the floor
+        pos = vals[vals > ENTROPY_FLOOR]
+        signed = field.grid.cell_volume * pos * np.log(pos)
+        assert _close_in_sum(boltzmann_entropy(Field(field.grid, vals)), signed)
+        assert _close_in_sum(boltzmann_entropy(Field(field.grid, vals), absolute=True), np.abs(signed))
+        vals.reshape(-1)[3] = -2.0 * NEGATIVITY_SLACK * np.max(vals)
+        with pytest.raises(ValueError, match="negative values"):
+            boltzmann_entropy(Field(field.grid, vals))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_weighted_gradient_energy(self, n, p):
+        h = _signed_field(n)
+        base = h.values if p == 2.0 else np.abs(h.values) ** (0.5 * p)
+        terms = h.grid.cell_volume * squared_gradient(Field(h.grid, base)) * h.grid.bracket_power(-3.0)
+        assert _close_in_sum(weighted_gradient_energy(h, p), terms)
 
 
 class TestWeightedInterpolation:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import weakref
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from conftest import one_blas_thread_stdout
 import landau.solver as solver_mod
 from landau.coefficients import CoefficientSet, compute_coefficients
 from landau.fields import NormRequest, boltzmann_entropy, lp_m_norm, maxwellian, moments, weighted_gradient_energy
@@ -243,6 +245,14 @@ class TestRhs:
             expected -= np.roll(flux, 1, axis=k)
         got = rhs(Field(grid, vals), solver_mod.FrozenCoefficients(weights, 0.0, 0.0, 0.0)).values
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_centred_difference_is_the_rolled_one_bit_for_bit(self, n):
+        # the flat shift crosses into the neighbouring line on both wrap planes of axes 1 and 2
+        vals = np.random.default_rng(n).standard_normal((n, n, n))
+        for j in range(3):
+            expected = np.roll(vals, -1, axis=j) - np.roll(vals, 1, axis=j)
+            np.testing.assert_array_equal(solver_mod._centred_difference(vals, j), expected)
 
 
 def _two_point_rhs(f: np.ndarray, A: SymTensorField, a: np.ndarray, dv: float) -> np.ndarray:
@@ -526,6 +536,17 @@ class TestRun:
         # snapshots every 0.1: at least six steps, each on a rebuilt set
         traj = run(SimConfig(n=16, t_end=0.6, snapshot_every=1, initial=TwoBump(2.0)))
         assert not traj.aborted and len(traj.times) >= 7
+
+    def test_one_blas_thread_gives_the_same_row_bits(self):
+        # the rows' sums must not depend on how many threads BLAS has: a BLAS dot product splits its sum by thread
+        script = (
+            "import hashlib; from landau.solver import SimConfig, TwoBump, run; "
+            "traj = run(SimConfig(n=24, t_end=0.1, initial=TwoBump(2.0))); "
+            "print(hashlib.sha256(traj.table.tobytes() + traj.snapshots[-1].values.tobytes()).hexdigest())"
+        )
+        traj = run(SimConfig(n=24, t_end=0.1, initial=TwoBump(2.0)))
+        here = hashlib.sha256(traj.table.tobytes() + traj.snapshots[-1].values.tobytes()).hexdigest()
+        assert one_blas_thread_stdout(script) == here
 
     def test_blowup_is_surfaced(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "BLOWUP_SUP", 1e-3)
