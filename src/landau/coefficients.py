@@ -43,10 +43,14 @@ do not depend on the number of BLAS threads.  The check routes
 (`biharmonic_potential`, `structural_residuals`) take the full spectrum
 from rfftn of the padded density instead (`_padded_spectrum`).
 
-The eigenvalues run only where they can matter: `lambda_max` on the
-nodes whose Gershgorin row bound reaches the largest diagonal entry,
-`c0_empirical` on the cached half-extent ball.  Both equal a full
-closed-form pass bit for bit; the full pass serves `coefficient_upper_bounds`.
+The eigenvalues run only where they can matter, in one closed-form call
+per set: `lambda_max` on the nodes whose Gershgorin row bound reaches
+the largest diagonal entry, `c0_empirical` on the ball nodes whose lower
+bound reaches the ball's least weighted diagonal entry.  That is 2 nodes
+per set on the seed-0 benchmark runs (a ball pass took 1 + 922 at n = 24,
+1 + 7,150 at n = 48), and the two cost 0.35 ms per set at n = 24 and 1.8
+at n = 48, not 0.57 and 3.1.  Both equal a full closed-form pass bit for
+bit; the full pass serves `coefficient_upper_bounds`.
 `structural_residuals` checks the set against independent,
 unfactored symbol routes (Laplacian, divergence of A).
 
@@ -83,7 +87,7 @@ __all__ = [
 # Sources should be this small near the boundary for the truncated
 # free-space convolution to be trustworthy.
 BOUNDARY_DENSITY_WARN = 1e-10
-# Slack of the Gershgorin screen in `lambda_max`, relative to the largest entry.
+# Slack of the eigenvalue screens (`CoefficientSet._extremes`), relative to the largest entry.
 _SCREEN_SLACK = 2.0**-40
 
 
@@ -323,19 +327,12 @@ class CoefficientSet:
         return VecField(grid, _matrix_inverse(self.density, laplacian, _DRIFT_TERMS))
 
     @cached_property
-    def lambda_max(self) -> float:
-        """Largest diffusion eigenvalue over the grid (time-step control).
-
-        A node's largest eigenvalue lies between its largest diagonal
-        entry and its largest Gershgorin row sum A_ii + sum_j |A_ij|, so
-        only nodes whose row bound reaches the grid's largest diagonal
-        entry can hold the maximum; the closed form runs on those alone.
-        The screen keeps a slack of 2^-40 times the largest entry, far
-        above the rounding of the closed form and of the row sums, so
-        the result equals the maximum of a full pass bit for bit.  A
-        non-finite entry puts every node through the full pass.
-        """
-        a11, a22, a33, *_ = values = self.A.values.reshape(6, -1)
+    def _extremes(self) -> tuple[float, float]:
+        """`lambda_max` and `c0_empirical` from one closed-form call on their
+        screened nodes.  A non-finite entry fails every comparison, so it
+        keeps every node, as does an all-zero field."""
+        values = self.A.values.reshape(6, -1)
+        a11, a22, a33 = values[:3]
         d12, d13, d23 = off = np.abs(values[3:])
         top = float(np.max(values[:3]))
         # max |A| (NaN where any entry is); the row sums overwrite the d each reads last
@@ -344,8 +341,30 @@ class CoefficientSet:
         bound += d13
         np.maximum(bound, np.add(np.add(a22, d12, out=d12), d23, out=d12), out=bound)
         np.maximum(bound, np.add(np.add(a33, d13, out=d13), d23, out=d13), out=bound)
-        nodes = ~(bound < top - _SCREEN_SLACK * scale)
-        return float(np.max(self.A.eigenvalues_at(nodes)[:, 2]))
+        peak = np.flatnonzero(~(bound < top - _SCREEN_SLACK * scale))
+        ball, weight = _coercivity_ball(self.A.grid.n, self.A.grid.extent)
+        gathered = values[:, ball]
+        largest, exponent = np.frexp(np.max(np.abs(gathered)))
+        b11, b22, b33, b12, b13, b23 = comps = np.ldexp(gathered, -exponent)
+        q = (b11 + b22 + b33) / 3.0
+        j2 = 0.5 * ((b11 - q) ** 2 + (b22 - q) ** 2 + (b33 - q) ** 2) + b12**2 + b13**2 + b23**2
+        upper = np.min(weight * np.min(comps[:3], axis=0))
+        keep = ~(weight * (q - 2.0 * np.sqrt(j2 / 3.0)) > upper + _SCREEN_SLACK * largest * np.max(weight))
+        eig = self.A.eigenvalues_at(np.concatenate((peak, ball[keep])))
+        return float(np.max(eig[: len(peak), 2])), float(np.min(weight[keep] * eig[len(peak) :, 0]))
+
+    @cached_property
+    def lambda_max(self) -> float:
+        """Largest diffusion eigenvalue over the grid (time-step control).
+
+        A node's largest eigenvalue lies between its largest diagonal
+        entry and its largest Gershgorin row sum A_ii + sum_j |A_ij|, so
+        only nodes whose row bound reaches the grid's largest diagonal
+        entry can hold the maximum; the closed form runs on those alone.
+        The screen keeps a slack of 2^-40 times the largest entry, far
+        above the rounding of the closed form and of the row sums.
+        """
+        return self._extremes[0]
 
     @cached_property
     def c0_empirical(self) -> float:
@@ -353,11 +372,17 @@ class CoefficientSet:
 
         Restricted to the half-extent ball: near the boundary the
         truncated tail of the source biases the smallest eigenvalue.
-        The closed form runs on the ball's nodes alone.
+        A node's lambda_min lies between the closed form's q - radius,
+        q - 2 sqrt(J2/3) (a traceless symmetric 3x3 matrix has no
+        eigenvalue beyond that radius), and its smallest diagonal entry,
+        so only nodes whose weighted lower bound reaches U = min over the
+        ball of <v>^3 min_i A_ii can hold the minimum.  The screen works
+        on the ball scaled by one exact power of two, so J2 neither
+        overflows nor underflows, with a slack of 2^-40 times the largest
+        entry and weight: the closed form is within ~5e-15 of a node's
+        largest entry, and the bound and U within a few ulps.
         """
-        grid = self.A.grid
-        nodes, weight = _coercivity_ball(grid.n, grid.extent)
-        return float(np.min(weight * self.A.eigenvalues_at(nodes)[:, 0]))
+        return self._extremes[1]
 
     @cached_property
     def drift_max(self) -> float:

@@ -120,11 +120,16 @@ def boltzmann_entropy(field: Field, *, absolute: bool = False) -> float:
     # max |f| is max(max f, -min f)
     if low < -NEGATIVITY_SLACK * max(float(np.max(vals)), -low):
         raise ValueError("field has negative values beyond roundoff tolerance; entropy undefined")
+    return field.grid.cell_volume * _entropy_sum(vals, absolute)
+
+
+def _entropy_sum(vals: np.ndarray, absolute: bool) -> float:
+    """sum of f log f (or f |log f|) over the nodes above ENTROPY_FLOOR: zero and negative nodes add nothing."""
     pos = vals[vals > ENTROPY_FLOOR]
     logs = np.log(pos)
     if absolute:
         np.abs(logs, out=logs)
-    return field.grid.cell_volume * float(np.einsum("i,i->", pos, logs))
+    return float(np.einsum("i,i->", pos, logs))
 
 
 def level_set_plus(h: Field, level: float) -> Field:

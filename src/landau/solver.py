@@ -62,7 +62,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .coefficients import CoefficientSet, compute_coefficients
-from .fields import NormRequest, boltzmann_entropy, lp_m_norm, maxwellian, moments, weighted_gradient_energy
+from .fields import NormRequest, _entropy_sum, lp_m_norm, maxwellian, moments, weighted_gradient_energy
 from .grid import Field, Grid, face_pairs, make_grid
 
 __all__ = [
@@ -536,8 +536,8 @@ def _row(t: float, dt_used: float, f: Field, coeffs: FrozenCoefficients, p: floa
     """The row of state f, in SCALAR_COLUMNS order."""
     h = f - maxwellian(f.grid)
     mom = moments(f)
-    # entropy of the nonnegative part: transient roundoff-scale undershoots are treated as zero density
-    entropy = boltzmann_entropy(Field(f.grid, np.maximum(f.values, 0.0)))
+    # entropy of the nonnegative part, unchecked: undershoots below zero add nothing to the sum
+    entropy = f.grid.cell_volume * _entropy_sum(f.values, False)
     return (t, dt_used, mom.mass, *mom.momentum, mom.energy, entropy, lp_m_norm(h, NormRequest(p)) ** p,
             h.max_abs(), weighted_gradient_energy(h, p), coeffs.c0_empirical)
 

@@ -335,13 +335,13 @@ def screened(values: np.ndarray) -> CoefficientSet:
 
 def assert_screen_exact(values: np.ndarray) -> CoefficientSet:
     coeffs = screened(values)
-    lam, c0 = full_pass(coeffs.A)
-    assert (coeffs.lambda_max, coeffs.c0_empirical) == (lam, c0)
+    # equal bit for bit, a NaN matching a NaN
+    assert np.array_equal((coeffs.lambda_max, coeffs.c0_empirical), full_pass(coeffs.A), equal_nan=True)
     return coeffs
 
 
 class TestScreenedEigenvalues:
-    """lambda_max on the Gershgorin-screened nodes and c0 on the ball equal a full pass bit for bit."""
+    """lambda_max and c0 on their screened nodes equal a full pass bit for bit."""
 
     def test_coefficient_data(self):
         for datum in (AnisotropicGaussian((0.8, 1.0, 1.2)), TwoBump(2.0), Maxwellian()):
@@ -370,6 +370,32 @@ class TestScreenedEigenvalues:
         values[4, 1, 2, 3] = np.nan
         assert np.isnan(full_pass(SymTensorField(make_grid(8, 4.0), values))[0])
         assert np.isnan(screened(values).lambda_max)
+
+    def test_c0_away_from_the_centre_and_the_smallest_diagonal(self):
+        # on the 8^3 grid of extent 4 the ball |v| <= 2 holds the nodes 2..6 of each axis, v = 0 at 4
+        values = np.zeros((6, 8, 8, 8))
+        values[:3] = 1.0
+        values[1, 4, 5, 4] = 0.2  # the smallest <v>^3 A_ii of the ball: 2^1.5 * 0.2 at |v| = 1
+        values[3, 5, 4, 4] = 0.9  # lambda_min 0.1 at |v| = 1, far below its diagonal
+        coeffs = assert_screen_exact(values)
+        assert coeffs.c0_empirical == pytest.approx(2.0**1.5 * 0.1, rel=1e-14)
+
+    def test_many_ball_nodes_tied_at_the_minimum(self):
+        # one matrix over <v>^3 at every node: <v>^3 lambda_min ties exactly on each shell
+        # of equal |v| and to within rounding across the ball
+        grid = make_grid(8, 4.0)
+        matrix = np.array([2.0, 1.5, 1.0, 0.3, -0.2, 0.4])
+        assert_screen_exact(matrix[:, None, None, None] / grid.bracket_power(3.0))
+
+    def test_non_finite_entry_in_the_ball_reaches_c0(self):
+        values = np.random.default_rng(2).standard_normal((6, 8, 8, 8))
+        values[4, 4, 4, 5] = np.nan
+        assert np.isnan(assert_screen_exact(values).c0_empirical)
+
+    def test_non_finite_entry_outside_the_ball_leaves_c0(self):
+        values = np.random.default_rng(3).standard_normal((6, 8, 8, 8))
+        values[4, 0, 0, 0] = np.nan
+        assert np.isfinite(assert_screen_exact(values).c0_empirical)
 
     @pytest.mark.parametrize("exponent", [700, -700])
     def test_extreme_scales(self, exponent):

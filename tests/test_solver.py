@@ -485,17 +485,48 @@ class TestRun:
         assert len(sets) == len(traj.times) > 1
         assert full_passes == []
         grid = sets[0].A.grid
-        ball = int(np.count_nonzero(grid.radius2 <= (0.5 * grid.extent) ** 2))
+        ball = (grid.radius2 <= (0.5 * grid.extent) ** 2).reshape(-1)
+        weight = (1.0 + grid.radius2.reshape(-1)[ball]) ** 1.5
         for coeffs in sets:
             a11, a22, a33, a12, a13, a23 = coeffs.A.values.reshape(6, -1)
             d12, d13, d23 = np.abs(a12), np.abs(a13), np.abs(a23)
-            # nodes whose Gershgorin row bound reaches the largest diagonal entry, less a slack
-            # of 1e-12 of the largest entry: wider than the program's, so a superset of its screen
+            # each screen with a slack of 1e-12 of the largest entry (times the largest weight for
+            # c0): wider than the program's, so a superset of its screen.  lambda_max: the nodes
+            # whose Gershgorin row bound reaches the largest diagonal entry
             row_bound = np.max([a11 + d12 + d13, a22 + d12 + d23, a33 + d13 + d23], axis=0)
             top, scale = np.max(coeffs.A.values[:3]), np.max(np.abs(coeffs.A.values))
             screen = int(np.count_nonzero(row_bound >= top - 1e-12 * scale))
-            assert screen <= grid.n**3 // 100
-            assert 0 < nodes[id(coeffs.A)] <= ball + screen
+            # c0: the ball nodes whose <v>^3 (q - 2 sqrt(J2/3)) reaches min <v>^3 min_i A_ii
+            b = coeffs.A.values.reshape(6, -1)[:, ball]
+            q = (b[0] + b[1] + b[2]) / 3.0
+            j2 = 0.5 * ((b[0] - q) ** 2 + (b[1] - q) ** 2 + (b[2] - q) ** 2) + b[3] ** 2 + b[4] ** 2 + b[5] ** 2
+            upper = np.min(weight * np.min(b[:3], axis=0)) + 1e-12 * np.max(np.abs(b)) * np.max(weight)
+            ball_screen = int(np.count_nonzero(weight * (q - 2.0 * np.sqrt(j2 / 3.0)) <= upper))
+            assert screen + ball_screen <= grid.n**3 // 100
+            assert 0 < nodes[id(coeffs.A)] <= screen + ball_screen
+
+    def test_one_closed_form_call_per_set(self, monkeypatch):
+        cfg = SimConfig(n=24, t_end=0.2, cfl=0.25, initial=AnisotropicGaussian((0.8, 1.0, 1.2)))
+        solver_mod.equilibrium_residual(cfg.n, cfg.extent)  # its set never needs eigenvalues
+        calls, frozen = [], []
+        eigenvalues_at, of = SymTensorField.eigenvalues_at, solver_mod.FrozenCoefficients.of.__func__
+
+        def counting_eigenvalues_at(tensor, selection):
+            calls.append(tensor)
+            return eigenvalues_at(tensor, selection)
+
+        def checked_of(cls, coeffs):
+            frozen.append(of(cls, coeffs))
+            # lambda_max and c0 from one call on this set's A, each cached on the set
+            assert len(calls) == 1 and calls[0] is coeffs.A
+            assert {"lambda_max", "drift_max", "c0_empirical"} <= vars(coeffs).keys()
+            calls.clear()
+            return frozen[-1]
+
+        monkeypatch.setattr(SymTensorField, "eigenvalues_at", counting_eigenvalues_at)
+        monkeypatch.setattr(solver_mod.FrozenCoefficients, "of", classmethod(checked_of))
+        traj = run(cfg)
+        assert len(frozen) == len(traj.times) > 1 and calls == []
 
     @pytest.mark.parametrize("refresh, snapshot_every", [(1, 20), (3, 1)])
     def test_weights_built_once_per_set_and_sets_released(self, monkeypatch, refresh, snapshot_every):
