@@ -8,7 +8,9 @@ at the faces, so the periodic wrap never carries physical information.
 All operations here are pure functions of immutable inputs and are safe
 to call concurrently; grids cache their coordinate arrays and weights
 lazily and never mutate them afterwards, and the spectral
-differentiation matrices are cached per (n, spacing), read-only.
+differentiation matrices are cached per (n, spacing), read-only.  A field
+that vanishes off a box of the lattice is differentiated on that box
+alone (`box_gradient`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "make_grid",
     "integrate",
     "spectral_gradient",
+    "box_gradient",
 ]
 
 
@@ -275,3 +278,23 @@ def spectral_gradient(field: Field) -> VecField:
     np.matmul(d, v, out=out[1])
     np.matmul(v.reshape(n * n, n), d.T, out=out[2].reshape(n * n, n))
     return VecField(grid, out)
+
+
+def box_gradient(grid: Grid, box: tuple[slice, slice, slice], values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Spectral gradient of the field that is `values` on `box` and zero elsewhere.
+
+    Derivative k mixes nodes along axis k only, so it vanishes off the
+    box's lines along k: component k is returned on those lines alone,
+    shape (n, e1, e2), (e0, n, e2) and (e0, e1, n) for a box of extents
+    (e0, e1, e2), and each product with D contracts only the box's
+    extent.  On the whole grid these are the components of
+    `spectral_gradient`, up to the order of the products' sums.
+    """
+    n = grid.n
+    d = _derivative_matrix(n, grid.spacing)
+    e0, e1, e2 = values.shape
+    return (
+        np.matmul(d[:, box[0]], values.reshape(e0, e1 * e2)).reshape(n, e1, e2),
+        np.matmul(d[:, box[1]], values),
+        np.matmul(values.reshape(e0 * e1, e2), d[:, box[2]].T).reshape(e0, e1, n),
+    )

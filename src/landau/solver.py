@@ -494,8 +494,8 @@ class Trajectory:
     `grad_energy` the integral of <v>^-3 |grad |h|^{p/2}|^2.  Nothing is
     to be mutated: `level_terms` memoizes the per-snapshot level-set
     terms of `analysis.level_set_energy`, by (level, snapshot index), and
-    each snapshot's max h, by its index.  A run that stopped early
-    holds the reason of its abort, at its last row.
+    each snapshot's plane maxima of h, by its index.  A run that stopped
+    early holds the reason of its abort, at its last row.
     """
 
     grid: Grid

@@ -8,12 +8,14 @@ from landau.fields import (
     NEGATIVITY_SLACK,
     NormRequest,
     boltzmann_entropy,
-    level_set_plus,
+    box_gradient_energy,
+    box_lp_norm,
     lp_m_norm,
     maxwellian,
     moments,
     sobolev_ratio,
     squared_gradient,
+    support_box,
     weighted_gradient_energy,
 )
 from landau.grid import Field, make_grid, spectral_gradient
@@ -125,39 +127,40 @@ class TestEntropy:
 
 
 class TestLevelSets:
+    """Cuts (h - level)^+, written out with np.maximum, through the support-box route of the norms."""
+
     def test_zero_level_is_positive_part(self, grid48):
+        # the box of h^+ bounds exactly the nodes where h > 0
         rng = np.random.default_rng(3)
-        h = Field(grid48, rng.standard_normal(grid48.shape))
-        cut = level_set_plus(h, 0.0)
-        np.testing.assert_array_equal(cut.values, np.maximum(h.values, 0.0))
+        h = rng.standard_normal(grid48.shape) * (grid48.radius2 < 4.0)
+        nodes = np.nonzero(h > 0.0)
+        assert support_box(np.maximum(h, 0.0)) == tuple(slice(int(i.min()), int(i.max()) + 1) for i in nodes)
 
-    def test_level_above_sup_empties(self, mu48):
-        cut = level_set_plus(mu48, 2.0 * mu48.max_abs())
-        assert cut.max_abs() == 0.0
+    def test_level_above_sup_empties(self, grid48, mu48):
+        cut = Field(grid48, np.maximum(mu48.values - 2.0 * mu48.max_abs(), 0.0))
+        assert support_box(cut.values) is None
+        assert lp_m_norm(cut, NormRequest(2.0)) == weighted_gradient_energy(cut, 2.0) == 0.0
 
-    def test_rejects_negative_level(self, mu48):
-        with pytest.raises(ValueError):
-            level_set_plus(mu48, -0.1)
-
-    def test_monotone_in_level(self, grid48):
-        rng = np.random.default_rng(4)
-        h = Field(grid48, rng.standard_normal(grid48.shape))
-        low = level_set_plus(h, 0.2)
-        high = level_set_plus(h, 0.7)
-        assert np.all(high.values <= low.values)
+    def test_monotone_in_level(self, grid48, mu48):
+        h = mu48.values / mu48.max_abs()
+        low, high = (Field(grid48, np.maximum(h - level, 0.0)) for level in (0.2, 0.7))
+        low_box, high_box = support_box(low.values), support_box(high.values)
+        assert all(a.start < b.start and b.stop < a.stop for a, b in zip(low_box, high_box))
+        for p in (1.0, 2.0, 3.0):
+            assert lp_m_norm(high, NormRequest(p)) < lp_m_norm(low, NormRequest(p))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_level_gap_inequality(self, alpha):
-        # h_l^+ <= (l - k)^(-alpha) (h_k^+)^(1+alpha) pointwise for k < l
+        # h_l^+ <= (l - k)^(-alpha) (h_k^+)^(1+alpha) pointwise for k < l, so integrated as well
         grid = make_grid(16, 4.0)
         rng = np.random.default_rng(5)
-        h = Field(grid, 2.0 * rng.standard_normal(grid.shape))
+        h = 2.0 * rng.standard_normal(grid.shape) * (grid.radius2 < 9.0)
         for _ in range(5):
             k = float(rng.uniform(0.0, 1.0))
             level = k + float(rng.uniform(0.05, 1.0))
-            lhs = level_set_plus(h, level).values
-            rhs = (level - k) ** -alpha * level_set_plus(h, k).values ** (1.0 + alpha)
-            assert np.all(lhs <= rhs + 1e-12)
+            lhs = lp_m_norm(Field(grid, np.maximum(h - level, 0.0)), NormRequest(1.0))
+            rhs = lp_m_norm(Field(grid, np.maximum(h - k, 0.0)), NormRequest(1.0 + alpha)) ** (1.0 + alpha)
+            assert 0.0 < lhs <= (level - k) ** -alpha * rhs * (1.0 + 1e-12)
 
 
 class TestWeightedGradientEnergy:
@@ -217,8 +220,9 @@ class TestReductionsMatchTheSumFormulas:
         field = _signed_field(n)
         grid, vals = field.grid, field.values
         for m in (0.0, 3.0):
-            terms = grid.cell_volume * np.abs(vals) ** 2 * grid.bracket_power(m)
-            assert _close_in_sum(lp_m_norm(field, NormRequest(2.0, m)) ** 2, terms)
+            for p in (1.0, 2.0):
+                terms = grid.cell_volume * np.abs(vals) ** p * grid.bracket_power(m)
+                assert _close_in_sum(lp_m_norm(field, NormRequest(p, m)) ** p, terms)
             # the general path is still the np.sum formula, bit for bit
             total = float(np.sum(np.abs(vals) ** 3.0 * grid.bracket_power(m)))
             assert lp_m_norm(field, NormRequest(3.0, m)) == (grid.cell_volume * total) ** (1.0 / 3.0)
@@ -242,6 +246,69 @@ class TestReductionsMatchTheSumFormulas:
         base = h.values if p == 2.0 else np.abs(h.values) ** (0.5 * p)
         terms = h.grid.cell_volume * squared_gradient(Field(h.grid, base)) * h.grid.bracket_power(-3.0)
         assert _close_in_sum(weighted_gradient_energy(h, p), terms)
+
+
+def _sparse_field(n: int, case: str) -> Field:
+    """Standard-normal values on a sparse support of the n^3 grid, or the zero field."""
+    grid = make_grid(n, 8.0)
+    rng = np.random.default_rng(n)
+    vals = np.zeros(grid.shape)
+    if case == "inside":
+        vals[1 : n // 2, 2 : n - 2, n // 2 - 1 : n // 2 + 1] = rng.standard_normal((n // 2 - 1, n - 4, 2))
+    elif case == "one_face":
+        vals[:3, 1 : n - 1, 2 : n // 2] = rng.standard_normal((3, n - 2, n // 2 - 2))
+    elif case == "corner":  # one corner non-zero, the opposite one zero
+        vals[:3, :2, : n // 2] = rng.standard_normal((3, 2, n // 2))
+    elif case == "single_node":
+        vals[n // 2, 1, n - 2] = 1.7
+    elif case == "end_planes":
+        vals[0, 1 : n // 2, 2 : n - 1] = rng.standard_normal((n // 2 - 1, n - 3))
+        vals[n - 1, 2 : n - 2, 1:3] = rng.standard_normal((n - 4, 2))
+    return Field(grid, vals)
+
+
+@pytest.mark.parametrize("n", [8, 24, 48])
+class TestSupportBoxRoute:
+    """A field that misses a face is normed and differentiated on its support box alone."""
+
+    @pytest.mark.parametrize("case", ["inside", "one_face", "corner", "single_node", "end_planes"])
+    def test_matches_the_full_grid_sums(self, n, case):
+        field = _sparse_field(n, case)
+        grid, vals = field.grid, field.values
+        box = support_box(vals)
+        nodes = np.nonzero(vals)
+        assert box == tuple(slice(int(i.min()), int(i.max()) + 1) for i in nodes) != (slice(0, n),) * 3
+        for p in (1.0, 2.0, 3.0):
+            for m in (0.0, 3.0):
+                terms = grid.cell_volume * np.abs(vals) ** p * grid.bracket_power(m)
+                assert _close_in_sum(lp_m_norm(field, NormRequest(p, m)) ** p, terms)
+                assert box_lp_norm(grid, box, vals[box].copy(), NormRequest(p, m)) == lp_m_norm(field, NormRequest(p, m))
+        for p in (2.0, 3.0):
+            base = vals if p == 2.0 else np.abs(vals) ** (0.5 * p)
+            terms = grid.cell_volume * squared_gradient(Field(grid, base)) * grid.bracket_power(-3.0)
+            assert _close_in_sum(weighted_gradient_energy(field, p), terms)
+            assert box_gradient_energy(grid, box, vals[box].copy(), p) == weighted_gradient_energy(field, p)
+
+    def test_zero_field_gives_zero(self, n):
+        field = _sparse_field(n, "zero")
+        assert support_box(field.values) is None
+        for p in (1.0, 2.0, 3.0):
+            assert lp_m_norm(field, NormRequest(p, 3.0)) == 0.0
+        for p in (2.0, 3.0):
+            assert weighted_gradient_energy(field, p) == 0.0
+
+    @pytest.mark.parametrize("zero_corners", [False, True])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_a_field_on_every_face_keeps_the_stacked_gradient(self, n, p, zero_corners):
+        field = _signed_field(n)
+        grid, vals = field.grid, field.values.copy()
+        if zero_corners:  # the box is then found by a pass, and is still the whole grid
+            vals[0, 0, 0] = vals[-1, -1, -1] = 0.0
+        assert support_box(vals) == (slice(0, n),) * 3
+        base = vals if p == 2.0 else np.abs(vals) ** (0.5 * p)
+        grad = spectral_gradient(Field(grid, base)).values
+        stacked = grid.cell_volume * float(np.einsum("kijl,kijl,ijl->", grad, grad, grid.bracket_power(-3.0)))
+        assert weighted_gradient_energy(Field(grid, vals), p) == stacked
 
 
 class TestWeightedInterpolation:

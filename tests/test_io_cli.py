@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import dying_sweep_worker
+from conftest import dying_sweep_worker, one_blas_thread_stdout
 from landau import analysis, coefficients, io_cli, verify
 from landau.coefficients import CoefficientSet
-from landau.fields import maxwellian
+from landau.fields import maxwellian, support_box
 from landau.grid import Field, SymTensorField, make_grid
 from landau.io_cli import (
     ConfigError,
@@ -472,13 +472,16 @@ class TestCli:
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
         write_trajectory(small_traj, traj_dir)
         cuts = []
-        energy = analysis.weighted_gradient_energy
+        energy = analysis.box_gradient_energy
 
-        def counting(cut, p):
-            cuts.append(hash(cut.values.tobytes()))
-            return energy(cut, p)
+        def bounds(box):
+            return tuple((s.start, s.stop) for s in box)
 
-        monkeypatch.setattr(analysis, "weighted_gradient_energy", counting)
+        def counting(grid, box, values, p):
+            cuts.append((bounds(box), hash(values.tobytes())))
+            return energy(grid, box, values, p)
+
+        monkeypatch.setattr(analysis, "box_gradient_energy", counting)
         assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
         report = json.loads((rep / "report.json").read_text())
 
@@ -490,11 +493,20 @@ class TestCli:
         for level, t_start in probes:
             for t, snap in zip(traj.snapshot_times, traj.snapshots):
                 cut = np.maximum((snap - maxwellian(traj.grid)).values - level, 0.0)
-                if t >= t_start - 1e-12 and np.any(cut > 0.0):
-                    needed.add(hash(cut.tobytes()))
+                box = support_box(cut)  # each cut keyed by its box and its values there
+                if t >= t_start - 1e-12 and box is not None:
+                    needed.add((bounds(box), hash(cut[box].tobytes())))
         assert len(probes) > 7 and len(needed) > 1
         assert len(cuts) == len(set(cuts)), "a cut was differentiated twice"
         assert set(cuts) == needed, "an empty cut was differentiated, or a needed one was not"
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the level-set cuts are differentiated by products of their boxes' own shapes
+        traj_dir, rep, single = tmp_path / "out", tmp_path / "rep", tmp_path / "single"
+        write_trajectory(run(SimConfig(n=24, t_end=0.3, cfl=0.25, snapshot_every=2, initial=TwoBump(2.0), m=12.0)), traj_dir)
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        one_blas_thread_stdout(f"from landau.io_cli import cli; cli(['diagnose', '--traj', {str(traj_dir)!r}, '--out', {str(single)!r}])")
+        assert (single / "report.json").read_bytes() == (rep / "report.json").read_bytes()
 
     def test_recurrence_probes_match_direct_checks(self, small_traj, tmp_path):
         traj_dir, rep = tmp_path / "out", tmp_path / "rep"
