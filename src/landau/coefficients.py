@@ -19,10 +19,12 @@ zero is ever transformed (Hockney-Eastwood; `_potential_spectrum`).
 
 The kernel depends on |z| alone, so its sampled spectrum is real and
 even in each axis, and only its q >= 0 half is read
-(`_kernel_spectrum`).  All three axes are therefore carried in one
-parity form: each line's even part Se(q), q = 0..n, and odd part T(q),
-q = 1..n-1, 2n real rows where a complex spectrum has 2n complex
-entries.  The spectrum is real, stored as (q2, q3, q1), and every
+(`_kernel_spectrum`): the DCT-I of the kernel's (n+1)^3 samples on
+one octant, three real GEMMs in place of an rfftn of the whole doubled
+lattice, 2.5 ms and not 30 at n = 48.  All three axes are therefore
+carried in one parity form: each line's even part Se(q), q = 0..n, and
+odd part T(q), q = 1..n-1, 2n real rows where a complex spectrum has 2n
+complex entries.  The spectrum is real, stored as (q2, q3, q1), and every
 product, forward and inverse, is one real 2-D GEMM, none batched, with
 one forward matrix (`_forward_matrix`) and one family of derivative
 matrices (`_derivative_matrices`) on every axis.  The Nyquist row q = n
@@ -102,25 +104,49 @@ def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
     parity layout of `_potential_spectrum`: real, shape (2n, n+1, 2n),
     indexed (q2, q3, q1), read-only.
 
-    It is rfftn of |z|/(8 pi) sampled on the doubled periodic lattice,
+    It is the DFT of |z|/(8 pi) sampled on the doubled periodic lattice,
     whose displacements wrap to (-2L, 2L] per axis and so include every
     displacement between two nodes of the box.  The sampled kernel is
-    even in each axis, so its spectrum is real and even: the imaginary
-    part (at most 1.4e-17 of the largest real part at n = 8 to 48) and
-    the mirror q -> -q (equal to the kept half to 2.7e-17) are rounding.
-    Only the q >= 0 half is read: q1 and q2 hold each parity row at its
-    |q|, and q3 holds q = 0..n, which `_potential_spectrum` applies to
-    the even and the odd rows alike, so every reader sees one even
-    spectrum by construction, the check routes included
-    (`_padded_spectrum`).
+    even in each axis, so its spectrum is real and even, and its q >= 0
+    octant is the 3-D DCT-I of the (n+1)^3 samples at z_i = 0, dv, ..,
+    n dv = 2L (Martucci, IEEE Trans. Signal Process. 42, 1994): on each
+    axis the (n+1) x (n+1) cosine matrix cos(2 pi q x / 2n), its interior
+    columns doubled, built from `_reduced_twiddles`.  The transform runs
+    on sqrt(i^2 + j^2 + k^2), exact integer squares, and dv^4 / (8 pi)
+    scales its output once.  It agrees with the real part of rfftn of
+    the whole (2n)^3 lattice within 1.8e-16 of the largest entry at
+    n = 8 to 48, and with a long-double DCT-I within 8.7e-17, where
+    rfftn is within 1.8e-16.  It takes 0.4, 0.6 and 2.5 ms at n = 24,
+    32 and 48, where rfftn took 4.6, 9.2 and 30 ms, and allocates
+    neither the (2n)^3 kernel nor its complex half spectrum: building
+    the n = 48 spectrum in a fresh process peaks at 37 MiB, not 50.
+    Each product is (n+1)^2 rows tall against the (n+1)-column matrix
+    and appends its q as the last axis, so BLAS splits only the tall
+    rows over its threads and the bits do not depend on the thread
+    count; with the (n+1)-row matrix on the left, one and two threads
+    gave other bits at n = 32 and 48.  A permutation of the axes moves
+    an entry by up to 1.4e-16 of the largest, 1.6e-8 of itself at
+    n = 48.
+
+    q1 and q2 hold each parity row at its |q|, and q3 holds q = 0..n,
+    which `_potential_spectrum` applies to the even and the odd rows
+    alike, so every reader sees one even spectrum by construction, the
+    check routes included (`_padded_spectrum`).
     """
-    m = 2 * n
     grid = make_grid(n, extent)
-    z = np.fft.fftfreq(m, d=1.0 / m) * grid.spacing
-    kernel = np.sqrt(z[:, None, None] ** 2 + z[None, :, None] ** 2 + z[None, None, :] ** 2) / (8.0 * np.pi)
-    half = np.fft.rfftn(kernel).real[: n + 1, : n + 1] * grid.cell_volume
+    p = n + 1
+    squares = np.arange(p, dtype=float) ** 2
+    roots = np.add.outer(np.add.outer(squares, squares), squares)
+    np.sqrt(roots, out=roots)
+    cosine = _reduced_twiddles(p, p, 2 * n).real * np.r_[1.0, np.full(n - 1, 2.0), 1.0]
+    # each product contracts the first axis and appends its q last, so the
+    # symmetric samples come out as (q2, q3, q1)
+    spectrum = np.matmul(roots.reshape(p * p, p), cosine.T)
+    for _ in range(2):
+        spectrum = np.matmul(spectrum.reshape(p, p * p).T, cosine.T)
+    spectrum *= grid.spacing * grid.cell_volume / (8.0 * np.pi)
     q = np.r_[0 : n + 1, 1:n]  # |q| of each parity row (`_forward_matrix`)
-    return _read_only(np.ascontiguousarray(half.transpose(1, 2, 0)[np.ix_(q, np.arange(n + 1), q)]))
+    return _read_only(np.take(np.take(spectrum.reshape(p, p, p), q, axis=0), q, axis=2))
 
 
 def _wavenumbers(n: int, extent: float) -> np.ndarray:
@@ -197,18 +223,27 @@ def _forward_matrix(n: int) -> np.ndarray:
     return _read_only(np.concatenate((twiddle.real, twiddle.imag[1:n])))
 
 
-def _potential_spectrum(f: Field, kernel: np.ndarray) -> np.ndarray:
+def _potential_spectrum(f: Field, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The DFT of f zero-padded to the doubled grid, times `kernel`, in
     parity form on all three axes: real, shape (2n, 2n, 2n), indexed
-    (q2, q3, q1).
+    (q2, q3, q1); and the two axis buffers its products used, of shapes
+    (n, 2n, 2n) and (n, n, 2n), free for the inverse products to reuse.
 
     `kernel` is an even spectrum in the layout of `_kernel_spectrum`:
     that spectrum itself, or it times -|k|^2 (`CoefficientSet.grad_a`).
     Its q3 = 0..n multiply the even rows q3 = 0..n, and its q3 = 1..n-1
     the odd rows.  Three 2-D products with `_forward_matrix`, one per
-    axis; the spectrum is allocated first, then the q3 and q1 buffers.
-    The mean mode is sum(f) times the kernel at q = 0, the largest entry
-    of the kernel spectrum; on data of both signs the sum cancels, and
+    axis.  The spectrum and the buffers are views of one allocation.
+    glibc serves a request from fresh pages when it exceeds its mmap
+    threshold, which rises to the largest mapped block freed so far, so
+    the first set's block lifts it above every later set's scratch,
+    which then comes from the heap, whatever the process allocated
+    before: with three separate arrays, relaxation24_long ran 13,700
+    page faults a pass once the kernel spectrum stopped allocating
+    (2n)^3 arrays, and 2,100 with one block (550 with the rfftn kernel,
+    whose temporaries lifted the threshold first).  The mean mode is
+    sum(f) times the kernel at q = 0, the largest entry of the kernel
+    spectrum; on data of both signs the sum cancels, and
     the three nested n-term sums of the products lose up to 3.7e-15 of
     it at n = 48, where one pairwise `np.sum` keeps it within 6e-16 of
     rfftn.  No output of a set reads it: every monomial has a zero there.
@@ -216,16 +251,17 @@ def _potential_spectrum(f: Field, kernel: np.ndarray) -> np.ndarray:
     grid = f.grid
     n, m = grid.n, 2 * grid.n
     parity = _forward_matrix(n)
-    spectrum = np.empty((m, m, m))
-    g3 = np.empty((n, n, m))
-    g1 = np.empty((n, m, m))
+    block = np.empty(m**3 + n * m * m + n * n * m)
+    spectrum = block[: m**3].reshape(m, m, m)
+    g1 = block[m**3 : m**3 + n * m * m].reshape(n, m, m)
+    g3 = block[m**3 + n * m * m :].reshape(n, n, m)
     np.matmul(f.values.reshape(n * n, n), parity.T, out=g3.reshape(n * n, m))
     np.matmul(g3.reshape(n, n * m).T, parity.T, out=g1.reshape(n * m, m))
     np.matmul(parity, g1.reshape(n, m * m), out=spectrum.reshape(m, m * m))
     spectrum[0, 0, 0] = np.sum(f.values)
     spectrum[:, : n + 1] *= kernel
     spectrum[:, n + 1 :] *= kernel[:, 1:n]
-    return spectrum
+    return spectrum, g1, g3
 
 
 @lru_cache(maxsize=8)
@@ -273,18 +309,17 @@ def _matrix_inverse(f: Field, kernel: np.ndarray, terms: tuple) -> np.ndarray:
     batched.  On the (q2, q3, q1) spectrum the q2 product, to
     (j, q3, q1), runs once per power b; each monomial with that b takes
     its own q1 product, to (i, j, q3) lines, and q3 product, which
-    writes straight into its output.  The spectrum is allocated first,
-    then one buffer per axis that every monomial reuses, and the output
-    last: in that order glibc's heap does not grow over a run, where the
-    output allocated first raised the peak RSS of the trio48 benchmark
-    from 88.0 to 91.5 MiB.
+    writes straight into its output.  The spectrum and one buffer per
+    axis, which every monomial reuses, come first, from the forward
+    pass, and the output last: in that order glibc's heap does not grow
+    over a run, where the output allocated first raised the peak RSS of
+    the trio48 benchmark from 88.0 to 91.5 MiB.
     """
     grid = f.grid
     n, m = grid.n, 2 * grid.n
     d = _derivative_matrices(n, grid.extent)
-    spectrum = _potential_spectrum(f, kernel).reshape(m, m * m)
-    y2 = np.empty((n, m, m))
-    g1 = np.empty((n, n, m))
+    spectrum, y2, g1 = _potential_spectrum(f, kernel)
+    spectrum = spectrum.reshape(m, m * m)
     out = np.empty((len(terms), n * n, n))
     for b in sorted({b for _, b, _ in terms}):
         np.matmul(d[b], spectrum, out=y2.reshape(n, m * m))

@@ -17,18 +17,16 @@ the one `report.json` last, atomically.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import json
-import multiprocessing
 import os
 import sys
 import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,6 +35,9 @@ from . import analysis
 from .fields import boltzmann_entropy, maxwellian
 from .grid import Field, make_grid
 from .solver import SCALAR_COLUMNS, InitialDatum, PerturbedMaxwellian, SimConfig, Trajectory, run
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "RunManifest",
@@ -426,7 +427,7 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 
 
 @contextlib.contextmanager
-def _sweep_pool(workers: int) -> Iterator[concurrent.futures.ProcessPoolExecutor]:
+def _sweep_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
     """A pool of `workers` processes that share the cores' BLAS threads.
 
     Left alone, each worker's BLAS starts a thread per core, and the
@@ -434,9 +435,13 @@ def _sweep_pool(workers: int) -> Iterator[concurrent.futures.ProcessPoolExecutor
     ran an 8-member sweep 2 to 20 times slower on 2 cores).  The workers
     are spawned, not forked, so each loads numpy afresh under
     cores // workers threads, set while the workers start and restored
-    afterwards.
+    afterwards.  The pool's modules load here, so that no other command
+    pays for them.
     """
-    pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARIABLES}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, str(max(1, (os.cpu_count() or 1) // workers))))
     try:
@@ -451,6 +456,8 @@ def _sweep_pool(workers: int) -> Iterator[concurrent.futures.ProcessPoolExecutor
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from concurrent.futures import BrokenExecutor
+
     base = parse_config(args.config)
     amplitudes = [float(x) for x in args.amplitudes.split(",")] if args.amplitudes else [None]
     ns = [int(x) for x in args.ns.split(",")] if args.ns else [base.n]
@@ -473,7 +480,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for job, future in [(job, pool.submit(_sweep_worker, job)) for job in jobs]:
             try:
                 line, ok = future.result()
-            except concurrent.futures.BrokenExecutor:
+            except BrokenExecutor:
                 line, ok = _sweep_alone(job)
             print(line, flush=True)
             failures += 0 if ok else 1
@@ -483,10 +490,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _sweep_alone(job: tuple[SimConfig, str]) -> tuple[str, bool]:
     """Rerun a member that a dead worker took down with the pool, in a pool
     of its own, so that only the member whose worker dies is reported."""
+    from concurrent.futures import BrokenExecutor
+
     with _sweep_pool(1) as pool:
         try:
             return pool.submit(_sweep_worker, job).result()
-        except concurrent.futures.BrokenExecutor:
+        except BrokenExecutor:
             return f"[FAILED] {job[1]}: worker process died", False
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import warnings
 from functools import lru_cache
@@ -20,7 +21,7 @@ from landau.coefficients import (
 )
 from landau.fields import maxwellian
 from landau.grid import SYM_COMPONENTS, Field, SymTensorField, _derivative_matrix, make_grid, spectral_gradient
-from landau.solver import AnisotropicGaussian, Maxwellian, SimConfig, TwoBump, initial_datum
+from landau.solver import AnisotropicGaussian, Maxwellian, SimConfig, TwoBump, initial_datum, rhs
 from landau.verify import corpus_fields, maxwellian_closed_form_gap, maxwellian_drift_closed_form_gap
 
 
@@ -49,12 +50,12 @@ class TestPaddedForwardTransform:
         padded = np.zeros((2 * n,) * 3)
         padded[:n, :n, :n] = f.values
         expected = np.fft.rfftn(padded) * even_kernel_spectrum(grid)
-        parity = coefficients._potential_spectrum(f, coefficients._kernel_spectrum(n, 8.0))
+        parity, *_ = coefficients._potential_spectrum(f, coefficients._kernel_spectrum(n, 8.0))
         assert parity.shape == (2 * n,) * 3 and parity.dtype == np.float64
         got = unfold_parity(unfold_parity(unfold_parity(parity, 0), 1), 2).transpose(2, 0, 1)[:, :, : n + 1]
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("n", [8, 24, 48])
+    @pytest.mark.parametrize("n", [8, 24, 32, 48])
     def test_kernel_spectrum_keeps_the_real_part_of_a_real_spectrum(self, n):
         extent = 8.0
         grid = make_grid(n, extent)
@@ -63,17 +64,29 @@ class TestPaddedForwardTransform:
         r = np.sqrt(z[:, None, None] ** 2 + z[None, :, None] ** 2 + z[None, None, :] ** 2)
         full = np.fft.rfftn(r / (8.0 * np.pi))
         cached = coefficients._kernel_spectrum(n, extent)
-        assert not np.iscomplexobj(cached)
-        # the q >= 0 half times the cell volume, each parity row at its |q|
+        assert not np.iscomplexobj(cached) and cached.shape == (m, n + 1, m)
+        # the q >= 0 half times the cell volume, each parity row at its |q|; the octant DCT-I
+        # is within 1.82e-16 of the largest entry at n = 24, 32 and 48 (7.1e-17 at n = 8)
         q = np.r_[0 : n + 1, 1:n]
-        kept = full.real[: n + 1, : n + 1] * grid.cell_volume
-        np.testing.assert_array_equal(cached, kept.transpose(1, 2, 0)[np.ix_(q, np.arange(n + 1), q)])
+        kept = (full.real[: n + 1, : n + 1] * grid.cell_volume).transpose(1, 2, 0)[np.ix_(q, np.arange(n + 1), q)]
+        assert np.max(np.abs(cached - kept)) <= 2.5e-16 * np.max(np.abs(kept))
         # the kernel is even, so the dropped imaginary part and the dropped mirror q -> -q are rounding
         top = np.max(np.abs(full.real))
         assert np.max(np.abs(full.imag)) <= 1e-15 * top
         negative = -np.arange(m) % m
         assert np.max(np.abs(full.real[negative] - full.real)) <= 1e-16 * top
         assert np.max(np.abs(full.real[:, negative] - full.real)) <= 1e-16 * top
+
+    def test_kernel_spectrum_does_not_depend_on_blas_threads(self):
+        # each product is (n+1)^2 rows tall; with the (n+1)-row cosine matrix on the left,
+        # one and two threads gave other bits at n = 32 and 48
+        sizes = (24, 32, 48)
+        script = (
+            "import hashlib; from landau.coefficients import _kernel_spectrum; "
+            f"print(*(hashlib.sha256(_kernel_spectrum(n, 8.0).tobytes()).hexdigest() for n in {sizes}))"
+        )
+        here = [hashlib.sha256(coefficients._kernel_spectrum(n, 8.0).tobytes()).hexdigest() for n in sizes]
+        assert one_blas_thread_stdout(script).split() == here
 
     @pytest.mark.parametrize("m", [32, 48, 96])
     def test_twiddles_are_exact_at_quarter_turns(self, m):
@@ -209,6 +222,54 @@ class TestFactoredTransforms:
             assert not matrix.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0] = 0.0
+
+
+def rough_two_bump(n):
+    """two_bump with weights (0.3, 0.7), not even in v1, times 1 + 0.2 noise, and zero on the
+    planes i = 0, which have no mirror in the box: a reflection only permutes its nodes."""
+    f = initial_datum(SimConfig(n=n, initial=TwoBump(2.0, (0.3, 0.7))))
+    values = f.values * (1.0 + 0.2 * np.random.default_rng(n).standard_normal(f.grid.shape))
+    values[0] = values[:, 0] = values[:, :, 0] = 0.0
+    return Field(f.grid, values)
+
+
+class TestCubeSymmetry:
+    """The set and `rhs` commute with the permutations and reflections of the velocity axes."""
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_a_set_commutes_with_every_permutation_of_the_axes(self, n):
+        # measured: 6.8e-15 of max |A| and 1.9e-14 of max |grad a| at n = 16, 6.5e-15 and 1.8e-14 at n = 24
+        f = rough_two_bump(n)
+        coeffs = compute_coefficients(f)
+        for perm in itertools.permutations(range(3)):
+            moved = compute_coefficients(Field(f.grid, np.ascontiguousarray(f.values.transpose(perm))))
+            back = np.argsort(perm)  # axis i of f is axis back[i] of the moved field
+            A = np.stack([moved.A.component(back[i], back[j]).transpose(back) for i, j in SYM_COMPONENTS])
+            grad = np.stack([moved.grad_a.values[back[i]].transpose(back) for i in range(3)])
+            assert np.max(np.abs(A - coeffs.A.values)) <= 1e-13 * np.max(np.abs(coeffs.A.values))
+            assert np.max(np.abs(grad - coeffs.grad_a.values)) <= 1e-13 * np.max(np.abs(coeffs.grad_a.values))
+
+    @pytest.mark.parametrize("n, rhs_bound", [(16, 4e-12), (24, 3e-13)])
+    def test_a_set_and_rhs_commute_with_each_axis_reflection(self, n, rhs_bound):
+        # node i of the reflection along k is node n - i, off the plane i = 0.  Measured: A and grad a
+        # within 4.0e-16 and 5.0e-16 of their largest entries; rhs within 2.7e-12 of max |rhs| at n = 16
+        # and 1.5e-13 at n = 24, where the wrap face next to the plane reads A at v = -L, not its mirror
+        f = rough_two_bump(n)
+        coeffs = compute_coefficients(f)
+        collision = rhs(f, coeffs).values
+        mirror = np.r_[0, n - 1 : 0 : -1]
+        for k in range(3):
+            reflected = compute_coefficients(Field(f.grid, np.take(f.values, mirror, axis=k)))
+            off = (slice(None),) * (k + 1) + (slice(1, None),)
+            sign = np.array([(-1.0) ** ((i == k) + (j == k)) for i, j in SYM_COMPONENTS])
+            A = sign[:, None, None, None] * np.take(reflected.A.values, mirror, axis=k + 1)
+            grad = np.where(np.arange(3) == k, -1.0, 1.0)[:, None, None, None] * np.take(
+                reflected.grad_a.values, mirror, axis=k + 1
+            )
+            assert np.max(np.abs(A - coeffs.A.values)[off]) <= 1e-14 * np.max(np.abs(coeffs.A.values))
+            assert np.max(np.abs(grad - coeffs.grad_a.values)[off]) <= 1e-14 * np.max(np.abs(coeffs.grad_a.values))
+            back = np.take(rhs(reflected.density, reflected).values, mirror, axis=k)
+            assert np.max(np.abs(back - collision)[off[1:]]) <= rhs_bound * np.max(np.abs(collision))
 
 
 class TestTransformOnRead:

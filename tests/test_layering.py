@@ -22,3 +22,12 @@ def test_a_module_loads_only_the_layers_below_it(module):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert set(out.stdout.split()) == LOADED[module]
+
+
+def test_the_cli_loads_no_process_pool():
+    # `landau sweep` loads its pool when it runs; run, diagnose and verify never pay for it
+    pool = ("multiprocessing", "concurrent.futures")
+    probe = f"import sys, landau.io_cli; print(*(m for m in {pool} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
