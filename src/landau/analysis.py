@@ -19,8 +19,7 @@ each axis.  The box of {h > level} is read off those with no pass over
 the grid, so an empty cut costs nothing, and any other cut is built,
 normed and differentiated on its box alone: at the levels l >= sup h/8
 of the seed-0 benchmark runs that box covers 0.25-0.6% of the grid on
-average, 2.2% at most, and trio48's three warm diagnoses went from 174
-to 86 ms on a 2-core host.  A trajectory must not be mutated after
+average, 2.2% at most.  A trajectory must not be mutated after
 construction.
 """
 
@@ -31,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import NormRequest, box_gradient_energy, box_lp_norm, lp_m_norm, maxwellian, plane_box, squared_gradient
+from .fields import NormRequest, box_gradient_energy, box_lp_norm, lp_m_norm, maxwellian, plane_box
+from .grid import spectral_gradient
 from .solver import Trajectory
 
 __all__ = [
@@ -108,6 +108,14 @@ def exponents(p: float, m: float) -> ExponentSet:
         q=q,
         m_threshold=4.5 * (p - 1.0) / (p - 1.5) * inner,
     )
+
+
+def _nondegenerate_exponents(p: float, m: float) -> ExponentSet:
+    """`exponents(p, m)`, rejecting the degenerate case that the smoothing estimates exclude."""
+    exps = exponents(p, m)
+    if exps.degenerate:
+        raise ValueError(f"smoothing exponent is not positive for (p={p}, m={m})")
+    return exps
 
 
 def q_ltheta(l: float, theta: float) -> float:
@@ -263,9 +271,7 @@ def predict_K(e0: float, t: float, t_end: float, p: float, m: float, c: float) -
         raise ValueError(f"energy must be nonnegative, got {e0}")
     if not 0.0 < t <= t_end:
         raise ValueError(f"need 0 < t <= T, got t={t}, T={t_end}")
-    exps = exponents(p, m)
-    if exps.degenerate:
-        raise ValueError(f"smoothing exponent is not positive for (p={p}, m={m})")
+    exps = _nondegenerate_exponents(p, m)
     g, b0, b1, b2 = exps.gamma, exps.beta0, exps.beta1, exps.beta2
     if e0 == 0.0:
         return 0.0
@@ -305,10 +311,7 @@ def degiorgi_iterate(traj: Trajectory, K: float, t: float, t_end: float, c0: flo
         raise ValueError(f"need 0 < t < T within the trajectory, got t={t}, T={t_end}")
     if not K > 0.0:
         raise ValueError(f"level ceiling must be positive, got {K}")
-    p, m = traj.p, traj.m
-    exps = exponents(p, m)
-    if exps.degenerate:
-        raise ValueError(f"smoothing exponent is not positive for (p={p}, m={m})")
+    exps = _nondegenerate_exponents(traj.p, traj.m)
     q_factor = 2.0 ** ((exps.gamma + 2.0) / exps.beta1)
 
     levels, level_times, energies = [], [], []
@@ -412,11 +415,10 @@ class OdeBarrierReport:
     exit_time: float | None  # first time y exceeds eps; None if never
     barrier_held: bool  # y <= eps through the whole run
     c_tilde_min: float  # smallest constant closing the integral inequality
-    duhamel_holds: bool  # with the supplied (or minimal) constant
     m_bar: float
 
 
-def ode_barrier_check(traj: Trajectory, eps: float, c_tilde: float | None = None) -> OdeBarrierReport:
+def ode_barrier_check(traj: Trajectory, eps: float) -> OdeBarrierReport:
     """Barrier and integral-inequality check for y(t) = ||h(t)||_p^p.
 
     Verifies y stays below eps, and measures the smallest constant C for
@@ -426,8 +428,10 @@ def ode_barrier_check(traj: Trajectory, eps: float, c_tilde: float | None = None
 
     holds at every sample, where G is the weighted gradient energy
     series, Mbar the sup of the weighted L^1 norm of h over the
-    snapshots and c0 the minimum of the recorded c0 series.  The run
-    should start with y(0) < eps/3.
+    snapshots and c0 the minimum of the recorded c0 series: the
+    inequality closes at C exactly when C >= `c_tilde_min`, which is 0.0
+    when no sample needs a positive constant.  The run should start with
+    y(0) < eps/3.
     """
     y = traj.lp_p
     if y[0] >= eps / 3.0:
@@ -449,18 +453,8 @@ def ode_barrier_check(traj: Trajectory, eps: float, c_tilde: float | None = None
     lhs = y - y[0] + 0.5 * c0 * g_int
     with np.errstate(divide="ignore", invalid="ignore"):
         needed = np.where(growth_int > 0, lhs / growth_int, 0.0)
-    c_min = float(np.max(needed[1:])) if len(needed) > 1 else 0.0
-    c_min = max(c_min, 0.0)
-    c_used = c_tilde if c_tilde is not None else c_min
-    duhamel = bool(np.all(y - y[0] <= c_used * growth_int - 0.5 * c0 * g_int + 1e-15))
-    return OdeBarrierReport(
-        eps=eps,
-        exit_time=exit_time,
-        barrier_held=exit_time is None,
-        c_tilde_min=c_min,
-        duhamel_holds=duhamel,
-        m_bar=m_bar,
-    )
+    c_min = max(float(np.max(needed[1:])), 0.0) if len(needed) > 1 else 0.0
+    return OdeBarrierReport(eps=eps, exit_time=exit_time, barrier_held=exit_time is None, c_tilde_min=c_min, m_bar=m_bar)
 
 
 # --------------------------------------------------------------------------
@@ -486,9 +480,7 @@ def smoothing_fit(traj: Trajectory, t_min: float | None = None, t_max: float = 0
     SLOPE_TOLERANCE (the estimate is an upper envelope, so faster decay at
     the fitted-window scale would only flag measurement trouble).
     """
-    exps = exponents(traj.p, traj.m)
-    if exps.degenerate:
-        raise ValueError(f"smoothing exponent is not positive for (p={traj.p}, m={traj.m})")
+    exps = _nondegenerate_exponents(traj.p, traj.m)
     if t_min is None:
         t_min = float(traj.times[5]) if len(traj.times) > 5 else 0.0
     idx = _window_indices(traj.times, t_min, t_max)
@@ -525,8 +517,6 @@ def h1_smallness(traj: Trajectory, t_query: float) -> tuple[float, float]:
     if times.size == 0:
         raise ValueError("trajectory has no snapshots")
     h = traj.snapshots[int(np.argmin(np.abs(times - t_query)))] - maxwellian(traj.grid)
-    grid = h.grid
-    w = grid.cell_volume
-    norm_l2_1 = math.sqrt(w * float(np.sum(h.values**2 * grid.bracket_power(1.0))))
-    norm_grad = math.sqrt(w * float(np.sum(squared_gradient(h) * grid.bracket_power(2.0))))
-    return norm_l2_1, norm_grad
+    grad = spectral_gradient(h).values
+    energy = np.einsum("kijl,kijl,ijl->", grad, grad, h.grid.bracket_power(2.0))
+    return lp_m_norm(h, NormRequest(2.0, 1.0)), math.sqrt(h.grid.cell_volume * float(energy))

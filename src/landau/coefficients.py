@@ -569,8 +569,7 @@ def coefficient_upper_bounds(coeffs: CoefficientSet, p: float) -> CoefficientBou
     if float(np.min(f.values)) < 0.0 or f.max_abs() == 0.0:
         raise ValueError("upper bounds are stated for nonnegative, nonzero densities")
     a_inf = float(np.max(np.abs(coeffs.A.eigenvalues())))
-    grid = f.grid
-    grad_a_l3 = (grid.cell_volume * float(np.sum(coeffs.grad_a.magnitude() ** 3))) ** (1.0 / 3.0)
+    grad_a_l3 = lp_m_norm(Field(f.grid, coeffs.grad_a.magnitude()), NormRequest(3.0))
     e1 = (2.0 / 3.0) * (p - 1.5) / (p - 1.0)
     e2 = (1.0 / 3.0) * p / (p - 1.0)
     product = lp_m_norm(f, NormRequest(1.0)) ** e1 * lp_m_norm(f, NormRequest(p)) ** e2

@@ -10,10 +10,11 @@ The norms and the gradient energy run on the support box of their field
 (h - level)^+, is summed and differentiated on its box alone, and the
 diagnostics, which read a cut's box off per-plane maxima of h, pass the
 box and the cut on it (`box_lp_norm`, `box_gradient_energy`) for the
-same bits (on a 2-core host the level-set terms of a seed-0 trio48
-diagnose went from 103 to 27 ms).  A field whose two opposite corners
-are non-zero reaches every face, as every row of a run does: that is
-read off two nodes, and it keeps the whole-grid sums.
+same bits.  A field whose two opposite corners are non-zero reaches
+every face, as every row of a run does: that is read off two nodes, and
+it keeps the whole-grid sums.  The diagnostics and the checks take every
+weighted norm and gradient energy from these functions, except the
+<v>^2-weighted gradient norm of `landau.analysis.h1_smallness`.
 
 All functions are pure; quadrature is everywhere the same midpoint rule
 as :func:`landau.grid.integrate`.  The sums of the run's rows (the
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, box_gradient, integrate, spectral_gradient
+from .grid import Field, Grid, box_gradient, spectral_gradient
 
 __all__ = [
     "MomentVector",
@@ -46,7 +47,6 @@ __all__ = [
     "box_lp_norm",
     "moments",
     "boltzmann_entropy",
-    "squared_gradient",
     "weighted_gradient_energy",
     "box_gradient_energy",
     "sobolev_ratio",
@@ -189,15 +189,6 @@ def _entropy_sum(vals: np.ndarray, absolute: bool) -> float:
     return float(np.einsum("i,i->", pos, logs))
 
 
-def squared_gradient(field: Field) -> np.ndarray:
-    """|grad f|^2 per node from the spectral gradient, its components squared and added in place."""
-    grad = spectral_gradient(field).values
-    out = grad[0] * grad[0]
-    for component in grad[1:]:
-        out += component * component
-    return out
-
-
 def weighted_gradient_energy(h: Field, p: float) -> float:
     """Integral of <v>^-3 |grad(|h|^(p/2))|^2 via the spectral gradient.
 
@@ -247,9 +238,5 @@ def sobolev_ratio(g: Field, s: float) -> float:
         raise ValueError(f"exponent s must lie in [1, 6], got {s}")
     if g.max_abs() == 0.0:
         raise ValueError("ratio undefined for the zero field")
-    grid = g.grid
-    w = grid.cell_volume
-    lhs = (w * float(np.sum(np.abs(g.values) ** 6 * grid.bracket_power(-9.0)))) ** (1.0 / 3.0)
-    dissipation = w * float(np.sum(grid.bracket_power(-3.0) * squared_gradient(g)))
-    lp_term = (w * float(np.sum(np.abs(g.values) ** s))) ** (2.0 / s)
-    return lhs / (dissipation + lp_term)
+    lhs = lp_m_norm(g, NormRequest(6.0, -9.0)) ** 2
+    return lhs / (weighted_gradient_energy(g, 2.0) + lp_m_norm(g, NormRequest(s)) ** 2)

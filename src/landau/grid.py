@@ -28,6 +28,7 @@ __all__ = [
     "SymTensorField",
     "make_grid",
     "integrate",
+    "face_pairs",
     "spectral_gradient",
     "box_gradient",
 ]

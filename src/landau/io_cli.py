@@ -40,6 +40,7 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
+    "ConfigError",
     "RunManifest",
     "parse_config",
     "config_to_text",
@@ -382,13 +383,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     report["h1_smallness"] = {"l2_1": h1[0], "grad_l2_2": h1[1], "t_query": 0.5 * t_end}
 
     # both entropy conventions for the positive part of the final state: the
-    # signed f log f, which the run recorder records, and f |log f|
+    # signed f log f, which the run recorder wrote as the last row, and f |log f|
     final = traj.snapshots[-1]
-    positive = Field(final.grid, np.maximum(final.values, 0.0))
     report["entropy_final"] = {
         "time": traj.snapshot_times[-1],
-        "signed": boltzmann_entropy(positive),
-        "absolute": boltzmann_entropy(positive, absolute=True),
+        "signed": float(traj.entropy[-1]),
+        "absolute": boltzmann_entropy(Field(final.grid, np.maximum(final.values, 0.0)), absolute=True),
     }
 
     _replace_text(out / "report.json", json.dumps(report, indent=2, default=float) + "\n")

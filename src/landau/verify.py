@@ -142,7 +142,7 @@ def maxwellian_drift_closed_form_gap(coeffs: CoefficientSet) -> float:
     ball, v, r2, r, erf = _ball(coeffs.grad_a.grid)
     slope = (math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r2) / r - erf / r2) / (4.0 * math.pi * r)  # a'/r
     gap = max(float(np.max(np.abs(grad[i][ball] - slope * v[i]))) for i in range(3))
-    return gap / float(np.max(np.linalg.norm(grad, axis=0)))
+    return gap / float(np.max(coeffs.grad_a.magnitude()))
 
 
 def conservation_drifts(trajs: Iterable[Trajectory]) -> tuple[float, float, float, float]:

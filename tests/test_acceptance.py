@@ -252,13 +252,13 @@ def test_criterion_09_ode_barrier(perturbed_corpus):
     details = []
     # the two smallest amplitudes of the sweep
     for eps, traj in perturbed_corpus[:2]:
-        rep = ode_barrier_check(traj, eps, c_tilde=DUHAMEL_C_TILDE)
+        rep = ode_barrier_check(traj, eps)
         # no member exits, so the fitted exit horizon is unbounded and
-        # the barrier must hold through t_end
-        ok = rep.barrier_held and rep.duhamel_holds
+        # the barrier must hold through t_end; the integral inequality
+        # closes at the pinned constant exactly when it is >= the minimum
+        ok = rep.barrier_held and rep.c_tilde_min <= DUHAMEL_C_TILDE
         all_ok = all_ok and ok
-        details.append(f"eps={eps:.0e}: held={rep.barrier_held} duhamel={rep.duhamel_holds} "
-                       f"(min C~ {rep.c_tilde_min:.3f})")
+        details.append(f"eps={eps:.0e}: held={rep.barrier_held} min C~ {rep.c_tilde_min:.3f}")
     report(
         "criterion 9: short-time norm barrier and integral inequality",
         all_ok,

@@ -307,18 +307,33 @@ class TestOdeBarrier:
         rep = ode_barrier_check(maxwellian32, eps=1e-6)
         assert rep.barrier_held
         assert rep.exit_time is None
-        assert rep.duhamel_holds
 
     def test_rejects_large_initial_data(self, perturbed_corpus):
         eps, traj = perturbed_corpus[0]
         with pytest.raises(ValueError):
             ode_barrier_check(traj, eps=float(traj.lp_p[0]))
 
-    def test_duhamel_constant_is_monotone(self, perturbed_corpus):
-        eps, traj = perturbed_corpus[1]
+    @pytest.mark.parametrize("case", ["perturbed", "equilibrium"])
+    def test_duhamel_constant_is_the_largest_needed_ratio(self, case, request):
+        # every ratio of the perturbed run is <= 0, so it reads the clamp at 0.0;
+        # the equilibrium run's round-off level y needs a small positive constant
+        if case == "perturbed":
+            eps, traj = request.getfixturevalue("perturbed_corpus")[1]
+        else:
+            eps, traj = 1e-6, request.getfixturevalue("maxwellian32")
         rep = ode_barrier_check(traj, eps)
-        again = ode_barrier_check(traj, eps, c_tilde=rep.c_tilde_min + 1.0)
-        assert again.duhamel_holds
+        # the constant each sample needs, from the rows with a trapezoid of this test's own
+        y, t = traj.lp_p, traj.times
+        growth = (rep.m_bar + 1.0) * y + y ** exponents(traj.p, traj.m).alpha
+        c0 = float(np.min(traj.c0))
+        ratios = []
+        growth_int = g_int = 0.0
+        for k in range(1, len(t)):
+            dt = t[k] - t[k - 1]
+            growth_int += 0.5 * dt * (growth[k] + growth[k - 1])
+            g_int += 0.5 * dt * (traj.grad_energy[k] + traj.grad_energy[k - 1])
+            ratios.append((y[k] - y[0] + 0.5 * c0 * g_int) / growth_int if growth_int > 0 else 0.0)
+        assert rep.c_tilde_min == pytest.approx(max(max(ratios), 0.0), rel=1e-9, abs=0.0)
 
 
 class TestSmoothingFit:

@@ -1,5 +1,7 @@
-"""The import layering of the README's module table, each module loaded in a fresh interpreter."""
+"""The import layering of the README's module table, each module loaded in a fresh interpreter, and each module's `__all__`."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -31,3 +33,14 @@ def test_the_cli_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+@pytest.mark.parametrize("module", list(LOADED))
+def test_all_lists_every_public_function_and_class_and_nothing_undefined(module):
+    # tunable constants may stay out of __all__; a stale entry or an unlisted def may not
+    tree = ast.parse((SRC / "landau" / f"{module}.py").read_text())
+    defs = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assigned = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    exported = importlib.import_module(f"landau.{module}").__all__
+    assert len(set(exported)) == len(exported)
+    assert {name for name in defs if not name.startswith("_")} <= set(exported) <= defs | assigned
