@@ -45,14 +45,15 @@ do not depend on the number of BLAS threads.  The check routes
 (`biharmonic_potential`, `structural_residuals`) take the full spectrum
 from rfftn of the padded density instead (`_padded_spectrum`).
 
-The eigenvalues run only where they can matter, in one closed-form call
-per set: `lambda_max` on the nodes whose Gershgorin row bound reaches
-the largest diagonal entry, `c0_empirical` on the ball nodes whose lower
-bound reaches the ball's least weighted diagonal entry.  That is 2 nodes
-per set on the seed-0 benchmark runs (a ball pass took 1 + 922 at n = 24,
-1 + 7,150 at n = 48), and the two cost 0.35 ms per set at n = 24 and 1.8
-at n = 48, not 0.57 and 3.1.  Both equal a full closed-form pass bit for
-bit; the full pass serves `coefficient_upper_bounds`.
+The eigenvalues run only where they can matter, in one LAPACK
+`eigvalsh` call per set (`SymTensorField.eigenvalues_at`): `lambda_max`
+on the nodes whose Gershgorin row bound reaches the largest diagonal
+entry, `c0_empirical` on the ball nodes whose lower bound reaches the
+ball's least weighted diagonal entry.  That is 2 nodes per set on the
+seed-0 benchmark runs, where a ball pass took 1 + 922 at n = 24 and
+1 + 7,150 at n = 48.  Both equal a full pass bit for bit, since LAPACK
+solves each node's matrix on its own; the full pass serves
+`coefficient_upper_bounds`.
 `structural_residuals` checks the set against independent,
 unfactored symbol routes (Laplacian, divergence of A).
 
@@ -89,7 +90,8 @@ __all__ = [
 # Sources should be this small near the boundary for the truncated
 # free-space convolution to be trustworthy.
 BOUNDARY_DENSITY_WARN = 1e-10
-# Slack of the eigenvalue screens (`CoefficientSet._extremes`), relative to the largest entry.
+# Slack of the eigenvalue screens (`CoefficientSet._extremes`), relative to the largest entry:
+# far above LAPACK's backward error, a small multiple of eps * ||A||, and the screens' own rounding.
 _SCREEN_SLACK = 2.0**-40
 
 
@@ -363,7 +365,7 @@ class CoefficientSet:
 
     @cached_property
     def _extremes(self) -> tuple[float, float]:
-        """`lambda_max` and `c0_empirical` from one closed-form call on their
+        """`lambda_max` and `c0_empirical` from one `eigvalsh` call on their
         screened nodes.  A non-finite entry fails every comparison, so it
         keeps every node, as does an all-zero field."""
         values = self.A.values.reshape(6, -1)
@@ -395,9 +397,10 @@ class CoefficientSet:
         A node's largest eigenvalue lies between its largest diagonal
         entry and its largest Gershgorin row sum A_ii + sum_j |A_ij|, so
         only nodes whose row bound reaches the grid's largest diagonal
-        entry can hold the maximum; the closed form runs on those alone.
-        The screen keeps a slack of 2^-40 times the largest entry, far
-        above the rounding of the closed form and of the row sums.
+        entry can hold the maximum; LAPACK runs on those alone.  The
+        screen keeps a slack of 2^-40 times the largest entry, far above
+        LAPACK's backward error, a small multiple of eps ||A||, and the
+        rounding of the row sums.
         """
         return self._extremes[0]
 
@@ -407,15 +410,17 @@ class CoefficientSet:
 
         Restricted to the half-extent ball: near the boundary the
         truncated tail of the source biases the smallest eigenvalue.
-        A node's lambda_min lies between the closed form's q - radius,
-        q - 2 sqrt(J2/3) (a traceless symmetric 3x3 matrix has no
-        eigenvalue beyond that radius), and its smallest diagonal entry,
+        A node's lambda_min lies between q - 2 sqrt(J2/3), with q = tr A / 3
+        and J2 = tr B^2 / 2 of the deviator B = A - q I (a traceless
+        symmetric 3x3 matrix has no eigenvalue beyond that radius), and
+        its smallest diagonal entry,
         so only nodes whose weighted lower bound reaches U = min over the
         ball of <v>^3 min_i A_ii can hold the minimum.  The screen works
         on the ball scaled by one exact power of two, so J2 neither
         overflows nor underflows, with a slack of 2^-40 times the largest
-        entry and weight: the closed form is within ~5e-15 of a node's
-        largest entry, and the bound and U within a few ulps.
+        entry and weight: LAPACK's eigenvalues are within a small multiple
+        of eps times a node's largest entry, and the bound and U within a
+        few ulps.
         """
         return self._extremes[1]
 

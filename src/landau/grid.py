@@ -10,7 +10,9 @@ to call concurrently; grids cache their coordinate arrays and weights
 lazily and never mutate them afterwards, and the spectral
 differentiation matrices are cached per (n, spacing), read-only.  A field
 that vanishes off a box of the lattice is differentiated on that box
-alone (`box_gradient`).
+alone (`box_gradient`).  The eigenvalues of a symmetric tensor field come
+from LAPACK's `eigvalsh` on the selected nodes
+(`SymTensorField.eigenvalues_at`), the package's one eigenvalue routine.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ class VecField(_GridValues):
 # storage order of the six independent components of a symmetric matrix
 SYM_COMPONENTS: tuple[tuple[int, int], ...] = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SYM_INDEX = {key: slot for slot, (i, j) in enumerate(SYM_COMPONENTS) for key in ((i, j), (j, i))}
-# nodes per closed-form eigen block: its ~50 temporaries stay in cache
-_EIGEN_BLOCK = 8192
+# the slots of the 3x3 matrix's entries among the six stored components
+_MATRIX_SLOTS = np.array([[_SYM_INDEX[(i, j)] for j in range(3)] for i in range(3)])
 
 
 class SymTensorField(_GridValues):
@@ -160,73 +162,22 @@ class SymTensorField(_GridValues):
         return self.values[0] + self.values[1] + self.values[2]
 
     def eigenvalues(self) -> np.ndarray:
-        """Per-node eigenvalues, ascending, shape (N, 3).
-
-        Trigonometric closed form (O. K. Smith, CACM 4(4), 1961): with
-        q = tr A / 3 and the invariants J2, J3 = det B of the deviator
-        B = A - q I, the eigenvalues are q + 2 sqrt(J2/3) cos(theta + 2 pi k/3),
-        theta = atan2(sqrt(D), 3 sqrt(3) J3) / 3 in [0, pi/3].  The
-        discriminant D = 4 J2^3 - 27 J3^2 = prod (l_i - l_j)^2 is taken as
-        the Gram determinant of (I, B, B^2) in the six symmetric
-        coordinates (off-diagonal weight sqrt 2), expanded by Cauchy-Binet
-        into a sum of squared 3x3 minors.  A sum of squares keeps its
-        relative accuracy when two eigenvalues nearly coincide, where the
-        usual acos form of theta loses half the digits.  The middle eigenvalue
-        is the trace minus the other two.  Each node is first scaled by a
-        power of two (exact) so that the cubes and sixth powers neither
-        overflow nor underflow.  Nodes go through in blocks that keep the
-        temporaries in cache.
-        """
+        """Per-node eigenvalues, ascending, shape (N, 3)."""
         return self.eigenvalues_at(slice(None))
 
     def eigenvalues_at(self, nodes: np.ndarray | slice) -> np.ndarray:
         """Eigenvalues at the flat node selection `nodes` (mask, indices or slice), shape (K, 3).
 
-        The closed form works node by node, so these are exactly the
-        selected rows of `eigenvalues()`.
+        LAPACK's `eigvalsh` on the gathered node matrices.  It solves
+        each matrix on its own, so these are exactly the selected rows of
+        `eigenvalues()`.  A node with a non-finite entry, which LAPACK
+        rejects, reads NaN.
         """
         comps = self.values.reshape(6, -1)[:, nodes]
-        out = np.empty((comps.shape[1], 3))
-        for start in range(0, comps.shape[1], _EIGEN_BLOCK):
-            out[start : start + _EIGEN_BLOCK] = _symmetric_eigenvalues(comps[:, start : start + _EIGEN_BLOCK])
+        finite = np.all(np.isfinite(comps), axis=0)
+        out = np.full((comps.shape[1], 3), np.nan)
+        out[finite] = np.linalg.eigvalsh(comps.T[finite][:, _MATRIX_SLOTS])
         return out
-
-
-def _symmetric_eigenvalues(comps: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (N, 3) of the symmetric matrices in comps (6, N)."""
-    _, exponent = np.frexp(np.max(np.abs(comps), axis=0))
-    a11, a22, a33, a12, a13, a23 = np.ldexp(comps, -exponent)
-    trace = a11 + a22 + a33
-    q = trace / 3.0
-    b11, b22, b33 = a11 - q, a22 - q, a33 - q
-    s12, s13, s23 = a12 * a12, a13 * a13, a23 * a23
-    b = (b11, b22, b33, a12, a13, a23)
-    b2 = (
-        b11 * b11 + s12 + s13,
-        b22 * b22 + s12 + s23,
-        b33 * b33 + s13 + s23,
-        (b11 + b22) * a12 + a13 * a23,
-        (b11 + b33) * a13 + a12 * a23,
-        (b22 + b33) * a23 + a12 * a13,
-    )
-    # 2x2 cross terms of the B and B^2 rows; the I row is 1 on the diagonal
-    # columns and 0 off it, so each minor is one cross term or a signed sum,
-    # and its square carries weight 2 per off-diagonal column.
-    x = {(i, j): b[i] * b2[j] - b[j] * b2[i] for i in range(6) for j in range(i + 1, 6)}
-    disc = (x[0, 1] - x[0, 2] + x[1, 2]) ** 2
-    for k in (3, 4, 5):
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            disc += 2.0 * (x[j, k] - x[i, k]) ** 2
-    disc += 12.0 * (x[3, 4] ** 2 + x[3, 5] ** 2 + x[4, 5] ** 2)
-    j2 = 0.5 * (b2[0] + b2[1] + b2[2])
-    j3 = b11 * (b22 * b33 - s23) - a12 * (a12 * b33 - a13 * a23) + a13 * (a12 * a23 - b22 * a13)
-    theta = np.arctan2(np.sqrt(disc), 3.0 * np.sqrt(3.0) * j3) / 3.0
-    radius = 2.0 * np.sqrt(j2 / 3.0)
-    hi = q + radius * np.cos(theta)
-    lo = q + radius * np.cos(theta + 2.0 * np.pi / 3.0)
-    # rounding can put the trace remainder an ulp outside [lo, hi]
-    mid = np.clip(trace - hi - lo, lo, hi)
-    return np.ldexp(np.stack((lo, mid, hi), axis=1), exponent[:, None])
 
 
 def make_grid(n: int, extent: float) -> Grid:

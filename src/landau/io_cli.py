@@ -474,6 +474,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 cfg = dataclasses.replace(base, initial=initial, n=n, p=p)
                 tag = f"amp{amp if amp is not None else 'base'}_n{n}_p{p}"
                 jobs.append((cfg, str(Path(args.out) / tag)))
+    dirs = [out_dir for _, out_dir in jobs]
+    if len(set(dirs)) < len(dirs):  # equal values, such as --ps 2,2.0, name one directory
+        shared = next(out_dir for out_dir in dirs if dirs.count(out_dir) > 1)
+        print(f"error: sweep members would run at once into {shared}", file=sys.stderr)
+        return 2
 
     failures = 0
     with _sweep_pool(min(args.workers if args.workers is not None else os.cpu_count() or 1, len(jobs))) as pool:

@@ -95,7 +95,7 @@ def oracle_gaps(coeffs: CoefficientSet) -> tuple[float, float, float]:
             exact = float(ora.A[r, c])
             gap_A = max(gap_A, abs(float(coeffs.A.component(r, c)[node]) - exact) / max(abs(ora.a), abs(exact)))
         spec_grad = coeffs.grad_a.values[(slice(None), *node)]
-        scale = max(float(np.linalg.norm(ora.grad_a)), 1e-10)
+        scale = max(float(np.sqrt(ora.grad_a @ ora.grad_a)), 1e-10)
         gap_grad = max(gap_grad, float(np.max(np.abs(spec_grad - ora.grad_a))) / scale)
     mid = grid.n // 2
     return gap_A, gap_grad, abs(float(coeffs.a.values[mid, mid, mid]) - (2.0 * np.pi) ** -1.5)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from conftest import stacked_matrices
 from landau.fields import maxwellian
@@ -106,7 +104,7 @@ def assert_matches_eigvalsh(tensor: SymTensorField, reference=None) -> None:
 
 
 class TestSymTensorEigenvalues:
-    """The closed form against LAPACK on the cases that break acos(det B / 2)."""
+    """The gathered node matrices against LAPACK on the stacked components."""
 
     def rotations(self, seed):
         return np.random.default_rng(seed).standard_normal((512, 3, 3))
@@ -114,15 +112,6 @@ class TestSymTensorEigenvalues:
     def test_random_matrices(self):
         rng = np.random.default_rng(0)
         assert_matches_eigvalsh(SymTensorField(make_grid(8, 4.0), rng.standard_normal((6, 8, 8, 8))))
-
-    @pytest.mark.parametrize("eigenvalues", [(1.0, 1.0, 3.0), (-2.0, 5.0, 5.0), (1.5, 1.5, 1.5), (-1.0, -1.0, -1.0)])
-    def test_repeated_eigenvalues_under_rotation(self, eigenvalues):
-        assert_matches_eigvalsh(tensor_with_eigenvalues(eigenvalues, self.rotations(1)))
-
-    @pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-12])
-    def test_nearly_equal_eigenvalues(self, gap):
-        assert_matches_eigvalsh(tensor_with_eigenvalues((1.0, 1.0 + gap, 2.0), self.rotations(2)))
-        assert_matches_eigvalsh(tensor_with_eigenvalues((-3.0, 0.5, 0.5 + gap), self.rotations(3)))
 
     def test_zero_and_diagonal_matrices(self):
         grid = make_grid(8, 4.0)
@@ -132,7 +121,6 @@ class TestSymTensorEigenvalues:
         assert_matches_eigvalsh(SymTensorField(grid, values), np.sort(values[:3].reshape(3, -1).T, axis=1))
 
     def test_selected_nodes_match_full_pass(self):
-        # 24^3 nodes fill two blocks; the selections straddle the block boundary
         grid = make_grid(24, 4.0)
         tensor = SymTensorField(grid, np.random.default_rng(7).standard_normal((6, *grid.shape)))
         full = tensor.eigenvalues()
@@ -141,21 +129,36 @@ class TestSymTensorEigenvalues:
         indices = np.arange(8000, 8400)
         assert np.array_equal(tensor.eigenvalues_at(indices), full[indices])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_node_reads_nan_and_leaves_the_others(self, bad):
+        # LAPACK raises LinAlgError on most matrices that hold a NaN, whichever entry it is
+        grid = make_grid(8, 4.0)
+        values = np.random.default_rng(9).standard_normal((6, *grid.shape))
+        full = SymTensorField(grid, values).eigenvalues()
+        nodes = np.array([3, 100, 200, 511])
+        for slot in range(6):
+            broken = values.copy()
+            broken.reshape(6, -1)[slot, 100] = bad
+            got = SymTensorField(grid, broken).eigenvalues_at(nodes)
+            assert np.all(np.isnan(got[1]))
+            assert np.array_equal(np.delete(got, 1, axis=0), full[[3, 200, 511]])
+
+    def test_the_full_pass_reads_nan_on_a_non_finite_node(self):
+        # `coefficient_upper_bounds` reads the full pass: a NaN in A must reach its
+        # bound as NaN, not raise, and leave every other node to LAPACK
+        grid = make_grid(8, 4.0)
+        values = np.random.default_rng(10).standard_normal((6, *grid.shape))
+        values.reshape(6, -1)[3, 42] = np.nan
+        got = SymTensorField(grid, values).eigenvalues()
+        assert got.shape == (512, 3)
+        assert np.all(np.isnan(got[42]))
+        rest = np.delete(np.arange(512), 42)
+        assert np.array_equal(got[rest], np.linalg.eigvalsh(stacked_matrices(SymTensorField(grid, values))[rest]))
+
     @pytest.mark.parametrize("exponent", [700, -700])
     def test_extreme_scales(self, exponent):
         # scaling by a power of two is exact, so the eigenvalues scale exactly
         base = tensor_with_eigenvalues(np.random.default_rng(5).standard_normal((512, 3)), self.rotations(6))
-        scaled = SymTensorField(base.grid, np.ldexp(base.values, exponent))
-        assert_matches_eigvalsh(scaled, np.ldexp(np.linalg.eigvalsh(stacked_matrices(base)), exponent))
-
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(
-        eigenvalues=arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
-        rotation=arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)),
-        exponent=st.integers(-700, 700),
-    )
-    def test_property_matches_eigvalsh(self, eigenvalues, rotation, exponent):
-        base = tensor_with_eigenvalues(eigenvalues, rotation)
         scaled = SymTensorField(base.grid, np.ldexp(base.values, exponent))
         assert_matches_eigvalsh(scaled, np.ldexp(np.linalg.eigvalsh(stacked_matrices(base)), exponent))
 

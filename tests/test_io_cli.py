@@ -753,6 +753,19 @@ class TestCli:
         # the sweep's own process keeps its environment
         assert os.environ["OPENBLAS_NUM_THREADS"] == "7" and "MKL_NUM_THREADS" not in os.environ
 
+    @pytest.mark.parametrize(
+        "flag, values, tag",
+        [("--ns", "16,16", "ampbase_n16_p2.0"), ("--ps", "2,2.0", "ampbase_n32_p2.0"), ("--amplitudes", "0.1,0.10", "amp0.1_n32_p2.0")],
+    )
+    def test_sweep_rejects_members_that_share_a_directory(self, tmp_path, capsys, flag, values, tag):
+        text = MINIMAL.replace("initial = maxwellian", "initial = perturbed_maxwellian") + "amplitude = 0.1\nmode = 3\n"
+        base = write_cfg(tmp_path, text, name="base.cfg")
+        out = tmp_path / "sweep"
+        rc = cli(["sweep", "--config", str(base), "--out", str(out), flag, values])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: sweep members would run at once into {out / tag}\n"
+        assert not out.exists()
+
     def test_sweep_amplitudes_require_perturbed_base(self, tmp_path):
         base = write_cfg(tmp_path, MINIMAL, name="base.cfg")
         rc = cli(["sweep", "--config", str(base), "--out", str(tmp_path / "s"), "--amplitudes", "0.1"])

@@ -44,3 +44,21 @@ def test_all_lists_every_public_function_and_class_and_nothing_undefined(module)
     exported = importlib.import_module(f"landau.{module}").__all__
     assert len(set(exported)) == len(exported)
     assert {name for name in defs if not name.startswith("_")} <= set(exported) <= defs | assigned
+
+
+def test_the_eigenvalues_have_one_home():
+    # LAPACK's eigvalsh in `grid` is the one eigenvalue routine; no other module reaches numpy.linalg
+    readers, routines = set(), set()
+    for path in sorted((SRC / "landau").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            else:
+                names = [node.attr] if isinstance(node, ast.Attribute) else []
+            if any("linalg" in name.split(".") for name in names):
+                readers.add(path.stem)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                routines.add(node.attr)
+    assert readers == {"grid"} and routines == {"eigvalsh"}

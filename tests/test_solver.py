@@ -505,7 +505,7 @@ class TestRun:
             assert screen + ball_screen <= grid.n**3 // 100
             assert 0 < nodes[id(coeffs.A)] <= screen + ball_screen
 
-    def test_one_closed_form_call_per_set(self, monkeypatch):
+    def test_one_eigenvalue_call_per_set(self, monkeypatch):
         cfg = SimConfig(n=24, t_end=0.2, cfl=0.25, initial=AnisotropicGaussian((0.8, 1.0, 1.2)))
         solver_mod.equilibrium_residual(cfg.n, cfg.extent)  # its set never needs eigenvalues
         calls, frozen = [], []
