@@ -11,16 +11,22 @@ Time integrals over trajectories use the trapezoid rule on the recorded
 cadence; suprema over time are maxima over samples.  Everything here is
 a pure function of immutable trajectories, and each reads the Lebesgue
 exponent p and the moment order m off the trajectory it measures.  The
-perturbation h = f - mu is built one snapshot at a time, against the
-grid's cached, read-only equilibrium `fields.maxwellian`.  The level-set
-terms are computed at most once per level on a trajectory and memoized
-on it, with three profiles per snapshot: the max of h over each plane of
-each axis.  The box of {h > level} is read off those with no pass over
-the grid, so an empty cut costs nothing, and any other cut is built,
-normed and differentiated on its box alone: at the levels l >= sup h/8
-of the seed-0 benchmark runs that box covers 0.25-0.6% of the grid on
-average, 2.2% at most.  A trajectory must not be mutated after
-construction.
+perturbation h = f - mu is taken against the grid's cached, read-only
+equilibrium `fields.maxwellian`, and the snapshot quantities are read
+off it in one pass over the snapshots (`_perturbation_pass`), which
+writes each h into one buffer and keeps none of them.  That pass
+memoizes on the trajectory, the first time any of `level_set_energy`,
+`moment_bound_check` and `ode_barrier_check` runs on it: per snapshot
+the max of h over each plane of each axis, the two terms of the level-0
+cut h^+, and ||h||_{L^1_theta} for theta = m and each of
+`MOMENT_WEIGHTS`; a weight outside those costs one more pass of its own.
+The level-set terms are computed at most once per level on a
+trajectory and memoized on it.  The box of {h > level} is read off the
+plane maxima with no pass over the grid, so an empty cut costs nothing,
+and any other cut is built, normed and differentiated on its box alone:
+at the levels l >= sup h/8 of the seed-0 benchmark runs that box covers
+0.25-0.6% of the grid on average, 2.2% at most.  A trajectory must not
+be mutated after construction.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import NormRequest, box_gradient_energy, box_lp_norm, lp_m_norm, maxwellian, plane_box
-from .grid import spectral_gradient
+from .grid import Field, Grid, spectral_gradient
 from .solver import Trajectory
 
 __all__ = [
@@ -62,6 +68,8 @@ DEGIORGI_N_MAX = 12
 MOMENT_MARGIN = 0.01
 # How much steeper than -1/(1+gamma) a fitted smoothing slope may be
 SLOPE_TOLERANCE = 0.15
+# The weights theta of the moment envelopes `landau diagnose` fits
+MOMENT_WEIGHTS = (0.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -142,6 +150,49 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
+def _perturbation(f: Field, out: np.ndarray) -> Field:
+    """h = f - mu, written into `out`: every h the diagnostics read is built here."""
+    return Field(f.grid, np.subtract(f.values, maxwellian(f.grid).values, out=out))
+
+
+def _perturbation_pass(traj: Trajectory, thetas: tuple[float, ...]) -> dict:
+    """The memo of `traj`, holding ||h||_{L^1_theta} for every theta in `thetas`.
+
+    A pass builds h once per snapshot, into one buffer that it reuses.
+    The first pass on a trajectory memoizes, per snapshot, the plane
+    maxima of h (key "planes", a list by snapshot index) and the two
+    terms of the level-0 cut (key (0.0, index)), and the arrays of
+    ||h||_{L^1_theta} over the snapshots (key ("l1", theta)) for theta =
+    m, each of `MOMENT_WEIGHTS` and `thetas`.  A later pass runs only for
+    a theta not memoized yet, and takes its norms alone.
+    """
+    memo = traj.level_terms
+    first = "planes" not in memo
+    wanted = dict.fromkeys((traj.m, *MOMENT_WEIGHTS, *thetas) if first else thetas)
+    reqs = [NormRequest(1.0, theta) for theta in wanted if ("l1", theta) not in memo]
+    if not (first or reqs):
+        return memo
+    grid, p, buffer = traj.grid, traj.p, np.empty(traj.grid.shape)
+    planes, norms = [], np.empty((len(reqs), len(traj.snapshots)))
+    for i, f in enumerate(traj.snapshots):
+        h = _perturbation(f, buffer)
+        for row, req in zip(norms, reqs):
+            row[i] = lp_m_norm(h, req)
+        if first:  # the level-0 cut last: it overwrites h on its box
+            planes.append(_plane_maxima(h.values))
+            box = plane_box([profile > 0.0 for profile in planes[-1]])  # the box of {h > 0}
+            memo[(0.0, i)] = (0.0, 0.0) if box is None else _cut_terms(grid, box, h.values[box], 0.0, p)
+    if first:
+        memo["planes"] = planes
+    memo.update({("l1", req.m): row for req, row in zip(reqs, norms)})
+    return memo
+
+
+def _l1_norms(traj: Trajectory, theta: float) -> np.ndarray:
+    """||h||_{L^1_theta} at every snapshot, off the memo of `_perturbation_pass`."""
+    return _perturbation_pass(traj, (theta,))[("l1", theta)]
+
+
 # --------------------------------------------------------------------------
 # energies
 
@@ -167,12 +218,13 @@ class LevelSetEnergyReport:
 def level_set_energy(traj: Trajectory, level: float, window: tuple[float, float], c0: float) -> LevelSetEnergyReport:
     """sup_t ||h_l^+||_p^p + c0 int ||<v>^{-3/2} grad (h_l^+)^{p/2}||_2^2 dt.
 
-    Both per-snapshot terms are memoized on `traj` by (level, snapshot),
-    and each snapshot's plane maxima of h by its index.  Read off those,
-    the box of {h > level} costs no pass over the grid: an empty cut
-    (max h <= level) gives exactly 0.0 for both terms, and any other cut
-    is built, normed and differentiated on its box alone
-    (`fields.box_lp_norm`, `fields.box_gradient_energy`).
+    Both per-snapshot terms are memoized on `traj` by (level, snapshot);
+    the level-0 terms and each snapshot's plane maxima of h come from
+    `_perturbation_pass`.  Read off those maxima, the box of {h > level}
+    costs no pass over the grid: an empty cut (max h <= level) gives
+    exactly 0.0 for both terms, and any other cut is built, normed and
+    differentiated on its box alone (`fields.box_lp_norm`,
+    `fields.box_gradient_energy`).
     """
     t_a, t_b = window
     if t_a > t_b:
@@ -183,25 +235,18 @@ def level_set_energy(traj: Trajectory, level: float, window: tuple[float, float]
     if times.size == 0 or t_a < times[0] - 1e-12 or t_b > times[-1] + 1e-12:
         raise ValueError(f"window {window} outside the recorded range")
     idx = _window_indices(times, t_a, t_b)
-    p = traj.p
-    req = NormRequest(p)
-    grid, memo, mu = traj.grid, traj.level_terms, maxwellian(traj.grid).values
+    memo = _perturbation_pass(traj, ())
+    grid, mu = traj.grid, maxwellian(traj.grid).values
     sup_term = 0.0
     diss = np.empty(idx.size)
     for out_i, i in enumerate(idx.tolist()):
         key = (level, i)
         if key not in memo:
-            if i not in memo:  # the snapshot's plane maxima, so that a cut's box costs no pass
-                memo[i] = _plane_maxima(np.subtract(traj.snapshots[i].values, mu))
-            box = plane_box([profile > level for profile in memo[i]])  # the box of {h > level}
+            box = plane_box([profile > level for profile in memo["planes"][i]])  # the box of {h > level}
             if box is None:
                 memo[key] = (0.0, 0.0)
-            else:
-                # the cut (f - mu - level)^+ on its box only
-                cut = np.subtract(traj.snapshots[i].values[box], mu[box])
-                cut -= level
-                np.maximum(cut, 0.0, out=cut)
-                memo[key] = (box_lp_norm(grid, box, cut, req) ** p, box_gradient_energy(grid, box, cut, p))
+            else:  # h on the cut's box only
+                memo[key] = _cut_terms(grid, box, np.subtract(traj.snapshots[i].values[box], mu[box]), level, traj.p)
         lp_term, diss[out_i] = memo[key]
         sup_term = max(sup_term, lp_term)
     dissipation = c0 * _trapezoid(diss, times[idx])
@@ -212,6 +257,13 @@ def level_set_energy(traj: Trajectory, level: float, window: tuple[float, float]
         dissipation_term=dissipation,
         total=sup_term + dissipation,
     )
+
+
+def _cut_terms(grid: Grid, box: tuple[slice, slice, slice], h: np.ndarray, level: float, p: float) -> tuple[float, float]:
+    """Both level-set terms of the cut (h - level)^+, from h on the cut's box `box`, overwritten by the cut."""
+    h -= level
+    np.maximum(h, 0.0, out=h)
+    return box_lp_norm(grid, box, h, NormRequest(p)) ** p, box_gradient_energy(grid, box, h, p)
 
 
 def _plane_maxima(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,10 +450,7 @@ def moment_bound_check(traj: Trajectory, theta: float) -> MomentBoundReport:
         raise ValueError(f"weight exponent {theta} exceeds the run's moment order m={l}")
     exponent = q_ltheta(l, theta) + MOMENT_MARGIN
     times = np.asarray(traj.snapshot_times)
-    req = NormRequest(1.0, theta)
-    mu = maxwellian(traj.grid)
-    norms = np.array([lp_m_norm(f - mu, req) for f in traj.snapshots])
-    c3 = float(np.max(norms / (1.0 + times) ** exponent))
+    c3 = float(np.max(_l1_norms(traj, theta) / (1.0 + times) ** exponent))
     return MomentBoundReport(l=l, theta=theta, exponent=exponent, c3=c3)
 
 
@@ -441,9 +490,7 @@ def ode_barrier_check(traj: Trajectory, eps: float) -> OdeBarrierReport:
     above = y > eps
     exit_time = float(times[np.argmax(above)]) if bool(np.any(above)) else None
 
-    req = NormRequest(1.0, traj.m)
-    mu = maxwellian(traj.grid)
-    m_bar = max(lp_m_norm(f - mu, req) for f in traj.snapshots)
+    m_bar = float(np.max(_l1_norms(traj, traj.m)))
     c0 = float(np.min(traj.c0))
 
     growth = (m_bar + 1.0) * y + y**exps.alpha
@@ -516,7 +563,7 @@ def h1_smallness(traj: Trajectory, t_query: float) -> tuple[float, float]:
     times = np.asarray(traj.snapshot_times)
     if times.size == 0:
         raise ValueError("trajectory has no snapshots")
-    h = traj.snapshots[int(np.argmin(np.abs(times - t_query)))] - maxwellian(traj.grid)
+    h = _perturbation(traj.snapshots[int(np.argmin(np.abs(times - t_query)))], np.empty(traj.grid.shape))
     grad = spectral_gradient(h).values
     energy = np.einsum("kijl,kijl,ijl->", grad, grad, h.grid.bracket_power(2.0))
     return lp_m_norm(h, NormRequest(2.0, 1.0)), math.sqrt(h.grid.cell_volume * float(energy))

@@ -52,8 +52,9 @@ entry, `c0_empirical` on the ball nodes whose lower bound reaches the
 ball's least weighted diagonal entry.  That is 2 nodes per set on the
 seed-0 benchmark runs, where a ball pass took 1 + 922 at n = 24 and
 1 + 7,150 at n = 48.  Both equal a full pass bit for bit, since LAPACK
-solves each node's matrix on its own; the full pass serves
-`coefficient_upper_bounds`.
+solves each node's matrix on its own.  `coefficient_upper_bounds`
+screens the same way for the nodes that can hold a negative eigenvalue
+larger in size than `lambda_max`.
 `structural_residuals` checks the set against independent,
 unfactored symbol routes (Laplacian, divergence of A).
 
@@ -566,6 +567,26 @@ class CoefficientBoundReport:
     grad_a_ratio: float
 
 
+def _sup_eigenvalue_magnitude(coeffs: CoefficientSet) -> float:
+    """||A||_inf, the largest |eigenvalue| over the grid: max(`lambda_max`, -lambda_min).
+
+    A node's eigenvalues lie at or above its Gershgorin lower bound
+    min_i (A_ii - sum_j |A_ij|), so only nodes whose bound reaches below
+    -`lambda_max` can hold a larger |lambda_min|; LAPACK runs on those
+    alone, with the slack of `CoefficientSet._extremes`.  LAPACK solves
+    each node on its own, so this equals the largest |eigenvalue| of a
+    full pass bit for bit.  A non-finite entry fails every comparison and
+    keeps its node, which reads NaN.
+    """
+    values = coeffs.A.values.reshape(6, -1)
+    d12, d13, d23 = np.abs(values[3:])
+    scale = float(np.max(np.abs(values)))
+    lower = np.minimum(np.minimum(values[0] - d12 - d13, values[1] - d12 - d23), values[2] - d13 - d23)
+    top = coeffs.lambda_max
+    nodes = np.flatnonzero(~(lower > -top + _SCREEN_SLACK * scale))
+    return float(np.max(np.concatenate(([top], -coeffs.A.eigenvalues_at(nodes)[:, 0]))))
+
+
 def coefficient_upper_bounds(coeffs: CoefficientSet, p: float) -> CoefficientBoundReport:
     """Ratios ||A[f]||_inf and ||grad a[f]||_3 against their interpolation bounds, f the set's density."""
     if not p > 1.5:
@@ -573,7 +594,7 @@ def coefficient_upper_bounds(coeffs: CoefficientSet, p: float) -> CoefficientBou
     f = coeffs.density
     if float(np.min(f.values)) < 0.0 or f.max_abs() == 0.0:
         raise ValueError("upper bounds are stated for nonnegative, nonzero densities")
-    a_inf = float(np.max(np.abs(coeffs.A.eigenvalues())))
+    a_inf = _sup_eigenvalue_magnitude(coeffs)
     grad_a_l3 = lp_m_norm(Field(f.grid, coeffs.grad_a.magnitude()), NormRequest(3.0))
     e1 = (2.0 / 3.0) * (p - 1.5) / (p - 1.0)
     e2 = (1.0 / 3.0) * p / (p - 1.0)

@@ -492,10 +492,14 @@ class Trajectory:
     Every series is a view of the table's columns (SCALAR_COLUMNS):
     `momentum` has shape (steps + 1, 3), `lp_p` is ||h||_p^p and
     `grad_energy` the integral of <v>^-3 |grad |h|^{p/2}|^2.  Nothing is
-    to be mutated: `level_terms` memoizes the per-snapshot level-set
-    terms of `analysis.level_set_energy`, by (level, snapshot index), and
-    each snapshot's plane maxima of h, by its index.  A run that stopped
-    early holds the reason of its abort, at its last row.
+    to be mutated: `level_terms` memoizes what the diagnostics of
+    `landau.analysis` read off h = f - mu at each snapshot, from one
+    pass over the snapshots that keeps no h: the plane maxima of h (key
+    "planes", a list by snapshot index), the weighted norms
+    ||h||_{L^1_theta} (key ("l1", theta), an array over the snapshots),
+    and the level-set terms of `analysis.level_set_energy`, by (level,
+    snapshot index).  A run that stopped early holds the reason of its
+    abort, at its last row.
     """
 
     grid: Grid

@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from landau import analysis
 from landau.analysis import (
     degiorgi_iterate,
     energy_E0,
@@ -334,6 +336,33 @@ class TestOdeBarrier:
             g_int += 0.5 * dt * (traj.grad_energy[k] + traj.grad_energy[k - 1])
             ratios.append((y[k] - y[0] + 0.5 * c0 * g_int) / growth_int if growth_int > 0 else 0.0)
         assert rep.c_tilde_min == pytest.approx(max(max(ratios), 0.0), rel=1e-9, abs=0.0)
+
+
+class TestPerturbationPass:
+    """The per-snapshot quantities of h = f - mu that one pass over the snapshots memoizes."""
+
+    def test_weighted_l1_norms_are_those_of_f_minus_mu(self, twobump32):
+        traj = dataclasses.replace(twobump32)
+        mu = maxwellian(traj.grid)
+        ode_barrier_check(traj, eps=1.0)  # the first pass takes theta = m and the moment weights
+        assert {("l1", theta) for theta in (0.0, 2.0, 4.0, traj.m)} <= set(traj.level_terms)
+        for theta in (0.0, 2.0, 4.0, traj.m, 3.0):  # 3.0 costs a pass of its own, through the same helper
+            direct = [lp_m_norm(f - mu, NormRequest(1.0, theta)) for f in traj.snapshots]
+            assert analysis._l1_norms(traj, theta).tolist() == direct
+        assert ("l1", 3.0) in traj.level_terms
+
+    def test_checks_agree_in_any_order(self, twobump32):
+        top = float(np.max(twobump32.linf_h))
+        checks = {
+            "moment": lambda traj: [moment_bound_check(traj, theta) for theta in (0.0, 3.0, 4.0)],
+            "barrier": lambda traj: ode_barrier_check(traj, eps=1.0),
+            "levels": lambda traj: [level_set_energy(traj, frac * top, (0.3, 1.0), c0=0.02) for frac in (0.0, 0.5)],
+        }
+        results = []
+        for order in itertools.permutations(checks):
+            traj = dataclasses.replace(twobump32)  # a fresh memo
+            results.append({name: checks[name](traj) for name in order})
+        assert all(result == results[0] for result in results[1:])
 
 
 class TestSmoothingFit:

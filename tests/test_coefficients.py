@@ -675,6 +675,34 @@ class TestUpperBounds:
             assert rep.a_ratio <= 3.0 * base.a_ratio
             assert rep.grad_a_ratio <= 3.0 * base.grad_a_ratio
 
+    def test_a_inf_equals_the_full_pass(self, monkeypatch):
+        # ||A||_inf is max(lambda_max, -lambda_min on the screened nodes): the largest |eigenvalue| of every node
+        grid = make_grid(24, 8.0)
+        mu = maxwellian(grid)
+
+        def full_pass_a_inf(coeffs):
+            return float(np.max(np.abs(coeffs.A.eigenvalues())))
+
+        for f in corpus_fields(grid):
+            coeffs = compute_coefficients(f)
+            assert coefficient_upper_bounds(coeffs, 2.0).a_inf == full_pass_a_inf(coeffs)
+        # a signed density, whose most negative eigenvalue is larger in size than lambda_max
+        signed = compute_coefficients(Field(grid, mu.values - 3.0 * corpus_fields(grid)[4].values))
+        coeffs = CoefficientSet(A=signed.A, a=signed.a, density=mu)
+        a_inf = coefficient_upper_bounds(coeffs, 2.0).a_inf
+        assert a_inf == full_pass_a_inf(coeffs) > 10.0 * coeffs.lambda_max
+        # one node's negative eigenvalue beyond lambda_max: LAPACK runs on the few nodes that can hold it
+        values = compute_coefficients(mu).A.values.copy()
+        values[:, 5, 17, 9] = (-0.05, -0.05, -0.05, 0.0, 0.0, 0.0)
+        coeffs = CoefficientSet(A=SymTensorField(grid, values), a=signed.a, density=mu)
+        expected = full_pass_a_inf(coeffs)
+        coeffs.lambda_max  # its own screened call, before the count starts
+        solved = []
+        eigenvalues_at = SymTensorField.eigenvalues_at
+        monkeypatch.setattr(SymTensorField, "eigenvalues_at", lambda self, nodes: solved.append(len(nodes)) or eigenvalues_at(self, nodes))
+        assert coefficient_upper_bounds(coeffs, 2.0).a_inf == expected == 0.05
+        assert 1 <= solved[0] <= 10
+
     @pytest.mark.parametrize("n", [24, 32, 48])
     def test_corpus_worst_ratios(self, n):
         # pinned regression values; `landau verify` bounds them at 0.16 and 0.5, twice these

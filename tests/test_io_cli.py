@@ -500,6 +500,28 @@ class TestCli:
         assert len(cuts) == len(set(cuts)), "a cut was differentiated twice"
         assert set(cuts) == needed, "an empty cut was differentiated, or a needed one was not"
 
+    def test_diagnose_builds_each_h_once_in_one_buffer(self, small_traj, tmp_path, monkeypatch):
+        traj_dir, rep = tmp_path / "out", tmp_path / "rep"
+        write_trajectory(small_traj, traj_dir)
+        builds, subtractions = [], []  # (snapshot, buffer) of each h built, kept alive so their ids stay unique
+        build, subtract = analysis._perturbation, Field.__sub__
+
+        def counting(f, out):
+            builds.append((f, out))
+            return build(f, out)
+
+        monkeypatch.setattr(analysis, "_perturbation", counting)
+        monkeypatch.setattr(Field, "__sub__", lambda self, other: subtractions.append(self) or subtract(self, other))
+        assert cli(["diagnose", "--traj", str(traj_dir), "--out", str(rep)]) == 0
+        assert subtractions == []  # no h is built outside the helper
+        buffers = {}
+        for f, out in builds:
+            buffers.setdefault(id(out), []).append(id(f))
+        # the pass builds every snapshot's h once, into one buffer; h1_smallness builds the one h it differentiates
+        snapshots = len(small_traj.snapshots)
+        assert sorted(len(built) for built in buffers.values()) == [1, snapshots]
+        assert all(len(set(built)) == len(built) for built in buffers.values())
+
     def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the level-set cuts are differentiated by products of their boxes' own shapes
         traj_dir, rep, single = tmp_path / "out", tmp_path / "rep", tmp_path / "single"

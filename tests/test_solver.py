@@ -285,6 +285,34 @@ def _synthetic_coeffs(grid, diag: float) -> CoefficientSet:
     )
 
 
+def _linearized(h: Field) -> np.ndarray:
+    """L h = rhs(h, A[mu]) + rhs(mu, A[h]): the balanced right-hand side linearized at mu, exactly, since A is linear."""
+    mu = maxwellian(h.grid)
+    return rhs(h, compute_coefficients(mu)).values + rhs(mu, compute_coefficients(h)).values
+
+
+class TestLinearizedOperator:
+    # percent error of the discrete isotropization rate at L = 8, measured at n = 24, 32 and 48
+    RATE_ERRORS = {24: -7.848, 32: -4.474, 48: -2.005}
+    RATE_BAND = 0.1  # percentage points either side
+
+    def test_relaxation_clock_without_a_run(self):
+        # the small-anisotropy rate of phi = v1^2 - v3^2 is exactly 1/(10 pi^(3/2)) = 0.0179587
+        exact = 1.0 / (10.0 * math.pi**1.5)
+        errors = {}
+        for n in self.RATE_ERRORS:
+            grid = make_grid(n, 8.0)
+            v1, _, v3 = grid.coords
+            phi = v1 * v1 - v3 * v3
+            mu = maxwellian(grid).values
+            rate = -float(np.sum(phi * _linearized(Field(grid, phi * mu)))) / float(np.sum(phi * phi * mu))
+            errors[n] = 100.0 * (rate / exact - 1.0)
+        for n, measured in self.RATE_ERRORS.items():
+            assert abs(errors[n] - measured) <= self.RATE_BAND, (n, errors[n])
+        for coarse, fine in ((24, 32), (32, 48)):
+            assert math.log(errors[coarse] / errors[fine]) / math.log(fine / coarse) >= 1.8
+
+
 class TestStableDt:
     def test_quarter_scaling_under_refinement(self):
         coarse = make_grid(16, 8.0)
