@@ -12,6 +12,10 @@ atomically.  A run manifest is written atomically at the end of every
 run, the fourth file of a run directory.
 A diagnose removes the older report before it reads anything and writes
 the one `report.json` last, atomically.
+The module loads the four core layers only.  `diagnose` and `exponents`
+load `analysis`, `verify` loads `verify` and `sweep` its process pool,
+each as it runs, so that `landau run` and every spawned sweep worker
+start without them.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from . import analysis
 from .fields import _entropy_sum, maxwellian
 from .grid import Field, make_grid
 from .solver import SCALAR_COLUMNS, InitialDatum, PerturbedMaxwellian, SimConfig, Trajectory, run
@@ -310,6 +313,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_exponents(args: argparse.Namespace) -> int:
+    from . import analysis
+
     exps = analysis.exponents(args.p, args.m)
     payload = dataclasses.asdict(exps)
     payload["degenerate"] = exps.degenerate
@@ -318,6 +323,8 @@ def _cmd_exponents(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    from . import analysis
+
     directory, out = Path(args.traj), Path(args.out)
     # an older report must not survive a diagnose that fails, however early
     (out / "report.json").unlink(missing_ok=True)
@@ -459,9 +466,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from concurrent.futures import BrokenExecutor
 
     base = parse_config(args.config)
-    amplitudes = [float(x) for x in args.amplitudes.split(",")] if args.amplitudes else [None]
-    ns = [int(x) for x in args.ns.split(",")] if args.ns else [base.n]
-    ps = [float(x) for x in args.ps.split(",")] if args.ps else [base.p]
+    amplitudes = args.amplitudes or [None]
+    ns = args.ns or [base.n]
+    ps = args.ps or [base.p]
     if amplitudes != [None] and not isinstance(base.initial, PerturbedMaxwellian):
         print("error: --amplitudes requires a perturbed_maxwellian base config", file=sys.stderr)
         return 2
@@ -481,7 +488,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     failures = 0
-    with _sweep_pool(min(args.workers if args.workers is not None else os.cpu_count() or 1, len(jobs))) as pool:
+    with _sweep_pool(min(args.workers or os.cpu_count() or 1, len(jobs))) as pool:
         for job, future in [(job, pool.submit(_sweep_worker, job)) for job in jobs]:
             try:
                 line, ok = future.result()
@@ -514,6 +521,26 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got '{raw}'")
+    return value
+
+
+def _comma_separated(kind: type) -> Callable[[str], list]:
+    def parse(raw: str) -> list:
+        try:
+            return [kind(part) for part in raw.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__} values, got '{raw}'") from None
+
+    return parse
+
+
 def cli(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="landau",
@@ -539,10 +566,10 @@ def cli(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a parameter grid concurrently")
     p_sweep.add_argument("--config", required=True, help="base configuration")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--amplitudes", default=None, help="comma-separated perturbation amplitudes")
-    p_sweep.add_argument("--ns", default=None, help="comma-separated grid sizes")
-    p_sweep.add_argument("--ps", default=None, help="comma-separated Lebesgue exponents")
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--amplitudes", type=_comma_separated(float), help="comma-separated perturbation amplitudes")
+    p_sweep.add_argument("--ns", type=_comma_separated(int), help="comma-separated grid sizes")
+    p_sweep.add_argument("--ps", type=_comma_separated(float), help="comma-separated Lebesgue exponents")
+    p_sweep.add_argument("--workers", type=_positive_int)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_exp = sub.add_parser("exponents", help="print the exponent set for (p, m)")

@@ -788,6 +788,27 @@ class TestCli:
         assert capsys.readouterr().err == f"error: sweep members would run at once into {out / tag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--workers", "0", "expected a positive integer, got '0'"),
+            ("--workers", "-2", "expected a positive integer, got '-2'"),
+            ("--workers", "two", "expected a positive integer, got 'two'"),
+            ("--ns", "24,x", "expected comma-separated int values, got '24,x'"),
+            ("--ps", "2,", "expected comma-separated float values, got '2,'"),
+            ("--amplitudes", "0.1;0.2", "expected comma-separated float values, got '0.1;0.2'"),
+        ],
+    )
+    def test_sweep_flag_errors_name_the_flag(self, tmp_path, capsys, flag, value, message):
+        text = MINIMAL.replace("initial = maxwellian", "initial = perturbed_maxwellian") + "amplitude = 0.1\nmode = 3\n"
+        base = write_cfg(tmp_path, text, name="base.cfg")
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            cli(["sweep", "--config", str(base), "--out", str(out), f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"landau sweep: error: argument {flag}: {message}"
+        assert not out.exists()
+
     def test_sweep_amplitudes_require_perturbed_base(self, tmp_path):
         base = write_cfg(tmp_path, MINIMAL, name="base.cfg")
         rc = cli(["sweep", "--config", str(base), "--out", str(tmp_path / "s"), "--amplitudes", "0.1"])

@@ -11,10 +11,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORE = ("grid", "fields", "coefficients", "solver", "analysis")
-# each core module loads the ones before it; the two front ends load all of them but not each other
+# each core module loads the ones before it; `verify` loads all of them, and
+# `io_cli` the four below `analysis`, which its diagnose and exponents load as they run
 LOADED = {name: set(CORE[: i + 1]) for i, name in enumerate(CORE)} | {
     "verify": {*CORE, "verify"},
-    "io_cli": {*CORE, "io_cli"},
+    "io_cli": {*CORE[:-1], "io_cli"},
 }
 
 
@@ -33,6 +34,24 @@ def test_the_cli_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+def test_each_command_loads_only_its_own_layers(tmp_path):
+    # `landau run`, like every spawned sweep worker, never loads the diagnostics;
+    # a diagnose after it loads `analysis` and still neither `verify` nor the pool
+    (tmp_path / "run.cfg").write_text("n = 8\nL = 8.0\nt_end = 0.05\np = 2.0\nm = 12.0\ninitial = maxwellian\n")
+    probe = """
+import contextlib, io, sys
+from landau.io_cli import cli
+watched = ("landau.analysis", "landau.verify", "multiprocessing", "concurrent.futures")
+for command in (["run", "--config", "run.cfg", "--out", "out"], ["diagnose", "--traj", "out", "--out", "rep"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli(command) == 0
+    print(*(m for m in watched if m in sys.modules), sep=",")
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["", "landau.analysis"]
 
 
 @pytest.mark.parametrize("module", list(LOADED))
