@@ -14,19 +14,20 @@ exponent p and the moment order m off the trajectory it measures.  The
 perturbation h = f - mu is taken against the grid's cached, read-only
 equilibrium `fields.maxwellian`, and the snapshot quantities are read
 off it in one pass over the snapshots (`_perturbation_pass`), which
-writes each h into one buffer and keeps none of them.  That pass
-memoizes on the trajectory, the first time any of `level_set_energy`,
-`moment_bound_check` and `ode_barrier_check` runs on it: per snapshot
-the max of h over each plane of each axis, the two terms of the level-0
-cut h^+, and ||h||_{L^1_theta} for theta = m and each of
-`MOMENT_WEIGHTS`; a weight outside those costs one more pass of its own.
-The level-set terms are computed at most once per level on a
-trajectory and memoized on it.  The box of {h > level} is read off the
-plane maxima with no pass over the grid, so an empty cut costs nothing,
-and any other cut is built, normed and differentiated on its box alone:
-at the levels l >= sup h/8 of the seed-0 benchmark runs that box covers
-0.25-0.6% of the grid on average, 2.2% at most.  A trajectory must not
-be mutated after construction.
+writes each h into one buffer and keeps none of them.  It runs the
+first time any of `level_set_energy`, `moment_bound_check` and
+`ode_barrier_check` reads a trajectory, and fills its memo
+`Trajectory.level_terms`: "planes", the max of h over each plane of
+each axis, by snapshot; ("l1", theta), ||h||_{L^1_theta} over the
+snapshots, for theta = m and, when m > MOMENT_ORDER_FLOOR, each of
+`MOMENT_WEIGHTS` (another theta costs a pass of its own); and (level,
+snapshot index), the two terms of the cut (h - level)^+, the level-0
+cut from that pass and any other level at most once.  The box of
+{h > level} is read off the plane maxima with no pass over the grid, so
+an empty cut costs nothing, and any other cut is built, normed and
+differentiated on its box alone: at the levels l >= sup h/8 of the
+seed-0 benchmark runs that box covers 0.25-0.6% of the grid on average,
+2.2% at most.  A trajectory must not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "level_set_energy",
     "level_set_recurrence_check",
     "degiorgi_iterate",
+    "degiorgi_at_ceiling",
     "calibrate_degiorgi_constant",
     "predict_K",
     "smoothing_fit",
@@ -70,6 +72,8 @@ MOMENT_MARGIN = 0.01
 SLOPE_TOLERANCE = 0.15
 # The weights theta of the moment envelopes `landau diagnose` fits
 MOMENT_WEIGHTS = (0.0, 2.0, 4.0)
+# The envelopes exist for moment orders l above this, 19/2 (`q_ltheta`)
+MOMENT_ORDER_FLOOR = 9.5
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,7 @@ def _nondegenerate_exponents(p: float, m: float) -> ExponentSet:
 
 def q_ltheta(l: float, theta: float) -> float:
     """Admissible moment-growth exponent for the weighted L^1 norm of h."""
-    if not l > 9.5:
+    if not l > MOMENT_ORDER_FLOOR:
         raise ValueError(f"moment order must exceed 19/2, got {l}")
     if not 0.0 <= theta <= l:
         raise ValueError(f"weight exponent must lie in [0, {l}], got {theta}")
@@ -156,19 +160,16 @@ def _perturbation(f: Field, out: np.ndarray) -> Field:
 
 
 def _perturbation_pass(traj: Trajectory, thetas: tuple[float, ...]) -> dict:
-    """The memo of `traj`, holding ||h||_{L^1_theta} for every theta in `thetas`.
+    """The memo of `traj` (module docstring), holding ||h||_{L^1_theta} for every theta in `thetas`.
 
     A pass builds h once per snapshot, into one buffer that it reuses.
-    The first pass on a trajectory memoizes, per snapshot, the plane
-    maxima of h (key "planes", a list by snapshot index) and the two
-    terms of the level-0 cut (key (0.0, index)), and the arrays of
-    ||h||_{L^1_theta} over the snapshots (key ("l1", theta)) for theta =
-    m, each of `MOMENT_WEIGHTS` and `thetas`.  A later pass runs only for
-    a theta not memoized yet, and takes its norms alone.
+    The first fills the memo; a later pass runs only for a theta not
+    memoized yet, and takes its norms alone.
     """
     memo = traj.level_terms
     first = "planes" not in memo
-    wanted = dict.fromkeys((traj.m, *MOMENT_WEIGHTS, *thetas) if first else thetas)
+    envelopes = MOMENT_WEIGHTS if traj.m > MOMENT_ORDER_FLOOR else ()
+    wanted = dict.fromkeys((traj.m, *envelopes, *thetas) if first else thetas)
     reqs = [NormRequest(1.0, theta) for theta in wanted if ("l1", theta) not in memo]
     if not (first or reqs):
         return memo
@@ -394,24 +395,26 @@ def degiorgi_iterate(traj: Trajectory, K: float, t: float, t_end: float, c0: flo
     )
 
 
+def degiorgi_at_ceiling(traj: Trajectory, t: float, t_end: float, c0: float, c: float) -> DeGiorgiReport | None:
+    """The iteration up to the ceiling K that `predict_K` gives for constant c and
+    the level-0 energy over [0, t_end], or None when K is not positive."""
+    e0 = level_set_energy(traj, 0.0, (0.0, t_end), c0).total
+    K = predict_K(e0, t, t_end, traj.p, traj.m, c)
+    return degiorgi_iterate(traj, K, t, t_end, c0) if K > 0.0 else None
+
+
 def calibrate_degiorgi_constant(trajs: list[Trajectory], t: float, t_end: float, c0: float) -> float:
     """Smallest calibration constant whose predicted ceiling verifies every run.
 
-    Verification means: the geometric decay verdict holds and the ceiling
-    dominates the measured sup of |h| over the window.  Monotone in the
-    constant (larger ceilings only shrink level sets), so bisection.
+    Verification means: the ceiling is positive (`degiorgi_at_ceiling`), the
+    geometric decay verdict holds and the ceiling dominates the measured sup
+    of |h| over the window.  Monotone in the constant (larger ceilings only
+    shrink level sets), so bisection.
     """
 
     def verifies(c: float) -> bool:
-        for traj in trajs:
-            e0 = level_set_energy(traj, 0.0, (0.0, t_end), c0).total
-            K = predict_K(e0, t, t_end, traj.p, traj.m, c)
-            if K <= 0.0:
-                return False
-            rep = degiorgi_iterate(traj, K, t, t_end, c0)
-            if not rep.verdict or rep.sup_measured > K:
-                return False
-        return True
+        reports = (degiorgi_at_ceiling(traj, t, t_end, c0, c) for traj in trajs)
+        return all(rep is not None and rep.verdict and not rep.sup_measured > rep.K for rep in reports)
 
     lo, hi = 0.0, 1.0
     for _ in range(60):

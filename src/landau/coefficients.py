@@ -19,39 +19,37 @@ zero is ever transformed (Hockney-Eastwood; `_potential_spectrum`).
 
 The kernel depends on |z| alone, so its sampled spectrum is real and
 even in each axis, and only its q >= 0 half is read
-(`_kernel_spectrum`): the DCT-I of the kernel's (n+1)^3 samples on
-one octant, three real GEMMs in place of an rfftn of the whole doubled
-lattice, 2.5 ms and not 30 at n = 48.  All three axes are therefore
-carried in one parity form: each line's even part Se(q), q = 0..n, and
-odd part T(q), q = 1..n-1, 2n real rows where a complex spectrum has 2n
-complex entries.  The spectrum is real, stored as (q2, q3, q1), and every
-product, forward and inverse, is one real 2-D GEMM, none batched, with
-one forward matrix (`_forward_matrix`) and one family of derivative
-matrices (`_derivative_matrices`) on every axis.  The Nyquist row q = n
-has no partner to make an odd derivative real, so it reads k = 0 on
-every axis, as `grid._derivative_matrix` does (Trefethen, Spectral
-Methods in MATLAB, SIAM 2000, ch. 3); the set is then symmetric under
-any permutation of the axes, to roundoff.  Each output is one monomial,
-the derivative d1^a d2^b d3^c: the q2 product runs once per power b,
-and each output takes its own q1 and q3 products.  A set transforms
-only the six components of A, which the flux reads: 3 forward and 15
-inverse products, 0.79 GFLOP at n = 48.  grad a, which no step reads
-(the flux takes its drift from face differences of a), is transformed
-from the set's density on first read, as the monomials d_i on the
-kernel spectrum times -|k|^2: 3 more forward and 8 inverse products,
-0.51 GFLOP at n = 48.  The results agree with full irfftn of the same
-even kernel spectrum and the same k to roundoff, not bit for bit, and
-do not depend on the number of BLAS threads.  The check routes
-(`biharmonic_potential`, `structural_residuals`) take the full spectrum
-from rfftn of the padded density instead (`_padded_spectrum`).
+(`_kernel_spectrum`): the DCT-I of the kernel's (n+1)^3 samples on one
+octant, three real GEMMs in place of an rfftn of the whole doubled
+lattice.  All three axes are therefore carried in one parity form: each
+line's even part Se(q), q = 0..n, and odd part T(q), q = 1..n-1, 2n real
+rows where a complex spectrum has 2n complex entries.  The spectrum is
+real, stored as (q2, q3, q1), and every product, forward and inverse, is
+one real 2-D GEMM, none batched, with one forward matrix
+(`_forward_matrix`) and one family of derivative matrices
+(`_derivative_matrices`) on every axis.  The Nyquist row q = n has no
+partner to make an odd derivative real, so it reads k = 0 on every axis,
+as `grid._derivative_matrix` does (Trefethen, Spectral Methods in
+MATLAB, SIAM 2000, ch. 3); the set is then symmetric under any
+permutation of the axes, to roundoff.  Each output is one monomial, the
+derivative d1^a d2^b d3^c: the q2 product runs once per power b, and
+each output takes its own q1 and q3 products.  A set transforms only the
+six components of A, and a is their trace: 3 forward and 15 inverse
+products, 0.79 GFLOP at n = 48.  grad a is transformed from the set's
+density on first read, as the monomials d_i on the kernel spectrum times
+-|k|^2: 3 more forward and 8 inverse products, 0.51 GFLOP at n = 48.
+The results agree with full irfftn of the same even kernel spectrum and
+the same k to roundoff, not bit for bit, and do not depend on the number
+of BLAS threads.  The check routes (`biharmonic_potential`,
+`structural_residuals`) take the full spectrum from rfftn of the padded
+density instead (`_padded_spectrum`).
 
 The eigenvalues run only where they can matter, in one LAPACK
 `eigvalsh` call per set (`SymTensorField.eigenvalues_at`): `lambda_max`
 on the nodes whose Gershgorin row bound reaches the largest diagonal
 entry, `c0_empirical` on the ball nodes whose lower bound reaches the
 ball's least weighted diagonal entry.  That is 2 nodes per set on the
-seed-0 benchmark runs, where a ball pass took 1 + 922 at n = 24 and
-1 + 7,150 at n = 48.  Both equal a full pass bit for bit, since LAPACK
+seed-0 benchmark runs.  Both equal a full pass bit for bit, since LAPACK
 solves each node's matrix on its own.  `coefficient_upper_bounds`
 screens the same way for the nodes that can hold a negative eigenvalue
 larger in size than `lambda_max`.
@@ -75,7 +73,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fields import NormRequest, lp_m_norm
-from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField, face_pairs, make_grid
+from .grid import SYM_COMPONENTS, Field, SymTensorField, VecField, make_grid
 
 __all__ = [
     "CoefficientSet",
@@ -120,16 +118,14 @@ def _kernel_spectrum(n: int, extent: float) -> np.ndarray:
     the whole (2n)^3 lattice within 1.8e-16 of the largest entry at
     n = 8 to 48, and with a long-double DCT-I within 8.7e-17, where
     rfftn is within 1.8e-16.  It takes 0.4, 0.6 and 2.5 ms at n = 24,
-    32 and 48, where rfftn took 4.6, 9.2 and 30 ms, and allocates
-    neither the (2n)^3 kernel nor its complex half spectrum: building
-    the n = 48 spectrum in a fresh process peaks at 37 MiB, not 50.
-    Each product is (n+1)^2 rows tall against the (n+1)-column matrix
-    and appends its q as the last axis, so BLAS splits only the tall
-    rows over its threads and the bits do not depend on the thread
-    count; with the (n+1)-row matrix on the left, one and two threads
-    gave other bits at n = 32 and 48.  A permutation of the axes moves
-    an entry by up to 1.4e-16 of the largest, 1.6e-8 of itself at
-    n = 48.
+    32 and 48, and allocates neither the (2n)^3 kernel nor its complex
+    half spectrum.  Each product is (n+1)^2 rows tall against the
+    (n+1)-column matrix and appends its q as the last axis, so BLAS
+    splits only the tall rows over its threads and the bits do not
+    depend on the thread count; with the (n+1)-row matrix on the left,
+    one and two threads gave other bits at n = 32 and 48.  A permutation
+    of the axes moves an entry by up to 1.4e-16 of the largest, 1.6e-8
+    of itself at n = 48.
 
     q1 and q2 hold each parity row at its |q|, and q3 holds q = 0..n,
     which `_potential_spectrum` applies to the even and the odd rows
@@ -179,12 +175,7 @@ def _coercivity_ball(n: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_boundary_decay(f: Field) -> None:
-    v = f.values
-    face_max = max(
-        float(np.max(np.abs(v[0]))), float(np.max(np.abs(v[-1]))),
-        float(np.max(np.abs(v[:, 0]))), float(np.max(np.abs(v[:, -1]))),
-        float(np.max(np.abs(v[:, :, 0]))), float(np.max(np.abs(v[:, :, -1]))),
-    )
+    face_max = max(float(np.max(np.abs(f.values.take(end, axis=k)))) for k in range(3) for end in (0, -1))
     if face_max > BOUNDARY_DENSITY_WARN:
         warnings.warn(
             f"source density {face_max:.2e} at the domain boundary exceeds "
@@ -352,10 +343,8 @@ class CoefficientSet:
         a has the symbol -|k|^2 on the kernel spectrum, so grad_i a is the
         monomial d_i on the kernel spectrum times -|k|^2, each parity row
         at its |q| (the row map of `_kernel_spectrum`, with k = 0 at the
-        Nyquist row).  No step of a run reads it: the flux takes its
-        drift from face differences of a (`drift_max`).  Verification
-        and the bound checks do, and get the values an eager transform
-        would give.
+        Nyquist row).  No step of a run reads it; verification and the
+        bound checks do, and get the values an eager transform would give.
         """
         grid = self.density.grid
         n = grid.n
@@ -424,14 +413,6 @@ class CoefficientSet:
         few ulps.
         """
         return self._extremes[1]
-
-    @cached_property
-    def drift_max(self) -> float:
-        """Largest drift speed the flux reads: max |a(i + e_k) - a(i)| / dv
-        over the axes and all faces, the wrap faces included."""
-        a, d = self.a.values, np.empty(self.a.grid.shape)
-        top = max(float(np.max(np.abs(face_pairs(np.subtract, a, k, d), out=d))) for k in range(3))
-        return top / self.a.grid.spacing
 
 
 def _padded_spectrum(f: Field) -> np.ndarray:

@@ -47,6 +47,7 @@ __all__ = [
     "box_lp_norm",
     "moments",
     "boltzmann_entropy",
+    "positive_part_entropy",
     "weighted_gradient_energy",
     "box_gradient_energy",
     "sobolev_ratio",
@@ -177,16 +178,18 @@ def boltzmann_entropy(field: Field, *, absolute: bool = False) -> float:
     # max |f| is max(max f, -min f)
     if low < -NEGATIVITY_SLACK * max(float(np.max(vals)), -low):
         raise ValueError("field has negative values beyond roundoff tolerance; entropy undefined")
-    return field.grid.cell_volume * _entropy_sum(vals, absolute)
+    return positive_part_entropy(field, absolute)
 
 
-def _entropy_sum(vals: np.ndarray, absolute: bool) -> float:
-    """sum of f log f (or f |log f|) over the nodes above ENTROPY_FLOOR: zero and negative nodes add nothing."""
+def positive_part_entropy(field: Field, absolute: bool) -> float:
+    """Integral of f^+ log f^+ (or f^+ |log f^+|), unchecked, as the rows and
+    reports take it: nodes at or below ENTROPY_FLOOR, undershoots included, add nothing."""
+    vals = field.values
     pos = vals[vals > ENTROPY_FLOOR]
     logs = np.log(pos)
     if absolute:
         np.abs(logs, out=logs)
-    return float(np.einsum("i,i->", pos, logs))
+    return field.grid.cell_volume * float(np.einsum("i,i->", pos, logs))
 
 
 def weighted_gradient_energy(h: Field, p: float) -> float:

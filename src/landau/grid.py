@@ -30,7 +30,6 @@ __all__ = [
     "SymTensorField",
     "make_grid",
     "integrate",
-    "face_pairs",
     "spectral_gradient",
     "box_gradient",
 ]
@@ -187,17 +186,6 @@ def make_grid(n: int, extent: float) -> Grid:
 def integrate(field: Field) -> float:
     """Midpoint-rule integral over the box: spacing^3 times the sample sum."""
     return field.grid.cell_volume * float(np.sum(field.values))
-
-
-def face_pairs(ufunc: np.ufunc, x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """out(i) = ufunc(x(i + e_k), x(i)), periodic in axis k, for (n, n, n)
-    arrays (out C-contiguous), with no shifted copy of x: one ufunc over
-    the flat arrays shifted by n^(2-k), then the wrap plane i_k = n - 1."""
-    shift = x.shape[0] ** (2 - k)
-    ufunc(x.reshape(-1)[shift:], x.reshape(-1)[:-shift], out=out.reshape(-1)[:-shift])
-    last, first = (slice(None),) * k + (-1,), (slice(None),) * k + (0,)
-    ufunc(x[first], x[last], out=out[last])
-    return out
 
 
 @lru_cache(maxsize=8)

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, get_args, get_
 import numpy as np
 
 from . import __version__
-from .fields import _entropy_sum, maxwellian
+from .fields import maxwellian, positive_part_entropy
 from .grid import Field, make_grid
 from .solver import SCALAR_COLUMNS, InitialDatum, PerturbedMaxwellian, SimConfig, Trajectory, run
 
@@ -370,12 +370,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             dataclasses.asdict(analysis.level_set_recurrence_check(traj, k, level, 0.0, t_mid, t_end, c0))
             for k, level in zip(ladder, ladder[1:])
         ]
-        e0 = analysis.level_set_energy(traj, 0.0, (0.0, t_end), c0).total
-        K = analysis.predict_K(e0, t_mid, t_end, p, m, 1.0)  # c = 1 until the ceiling is measured on the run
-        if K > 0:
-            report["degiorgi"] = dataclasses.asdict(analysis.degiorgi_iterate(traj, K, t_mid, t_end, c0))
+        degiorgi = analysis.degiorgi_at_ceiling(traj, t_mid, t_end, c0, 1.0)  # c = 1 until the ceiling is measured
+        if degiorgi is not None:
+            report["degiorgi"] = dataclasses.asdict(degiorgi)
 
-    if m > 9.5:
+    if m > analysis.MOMENT_ORDER_FLOOR:
         report["moment_bounds"] = [
             dataclasses.asdict(analysis.moment_bound_check(traj, theta)) for theta in analysis.MOMENT_WEIGHTS
         ]
@@ -390,12 +389,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     report["h1_smallness"] = {"l2_1": h1[0], "grad_l2_2": h1[1], "t_query": 0.5 * t_end}
 
     # both entropy conventions for the positive part of the final state: the
-    # signed f log f, which the run recorder wrote as the last row, and f |log f|,
-    # summed as the recorder sums: nodes at or below ENTROPY_FLOOR add nothing
+    # signed f log f, which the run recorder wrote as the last row, and f |log f|
     report["entropy_final"] = {
         "time": traj.snapshot_times[-1],
         "signed": float(traj.entropy[-1]),
-        "absolute": traj.grid.cell_volume * _entropy_sum(traj.snapshots[-1].values, True),
+        "absolute": positive_part_entropy(traj.snapshots[-1], True),
     }
 
     _replace_text(out / "report.json", json.dumps(report, indent=2, default=float) + "\n")

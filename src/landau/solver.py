@@ -24,12 +24,15 @@ long for one step is split in two equal steps rather than leaving a
 sliver.
 
 Each coefficient set is reduced once to the 12 face weights its flux
-reads, with every stencil constant folded in (`_face_weights`).  A run
-keeps only those weights and the three statistics a step reads,
-`lambda_max`, `drift_max` and `c0_empirical` (`FrozenCoefficients`),
-and lets the node-valued A and a go as soon as the weights exist, so
-that the weights add nothing to the peak memory of a run.  No step
-reads the spectral grad a, so a run never transforms it.
+reads, with every stencil constant folded in, and to the largest face
+drift, the CFL bound's advective term, read off the differences of a
+that the drift weights scale (`_face_weights`); every face of the flux
+is read through `_face_pairs`.  A run keeps only those weights and the
+three statistics a step reads, `lambda_max`, `drift_max` and
+`c0_empirical` (`FrozenCoefficients`), and lets the node-valued A and a
+go as soon as the weights exist, so that the weights add nothing to the
+peak memory of a run.  No step reads the spectral grad a, so a run never
+transforms it.
 
 The integrator is equilibrium-balanced: the (order Delta v^3) residual
 of the raw flux divergence at the sampled Maxwellian is subtracted from
@@ -55,6 +58,7 @@ can execute concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Union
@@ -62,8 +66,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .coefficients import CoefficientSet, compute_coefficients
-from .fields import NormRequest, _entropy_sum, lp_m_norm, maxwellian, moments, weighted_gradient_energy
-from .grid import Field, Grid, face_pairs, make_grid
+from .fields import NormRequest, lp_m_norm, maxwellian, moments, positive_part_entropy, weighted_gradient_energy
+from .grid import Field, Grid, make_grid
 
 __all__ = [
     "Maxwellian",
@@ -291,8 +295,38 @@ def initial_datum(config: SimConfig) -> Field:
 _TRANSVERSE = ((1, 2), (0, 2), (0, 1))
 
 
-def _face_weights(coeffs: CoefficientSet) -> np.ndarray:
-    """The flux's face weights of one coefficient set, shape (3, 4, n, n, n).
+def _along(k: int, index: int | slice) -> tuple[int | slice, ...]:
+    """The index of `index` along axis k of an (n, n, n) array."""
+    return (slice(None),) * k + (index,)
+
+
+def _face_pairs(ufunc: np.ufunc, x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """out(i) = ufunc(x(i + e_k), x(i)) on every face of axis k, the wrap
+    faces included, for (n, n, n) arrays (out C-contiguous), with no
+    shifted copy of x: one ufunc over the flat arrays shifted by n^(2-k),
+    then the wrap plane i_k = n - 1."""
+    shift = x.shape[0] ** (2 - k)
+    ufunc(x.reshape(-1)[shift:], x.reshape(-1)[:-shift], out=out.reshape(-1)[:-shift])
+    ufunc(x[_along(k, 0)], x[_along(k, -1)], out=out[_along(k, -1)])
+    return out
+
+
+def _drift_max(a: Field, faces: Sequence[np.ndarray]) -> float:
+    """The flux's largest drift speed, max |a(i + e_k) - a(i)| / dv over the
+    axes and their faces, leaving axis k's differences in `faces[k]` (one
+    array may serve all three).  max |d| is max(max d, -min d), and np.max
+    folds the axes, keeping a NaN that Python's max can drop."""
+    extremes = []
+    for k, d in enumerate(faces):
+        _face_pairs(np.subtract, a.values, k, d)
+        extremes += (np.max(d), -np.min(d))
+    return float(np.max(extremes)) / a.grid.spacing
+
+
+def _face_weights(coeffs: CoefficientSet) -> tuple[np.ndarray, float]:
+    """The flux's face weights of one coefficient set, shape (3, 4, n, n, n),
+    and its largest face drift (`_drift_max`), read off the differences of
+    a before they are scaled into D_k.
 
     Slot k holds, on the faces between node i and node i + e_k,
     W_kk = avg_k(A_kk)/dv^2, W_kj = avg_k(A_kj)/(4 dv^2) for the two
@@ -303,25 +337,24 @@ def _face_weights(coeffs: CoefficientSet) -> np.ndarray:
     grid = coeffs.a.grid
     inv_dv2 = 1.0 / (grid.spacing * grid.spacing)
     out = np.empty((3, 4, *grid.shape))
-    a = coeffs.a.values
+    drift = _drift_max(coeffs.a, out[:, 3])
     for k, (w_kk, w_j1, w_j2, d_k) in enumerate(out):
         j1, j2 = _TRANSVERSE[k]
         for w, j, scale in ((w_kk, k, 0.5), (w_j1, j1, 0.125), (w_j2, j2, 0.125)):
-            face_pairs(np.add, coeffs.A.component(k, j), k, w)
+            _face_pairs(np.add, coeffs.A.component(k, j), k, w)
             w *= scale * inv_dv2
-        face_pairs(np.subtract, a, k, d_k)
         d_k *= 0.5 * inv_dv2
-    return out
+    return out, drift
 
 
 @dataclass(frozen=True, eq=False)
 class FrozenCoefficients:
     """What a step of `run` reads of one coefficient set.
 
-    The face weights of the flux and the three statistics behind the
-    step bound and the rows, `drift_max` the set's own.  Holding
-    these instead of the set lets the run drop the node-valued A and a
-    as soon as the weights exist.
+    The face weights of the flux, the largest face drift that comes with
+    them, and the two eigenvalue statistics behind the step bound and
+    the rows.  Holding these instead of the set lets the run drop the
+    node-valued A and a as soon as the weights exist.
     """
 
     weights: np.ndarray
@@ -332,13 +365,9 @@ class FrozenCoefficients:
     @classmethod
     def of(cls, coeffs: CoefficientSet) -> FrozenCoefficients:
         # the statistics first: their full-grid temporaries are freed before the weights exist
-        stats = coeffs.lambda_max, coeffs.drift_max, coeffs.c0_empirical
-        return cls(_face_weights(coeffs), *stats)
-
-
-def _along(k: int, index: int | slice) -> tuple[int | slice, ...]:
-    """The index of `index` along axis k of an (n, n, n) array."""
-    return (slice(None),) * k + (index,)
+        lambda_max, c0_empirical = coeffs.lambda_max, coeffs.c0_empirical
+        weights, drift = _face_weights(coeffs)
+        return cls(weights, lambda_max, drift, c0_empirical)
 
 
 def _centred_difference(x: np.ndarray, j: int) -> np.ndarray:
@@ -367,20 +396,19 @@ def rhs(f: Field, coeffs: CoefficientSet | FrozenCoefficients) -> Field:
     and the result is the sum over k of F_k(i) - F_k(i - e_k).  The
     divergence telescopes, so the integral of the result vanishes to
     machine precision.  Every shift is a view, none a copy: each of g_j,
-    the face sums and differences (`grid.face_pairs`) and the in-place
+    the face sums and differences (`_face_pairs`) and the in-place
     subtraction of F_k(i - e_k) is one ufunc over the flat arrays shifted
     by n^(2-k), plus the wrap planes the flat shift gets wrong.  For the
     subtraction, the i_k = 0 plane is saved first and rewritten after,
     so every element sees the same operations in the same order, and the
     result is bit for bit that of the same stencil on rolled copies.  A
     call allocates six full arrays and no shifted copy, in about 4.2,
-    0.77 and 0.35 ms at n = 48, 32 and 24 on a 2-core host, against 4.6,
-    0.94 and 0.43 ms with each shift taken slice by slice and 6.2, 1.07
-    and 0.55 ms with rolled copies.  Given a `CoefficientSet` rather than
-    its `FrozenCoefficients`, a call first builds the weights, about
-    1.6, 0.4 and 0.3 ms more; `run` builds them once per set.
+    0.77 and 0.35 ms at n = 48, 32 and 24 on a 2-core host.  Given a
+    `CoefficientSet` rather than its `FrozenCoefficients`, a call first
+    builds the weights, about 1.6, 0.4 and 0.3 ms more; `run` builds
+    them once per set.
     """
-    weights = coeffs.weights if isinstance(coeffs, FrozenCoefficients) else _face_weights(coeffs)
+    weights = coeffs.weights if isinstance(coeffs, FrozenCoefficients) else _face_weights(coeffs)[0]
     grid = f.grid
     vals = f.values
     spread = [_centred_difference(vals, j) for j in range(3)]
@@ -388,13 +416,13 @@ def rhs(f: Field, coeffs: CoefficientSet | FrozenCoefficients) -> Field:
     flux, term = np.empty(grid.shape), np.empty(grid.shape)
     flat_out, flat_flux = out.reshape(-1), flux.reshape(-1)
     for k, (w_kk, w_j1, w_j2, d_k) in enumerate(weights):
-        face_pairs(np.add, vals, k, flux)
+        _face_pairs(np.add, vals, k, flux)
         flux *= d_k
-        normal = face_pairs(np.subtract, vals, k, term)
+        normal = _face_pairs(np.subtract, vals, k, term)
         normal *= w_kk
         np.subtract(normal, flux, out=flux)
         for w, j in zip((w_j1, w_j2), _TRANSVERSE[k]):
-            face_pairs(np.add, spread[j], k, term)
+            _face_pairs(np.add, spread[j], k, term)
             term *= w
             flux += term
         out += flux
@@ -409,14 +437,16 @@ def rhs(f: Field, coeffs: CoefficientSet | FrozenCoefficients) -> Field:
 def stable_dt(f: Field, coeffs: CoefficientSet | FrozenCoefficients, cfl: float) -> float:
     """Parabolic/advective explicit step bound (the CFL ceiling of `run`).
 
-    The advective term is `drift_max`, the largest face drift
-    |a(i + e_k) - a(i)| / dv, which is 2 dv |D_k| of the face weights;
-    a set and its `FrozenCoefficients` give the same bound bit for bit.
+    The advective term is the flux's largest face drift (`_drift_max`),
+    which a bare set takes in one scratch array without the weights, so
+    a set and its `FrozenCoefficients` give one bound bit for bit.
     Uncapped: where the coefficients vanish it is unbounded, and a run
     is limited by its snapshot times and horizon.
     """
     dv = f.grid.spacing
-    denom = 2.0 * 3.0 * coeffs.lambda_max + dv * coeffs.drift_max + 1e-30
+    frozen = isinstance(coeffs, FrozenCoefficients)
+    drift = coeffs.drift_max if frozen else _drift_max(coeffs.a, [np.empty(f.grid.shape)] * 3)
+    denom = 2.0 * 3.0 * coeffs.lambda_max + dv * drift + 1e-30
     return cfl * dv * dv / denom
 
 
@@ -467,9 +497,9 @@ def step(f: Field, dt: float, coeffs: CoefficientSet) -> Field:
     """One SSP-RK2 update of the state on the coefficient set `coeffs`."""
     # the residual first, so that its coefficient set is not built beside the weights
     base = equilibrium_residual(f.grid.n, f.grid.extent)
-    weights = _face_weights(coeffs)
-    # the stages read the weights alone, so the statistics are left unmeasured
-    frozen = FrozenCoefficients(weights, math.nan, math.nan, math.nan)
+    weights, drift = _face_weights(coeffs)
+    # the stages read the weights alone, so the eigenvalue statistics are left unmeasured
+    frozen = FrozenCoefficients(weights, math.nan, drift, math.nan)
     return _ssp_step(f, dt, frozen, rhs(f, frozen).values, base)
 
 
@@ -492,14 +522,9 @@ class Trajectory:
     Every series is a view of the table's columns (SCALAR_COLUMNS):
     `momentum` has shape (steps + 1, 3), `lp_p` is ||h||_p^p and
     `grad_energy` the integral of <v>^-3 |grad |h|^{p/2}|^2.  Nothing is
-    to be mutated: `level_terms` memoizes what the diagnostics of
-    `landau.analysis` read off h = f - mu at each snapshot, from one
-    pass over the snapshots that keeps no h: the plane maxima of h (key
-    "planes", a list by snapshot index), the weighted norms
-    ||h||_{L^1_theta} (key ("l1", theta), an array over the snapshots),
-    and the level-set terms of `analysis.level_set_energy`, by (level,
-    snapshot index).  A run that stopped early holds the reason of its
-    abort, at its last row.
+    to be mutated: `level_terms` is the memo of the diagnostics, whose
+    keys `landau.analysis` defines.  A run that stopped early holds the
+    reason of its abort, at its last row.
     """
 
     grid: Grid
@@ -540,10 +565,8 @@ def _row(t: float, dt_used: float, f: Field, coeffs: FrozenCoefficients, p: floa
     """The row of state f, in SCALAR_COLUMNS order."""
     h = f - maxwellian(f.grid)
     mom = moments(f)
-    # entropy of the nonnegative part, unchecked: undershoots below zero add nothing to the sum
-    entropy = f.grid.cell_volume * _entropy_sum(f.values, False)
-    return (t, dt_used, mom.mass, *mom.momentum, mom.energy, entropy, lp_m_norm(h, NormRequest(p)) ** p,
-            h.max_abs(), weighted_gradient_energy(h, p), coeffs.c0_empirical)
+    return (t, dt_used, mom.mass, *mom.momentum, mom.energy, positive_part_entropy(f, False),
+            lp_m_norm(h, NormRequest(p)) ** p, h.max_abs(), weighted_gradient_energy(h, p), coeffs.c0_empirical)
 
 
 def _next_dt(dt: float, remaining: float) -> float:

@@ -288,6 +288,15 @@ class TestDeGiorgi:
         rep = degiorgi_iterate(traj, ceiling, 0.25, 1.0, c0)
         assert rep.verdict and rep.sup_measured <= ceiling
 
+    def test_the_ceiling_rule_iterates_at_the_predicted_ceiling(self, perturbed_corpus):
+        # the one rule that `landau diagnose` (c = 1) and the calibration both apply
+        _, traj = perturbed_corpus[0]
+        c0 = float(np.min(traj.c0))
+        e0 = level_set_energy(traj, 0.0, (0.0, 1.0), c0).total
+        ceiling = predict_K(e0, 0.25, 1.0, traj.p, traj.m, 1.0)
+        assert analysis.degiorgi_at_ceiling(traj, 0.25, 1.0, c0, 1.0) == degiorgi_iterate(traj, ceiling, 0.25, 1.0, c0)
+        assert analysis.degiorgi_at_ceiling(traj, 0.25, 1.0, c0, 0.0) is None  # no iteration under K = 0
+
 
 class TestMomentBound:
     def test_equilibrium_noise_floor(self, maxwellian32):
@@ -350,6 +359,17 @@ class TestPerturbationPass:
             direct = [lp_m_norm(f - mu, NormRequest(1.0, theta)) for f in traj.snapshots]
             assert analysis._l1_norms(traj, theta).tolist() == direct
         assert ("l1", 3.0) in traj.level_terms
+
+    def test_below_the_moment_order_floor_the_pass_takes_theta_m_alone(self, twobump32, monkeypatch):
+        # no envelope exists for m <= 19/2, so the moment weights' norms would go unread
+        traj = dataclasses.replace(twobump32, m=9.0)
+        calls = []
+        norm = analysis.lp_m_norm
+        monkeypatch.setattr(analysis, "lp_m_norm", lambda h, req: calls.append(req.m) or norm(h, req))
+        ode_barrier_check(traj, eps=1.0)
+        assert calls == [traj.m] * len(traj.snapshots)
+        with pytest.raises(ValueError, match="19/2"):
+            moment_bound_check(traj, 0.0)
 
     def test_checks_agree_in_any_order(self, twobump32):
         top = float(np.max(twobump32.linf_h))

@@ -363,20 +363,6 @@ class TestTransformOnRead:
             compute_coefficients(f).grad_a
         assert len([w for w in caught if "source density" in str(w.message)]) == 1
 
-    def test_drift_max_is_the_largest_face_difference(self):
-        grid = make_grid(8, 8.0)
-        a = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
-        coeffs = CoefficientSet(
-            A=SymTensorField(grid, np.zeros((6, *grid.shape))), a=Field(grid, a), density=Field(grid, np.zeros(grid.shape))
-        )
-        faces = []
-        for node in np.ndindex(grid.shape):
-            for k in range(3):
-                ahead = list(node)
-                ahead[k] = (ahead[k] + 1) % grid.n  # the wrap faces included
-                faces.append(abs(a[tuple(ahead)] - a[node]) / grid.spacing)
-        assert coeffs.drift_max == max(faces)
-
 
 def full_pass(tensor: SymTensorField) -> tuple[float, float]:
     """lambda_max and c0_empirical read off the full eigenvalue pass at every node."""

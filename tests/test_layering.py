@@ -1,4 +1,5 @@
-"""The import layering of the README's module table, each module loaded in a fresh interpreter, and each module's `__all__`."""
+"""The import layering of the README's module table, each module loaded in a fresh interpreter, each module's
+`__all__`, and the one module that owns each shared decision."""
 
 import ast
 import importlib
@@ -81,3 +82,39 @@ def test_the_eigenvalues_have_one_home():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
                 routines.add(node.attr)
     assert readers == {"grid"} and routines == {"eigvalsh"}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "landau").glob("*.py"))}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a module reaches another through its public names, so each private helper has one reader
+    reached = set()
+    for module, tree in _trees().items():
+        siblings = set()  # the landau modules bound by `from . import x`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("landau")):
+                reached |= {(module, alias.name) for alias in node.names if _is_private(alias.name)}
+                siblings |= {alias.asname or alias.name for alias in node.names if not node.module}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+                reached |= {(module, node.attr)} if _is_private(node.attr) else set()
+    assert reached == set()
+
+
+def test_the_flux_owns_its_faces_and_drift_bound():
+    # the face convention (node i and i + e_k, the wrap faces included) and the drift
+    # bound read off it are defined and read in `solver` alone
+    named_by = {ast.Name: "id", ast.Attribute: "attr", ast.FunctionDef: "name", ast.alias: "name"}
+    homes = {}
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            name = getattr(node, named_by.get(type(node), ""), "")
+            if name.lstrip("_") in ("face_pairs", "drift_max"):
+                homes.setdefault(name.lstrip("_"), set()).add(module)
+    assert homes == {"face_pairs": {"solver"}, "drift_max": {"solver"}}

@@ -363,9 +363,38 @@ class TestStableDt:
                 component = A.component(k, j)
                 expected[k, slot] = (component + np.roll(component, -1, axis=k)) * (scale * inv_dv2)
             expected[k, 3] = (np.roll(a, -1, axis=k) - a) * (0.5 * inv_dv2)
-        np.testing.assert_array_equal(solver_mod._face_weights(coeffs), expected)
-        drift = max(float(np.max(np.abs(np.roll(a, -1, axis=k) - a))) for k in range(3)) / grid.spacing
-        assert coeffs.drift_max == drift
+        weights, drift = solver_mod._face_weights(coeffs)
+        np.testing.assert_array_equal(weights, expected)
+        assert drift == max(float(np.max(np.abs(np.roll(a, -1, axis=k) - a))) for k in range(3)) / grid.spacing
+
+    def test_drift_max_is_the_largest_face_difference(self):
+        grid = make_grid(8, 8.0)
+        a = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
+        coeffs = CoefficientSet(
+            A=SymTensorField(grid, np.zeros((6, *grid.shape))), a=Field(grid, a), density=Field(grid, np.zeros(grid.shape))
+        )
+        faces = []
+        for node in np.ndindex(grid.shape):
+            for k in range(3):
+                ahead = list(node)
+                ahead[k] = (ahead[k] + 1) % grid.n  # the wrap faces included
+                faces.append(abs(a[tuple(ahead)] - a[node]) / grid.spacing)
+        # with the weights, and alone in one scratch array, as `stable_dt` takes it of a bare set
+        assert solver_mod._face_weights(coeffs)[1] == max(faces)
+        assert solver_mod._drift_max(coeffs.a, [np.empty(grid.shape)] * 3) == max(faces)
+
+    @pytest.mark.parametrize("bad, dt", [(math.nan, math.nan), (math.inf, 0.0)])
+    def test_a_non_finite_node_of_a_stays_in_the_bound(self, bad, dt):
+        # NaN stays NaN, in the drift and the step; an infinite drift leaves no step
+        f = initial_datum(SimConfig(n=16, initial=TwoBump(2.0)))
+        fine = compute_coefficients(f)
+        a = fine.a.values.copy()
+        a[5, 9, 7] = bad
+        coeffs = CoefficientSet(A=fine.A, a=Field(f.grid, a), density=f)
+        frozen = solver_mod.FrozenCoefficients.of(coeffs)
+        np.testing.assert_equal(frozen.drift_max, bad)
+        np.testing.assert_equal(solver_mod._drift_max(coeffs.a, [np.empty(f.grid.shape)] * 3), bad)
+        np.testing.assert_equal([stable_dt(f, coeffs, 0.5), stable_dt(f, frozen, 0.5)], [dt, dt])
 
     def test_frozen_form_takes_the_statistics_before_the_weights(self, monkeypatch):
         # their full-grid temporaries must be gone before the weights are allocated
@@ -373,13 +402,13 @@ class TestStableDt:
         build = solver_mod._face_weights
 
         def checked(c):
-            assert {"lambda_max", "drift_max", "c0_empirical"} <= vars(c).keys()
+            assert {"lambda_max", "c0_empirical"} <= vars(c).keys()
             return build(c)
 
         monkeypatch.setattr(solver_mod, "_face_weights", checked)
         frozen = solver_mod.FrozenCoefficients.of(coeffs)
         assert (frozen.lambda_max, frozen.drift_max, frozen.c0_empirical) == (
-            coeffs.lambda_max, coeffs.drift_max, coeffs.c0_empirical)
+            coeffs.lambda_max, build(coeffs)[1], coeffs.c0_empirical)
 
 
 class TestStep:
@@ -547,7 +576,7 @@ class TestRun:
             frozen.append(of(cls, coeffs))
             # lambda_max and c0 from one call on this set's A, each cached on the set
             assert len(calls) == 1 and calls[0] is coeffs.A
-            assert {"lambda_max", "drift_max", "c0_empirical"} <= vars(coeffs).keys()
+            assert {"lambda_max", "c0_empirical"} <= vars(coeffs).keys()
             calls.clear()
             return frozen[-1]
 
